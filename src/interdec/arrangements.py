@@ -36,6 +36,7 @@ from .linalg import (
     Subspace,
     complement_rows,
     complement_within,
+    contains,
     intersect,
     mix_rows,
     random_invertible,
@@ -43,11 +44,11 @@ from .linalg import (
     subspace_from_generators,
 )
 from .posets import (
-    Poset,
     downset,
     enumerate_lower_sets,
     interval_elements,
     is_order_embedding,
+    lower_set_lattice,
 )
 
 DEFAULT_CAP = 4096
@@ -214,38 +215,29 @@ def new_arrangement(poset, ambient_dim, field, spaces):
     report = check_monotonicity(poset, table)
     if not report.verdict:
         w = report.witness
-        raise NotMonotone(w.location[0], w.location[1], w.vector)
+        raise NotMonotone(w.location[0], w.location[1], w.vector, field)
     return Arrangement(poset, ambient_dim, field, table)
 
 
 def check_monotonicity(poset, spaces):
     """Cover-pair containment scan; containment along covers is transitive."""
-    n = len(poset.labels)
     pairs = 0
     ranks = 0
-    for ib in range(n):
-        down_b = poset._down[ib]
-        for ia in range(n):
-            if ia == ib or not down_b >> ia & 1:
-                continue
-            # a < b; covers only: nothing strictly between
-            between = poset._up[ia] & down_b
-            if between != (1 << ia | 1 << ib):
-                continue
-            pairs += 1
-            a, b = poset.labels[ia], poset.labels[ib]
-            small, big = spaces[a], spaces[b]
-            acc = big.echelon()
-            ranks += 1
-            for row, exact in zip(small.basis, small.exact_rows()):
-                if not acc.contains_row(exact):
-                    witness = Witness((a, b), row, small, big)
-                    return CheckReport(
-                        "monotonicity",
-                        False,
-                        witness,
-                        {"pairs_checked": pairs, "ranks_computed": ranks},
-                    )
+    for ia, ib in poset.covers():
+        pairs += 1
+        a, b = poset.labels[ia], poset.labels[ib]
+        small, big = spaces[a], spaces[b]
+        acc = big.echelon()
+        ranks += 1
+        for row, exact in zip(small.basis, small.exact_rows()):
+            if not acc.contains_row(exact):
+                witness = Witness((a, b), row, small, big)
+                return CheckReport(
+                    "monotonicity",
+                    False,
+                    witness,
+                    {"pairs_checked": pairs, "ranks_computed": ranks},
+                )
     return CheckReport(
         "monotonicity", True, None, {"pairs_checked": pairs, "ranks_computed": ranks}
     )
@@ -442,7 +434,7 @@ def verify_decomposition(arrangement, decomposition):
         space = arrangement.spaces[a]
         if rebuilt == space:
             continue
-        if not _contains_all(space, rebuilt):
+        if not contains(space, rebuilt):
             vector = _basis_vector_outside(rebuilt, space)
             witness = Witness(a, vector, rebuilt, space)
         else:
@@ -460,11 +452,6 @@ def verify_decomposition(arrangement, decomposition):
         "decomposition", True, None, {"pairs_checked": pairs, "ranks_computed": ranks}
     )
     return report, Decomposition(comps, certified=True)
-
-
-def _contains_all(big, small):
-    acc = big.echelon()
-    return all(acc.contains_row(r) for r in small.exact_rows())
 
 
 def _direct_sum_witness(arrangement, comps):
@@ -583,7 +570,7 @@ def pushforward(mapping, arrangement, target_poset):
     """f_* F on the target poset: (f_*F)(b) = Σ over {a | f(a) ≤ b} of F(a).
 
     The map must be monotone.  For order-embeddings the defining property
-    (f_*F)(f(a)) = F(a) is asserted after construction.
+    (f_*F)(f(a)) = F(a) is re-checked after construction.
     """
     source = arrangement.poset
     images = {}
@@ -610,29 +597,18 @@ def pushforward(mapping, arrangement, target_poset):
     )
     if is_order_embedding(images, source, target_poset):
         for a in source.labels:
-            assert result.spaces[images[a]] == arrangement.spaces[a], (
-                "pushforward along an order-embedding must restrict back to F"
-            )
+            if result.spaces[images[a]] != arrangement.spaces[a]:
+                raise InternalContradiction(
+                    "pushforward along an order-embedding must restrict back "
+                    f"to F, but differs at {a!r}"
+                )
     return result
-
-
-def lower_set_label(labels):
-    return "{" + ",".join(labels) + "}"
 
 
 def extend_to_lower_sets(arrangement, cap=DEFAULT_CAP):
     """Arrangement on the lattice of all lower sets, ℬ ↦ F(ℬ)."""
-    poset = arrangement.poset
-    sets = enumerate_lower_sets(poset, cap)
-    masks = [b.mask for b in sets]
-    labels = [lower_set_label(poset._labels_of(m)) for m in masks]
-    ups = []
-    for i, mi in enumerate(masks):
-        row = 0
-        for j, mj in enumerate(masks):
-            if mi & ~mj == 0:
-                row |= 1 << j
-        ups.append(row)
-    lattice = Poset(labels, ups)
-    spaces = {lab: arrangement.eval_mask(m) for lab, m in zip(labels, masks)}
+    lattice, masks = lower_set_lattice(arrangement.poset, cap)
+    spaces = {
+        lab: arrangement.eval_mask(m) for lab, m in zip(lattice.labels, masks)
+    }
     return new_arrangement(lattice, arrangement.ambient_dim, arrangement.field, spaces)

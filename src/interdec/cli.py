@@ -81,9 +81,18 @@ def _emit(ctx, doc, code):
     if path is None:
         sys.stdout.write(text)
     else:
+        _write(ctx, path, text)
+    ctx.exit(code)
+
+
+def _write(ctx, path, text):
+    """Write an output file; an unwritable path is an input error, not a
+    traceback whose exit code 1 would read as a false verdict."""
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    ctx.exit(code)
+    except OSError as exc:
+        _fail(ctx, f"{path}: cannot write ({exc.strerror})", EXIT_INPUT)
 
 
 def _fail(ctx, message, code):
@@ -198,8 +207,7 @@ def interactions(ctx, model_file, emit_bases, export_arrangement):
             text = dump_json(
                 arrangement_to_doc(factor.arrangement), pretty=ctx.obj["pretty"]
             )
-            with open(export_arrangement, "w") as fh:
-                fh.write(text)
+            _write(ctx, export_arrangement, text)
     except InputError as exc:
         _fail(ctx, exc, EXIT_INPUT)
     except (CapExceeded, SizeLimitExceeded) as exc:

@@ -4,6 +4,8 @@ Every error raised on purpose derives from InterdecError so callers (and
 the CLI) can separate expected failures from genuine bugs.
 """
 
+import json
+
 
 class InterdecError(Exception):
     pass
@@ -54,16 +56,18 @@ class NotContained(InterdecError):
 class NotMonotone(InputError):
     """The element map is not monotone: some F(a) is not inside F(b) for a <= b.
 
-    Carries the offending pair and a vector of F(a) that lies outside F(b).
+    Carries the offending pair and a vector of F(a) that lies outside F(b);
+    the message prints the vector in document format (entries like "1/2").
     """
 
-    def __init__(self, lower, upper, vector):
+    def __init__(self, lower, upper, vector, field):
         self.lower = lower
         self.upper = upper
         self.vector = vector
+        rendered = json.dumps([field.format(x) for x in vector])
         super().__init__(
             f"not monotone: {lower!r} <= {upper!r} but F({lower!r}) is not "
-            f"contained in F({upper!r}); witness vector {vector!r}"
+            f"contained in F({upper!r}); witness vector {rendered}"
         )
 
 

@@ -103,17 +103,10 @@ def poset_from_doc(doc, location="poset"):
 
 
 def poset_to_doc(poset):
-    relations = []
-    n = len(poset.labels)
-    for ib in range(n):
-        down_b = poset._down[ib]
-        for ia in range(n):
-            if ia == ib or not down_b >> ia & 1:
-                continue
-            if poset._up[ia] & down_b == (1 << ia | 1 << ib):
-                relations.append([poset.labels[ia], poset.labels[ib]])
-    relations.sort(key=lambda r: (poset.index(r[0]), poset.index(r[1])))
-    return {"elements": list(poset.labels), "relations": relations}
+    """Elements, and the cover pairs sorted by (lower, upper) element index."""
+    labels = poset.labels
+    relations = [[labels[i], labels[j]] for i, j in sorted(poset.covers())]
+    return {"elements": list(labels), "relations": relations}
 
 
 # ---------------------------------------------------------------------------

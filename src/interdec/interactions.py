@@ -12,8 +12,6 @@ cross-checked against the quotient dimensions dim F(a) − dim F(â*).
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .arrangements import (
     Decomposition,
     decompose,
@@ -27,7 +25,7 @@ from .errors import (
     UnknownVariable,
 )
 from .linalg import QQ, quotient_dim, subspace_from_generators
-from .posets import Poset
+from .posets import build_poset, lower_set_lattice
 
 POINT_LIMIT = 4096
 
@@ -126,40 +124,23 @@ class FactorArrangement:
         return f"FactorArrangement({self.product!r})"
 
 
-def subset_label(members):
-    return "{" + ",".join(sorted(members)) + "}"
-
-
-def _powerset_poset(labels, cap):
-    if 2 ** len(labels) > cap:
-        raise SizeLimitExceeded(
-            f"powerset has {2 ** len(labels)} subsets, cap is {cap}"
-        )
-    subsets = []
-    for size in range(len(labels) + 1):
-        subsets.extend(combinations(sorted(labels), size))
-    names = [subset_label(c) for c in subsets]
-    sets = [frozenset(c) for c in subsets]
-    ups = []
-    for si in sets:
-        row = 0
-        for j, sj in enumerate(sets):
-            if si <= sj:
-                row |= 1 << j
-        ups.append(row)
-    return Poset(names, ups), subsets
-
-
 def build_factor_arrangement(product, field=QQ, cap=POINT_LIMIT):
     """Arrangement a ↦ F(a) over the inclusion-ordered powerset.
 
+    The powerset is the lower-set lattice of the antichain on the sorted
+    variable labels, so subsets come by size, then in sorted order.
     Monotonicity (a ⊆ b means F(a) ⊆ F(b)) is certified by construction
     validation, not assumed.
     """
-    poset, subsets = _powerset_poset(product.labels, cap)
+    if 2 ** len(product.labels) > cap:
+        raise SizeLimitExceeded(
+            f"powerset has {2 ** len(product.labels)} subsets, cap is {cap}"
+        )
+    antichain = build_poset(sorted(product.labels), [])
+    poset, masks = lower_set_lattice(antichain, cap)
     spaces = {
-        name: factor_subspace(product, members, field)
-        for name, members in zip(poset.labels, subsets)
+        name: factor_subspace(product, antichain._labels_of(m), field)
+        for name, m in zip(poset.labels, masks)
     }
     arrangement = new_arrangement(poset, product.total_points, field, spaces)
     return FactorArrangement(product, arrangement)

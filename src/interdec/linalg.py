@@ -18,7 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DimensionMismatch, InputError, NotContained
+from .errors import (
+    DimensionMismatch,
+    InputError,
+    InternalContradiction,
+    NotContained,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +505,7 @@ def intersect(u, w):
     result = subspace_from_generators(n, right, field)
     expected = u.dim + w.dim - rank_of_rows(u.exact_rows() + w.exact_rows(), field)
     if result.dim != expected:
-        raise AssertionError(
+        raise InternalContradiction(
             f"intersection rank {result.dim} disagrees with modular law {expected}"
         )
     return result

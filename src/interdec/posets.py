@@ -2,8 +2,8 @@
 
 A poset is stored as its reflexive-transitive closure: one bitmask per
 element for the elements above it and one for the elements below it.
-Covers are never materialized; every construction here queries ≤ directly
-and the intended posets are small.
+Cover pairs come from Poset.covers(); lower_set_lattice builds the
+inclusion lattice of the lower sets and owns their "{a,b}" labels.
 
 For an element a the derived subsets are
     downset(a)        = {b | b ≤ a}
@@ -82,9 +82,17 @@ class Poset:
         """a ≤ b."""
         return bool(self._up[self.index(a)] >> self.index(b) & 1)
 
-    def lt(self, a, b):
-        ia, ib = self.index(a), self.index(b)
-        return ia != ib and bool(self._up[ia] >> ib & 1)
+    def covers(self):
+        """Cover pairs (i, j), i ⋖ j, as element indices, ordered by j then i.
+
+        The lower covers of j are the maximal elements of its strict
+        downset, so the cost is Σ |downset| rather than N²."""
+        for j, down in enumerate(self._down):
+            top = self._maximal(down & ~(1 << j))
+            while top:
+                low = top & -top
+                yield low.bit_length() - 1, j
+                top ^= low
 
     # -- mask plumbing ------------------------------------------------------
 
@@ -97,6 +105,17 @@ class Poset:
         for label in members:
             mask |= 1 << self.index(label)
         return mask
+
+    def _maximal(self, mask):
+        """Members of mask with no other member above them."""
+        out = 0
+        m = mask
+        while m:
+            low = m & -m
+            if self._up[low.bit_length() - 1] & mask == low:
+                out |= low
+            m ^= low
+        return out
 
     def _labels_of(self, mask):
         return tuple(
@@ -287,6 +306,33 @@ def enumerate_lower_sets(poset, cap=LOWER_SET_CAP):
     return [Subposet(poset, m) for m in order]
 
 
+def lower_set_label(labels):
+    """Element name of a lower set in its lattice: "{a,b}"."""
+    return "{" + ",".join(labels) + "}"
+
+
+def lower_set_lattice(poset, cap=LOWER_SET_CAP):
+    """The lower sets ordered by inclusion, named by lower_set_label, and
+    their member masks, both in enumerate_lower_sets order.
+
+    L's covers are L ∪ {x} for the minimal x outside L, which sort after L,
+    so up(L) is L's own bit OR-ed with their up-masks, filled from the end.
+    """
+    masks = [b.mask for b in enumerate_lower_sets(poset, cap)]
+    position = {m: k for k, m in enumerate(masks)}
+    down = poset._down
+    ups = [0] * len(masks)
+    for k in range(len(masks) - 1, -1, -1):
+        mask = masks[k]
+        row = 1 << k
+        for i, below in enumerate(down):
+            if below & ~mask == 1 << i:
+                row |= ups[position[mask | 1 << i]]
+        ups[k] = row
+    labels = [lower_set_label(poset._labels_of(m)) for m in masks]
+    return Poset(labels, ups), masks
+
+
 def _index_key(mask):
     key = []
     i = 0
@@ -300,16 +346,7 @@ def _index_key(mask):
 
 def maximal_elements(poset, members):
     """Elements of B with nothing of B strictly above them."""
-    mask = poset._mask_of(members)
-    out = 0
-    m = mask
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        if poset._up[i] & mask == low:
-            out |= low
-        m ^= low
-    return Subposet(poset, out)
+    return Subposet(poset, poset._maximal(poset._mask_of(members)))
 
 
 def height(poset):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from interdec import arrangements
 from interdec.arrangements import (
     Decomposition,
     Witness,
@@ -24,6 +25,7 @@ from interdec.arrangements import (
 )
 from interdec.errors import (
     InputError,
+    InternalContradiction,
     NotComparable,
     NotMonotone,
     NotMonotoneMap,
@@ -322,6 +324,17 @@ def test_pushforward_rejects_non_monotone_maps():
         pushforward({"u": "a", "v": "b"}, arr, a2)
     with pytest.raises(NotMonotoneMap):
         pushforward({"u": "a"}, arr, a2)
+
+
+def test_pushforward_embedding_mismatch_is_internal_contradiction(monkeypatch):
+    # collapsing a chain onto a point is no embedding; pretending it is one
+    # must trip the restrict-back check rather than return quietly
+    c2 = build_poset(["u", "v"], [("u", "v")])
+    point = build_poset(["p"], [])
+    arr = new_arrangement(c2, 2, QQ, {"u": [[1, 0]], "v": [[1, 0], [0, 1]]})
+    monkeypatch.setattr(arrangements, "is_order_embedding", lambda *args: True)
+    with pytest.raises(InternalContradiction):
+        pushforward({"u": "p", "v": "p"}, arr, point)
 
 
 def test_extend_to_lower_sets(c3_constant):

@@ -97,6 +97,38 @@ def test_check_input_errors(runner, tmp_path):
     assert runner.invoke(main, ["check", path, "--property", "C"]).exit_code == 2
 
 
+def test_not_monotone_message_prints_document_vector(runner, tmp_path):
+    doc = {
+        "field": "rational",
+        "ambient_dim": 2,
+        "poset": {"elements": ["u", "v"], "relations": [["u", "v"]]},
+        "spaces": {"u": [[2, 1]], "v": [[1, 0]]},
+    }
+    path = write(tmp_path, "nm.json", doc)
+    result = runner.invoke(main, ["check", path, "--property", "C"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: not monotone:")
+    assert line.endswith('witness vector [1, "1/2"]')
+
+
+def test_unwritable_output_paths_are_input_errors(runner, tmp_path):
+    cc = write(tmp_path, "cc.json", CONSTANT_CHAIN)
+    m22 = write(tmp_path, "m22.json", MODEL_22)
+    missing = str(tmp_path / "no" / "dir" / "out.json")
+    for args in (
+        ["--output", missing, "check", cc, "--property", "C"],
+        ["--output", missing, "interactions", m22],
+        ["interactions", m22, "--export-arrangement", missing],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith(f"error: {missing}: cannot write"), line
+
+
 def test_check_cap(runner, tmp_path):
     # an 8-element antichain has 256 lower sets
     anti = {

@@ -1,5 +1,7 @@
 """Factor arrangements over finite product spaces and interaction terms."""
 
+from itertools import combinations
+
 import pytest
 
 from interdec.arrangements import (
@@ -19,9 +21,9 @@ from interdec.interactions import (
     build_product_space,
     factor_subspace,
     interaction_dimensions,
-    subset_label,
 )
 from interdec.linalg import GF, full_space, subspace_from_generators
+from interdec.posets import lower_set_label
 
 
 def fa(*cardinalities, field=None):
@@ -124,6 +126,30 @@ def test_powerset_cap():
         build_factor_arrangement(product, cap=8)
 
 
+def test_factor_powerset_matches_combinations_on_unsorted_labels():
+    product = build_product_space(["z", "a", "m"], [2, 3, 2])
+    arr = build_factor_arrangement(product).arrangement
+    subsets = [
+        set(combo)
+        for size in range(4)
+        for combo in combinations(sorted(product.labels), size)
+    ]
+    assert arr.poset.labels == (
+        "{}", "{a}", "{m}", "{z}", "{a,m}", "{a,z}", "{m,z}", "{a,m,z}",
+    )
+    ups = []
+    for s in subsets:
+        row = 0
+        for j, t in enumerate(subsets):
+            if s <= t:
+                row |= 1 << j
+        ups.append(row)
+    assert arr.poset._up == tuple(ups)
+    assert [arr.spaces[lab].dim for lab in arr.poset.labels] == [
+        1, 3, 2, 2, 6, 6, 4, 12,
+    ]
+
+
 def test_factor_arrangements_satisfy_intersection_property():
     for sizes in [(2, 2), (2, 3), (2, 2, 2)]:
         arr = fa(*sizes).arrangement
@@ -173,11 +199,9 @@ def test_interaction_dimensions_match_closed_form():
 
 
 def _subsets(labels):
-    from itertools import combinations
-
     for size in range(len(labels) + 1):
         for combo in combinations(sorted(labels), size):
-            yield subset_label(combo), combo
+            yield lower_set_label(combo), combo
 
 
 def test_interactions_over_prime_field():

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interdec.errors import DimensionMismatch, InputError, NotContained
+from interdec import linalg
+from interdec.errors import (
+    DimensionMismatch,
+    InputError,
+    InternalContradiction,
+    NotContained,
+)
 from interdec.linalg import (
     GF,
     QQ,
@@ -168,6 +174,13 @@ def test_intersect_examples():
     u = sp(3, [[1, 0, 0], [0, 1, 0]])
     w = sp(3, [[0, 1, 0], [0, 0, 1]])
     assert intersect(u, w) == sp(3, [[0, 1, 0]])
+
+
+def test_intersect_modular_law_failure_is_internal_contradiction(monkeypatch):
+    # a wrong dim(U + W) stands in for a kernel bug the cross-check must catch
+    monkeypatch.setattr(linalg, "rank_of_rows", lambda rows, field: 0)
+    with pytest.raises(InternalContradiction):
+        intersect(L1(), L2())
 
 
 def test_contains_examples():

@@ -22,6 +22,8 @@ from interdec.posets import (
     is_lower_set,
     is_order_embedding,
     lower_completion,
+    lower_set_label,
+    lower_set_lattice,
     maximal_elements,
     strict_downset,
 )
@@ -224,3 +226,60 @@ def test_removing_maximal_elements(p):
     assert is_lower_set(p, rest)
     if len(p.labels) > 0:
         assert height(rest.as_poset()) <= h - 1
+
+
+@st.composite
+def permuted_posets(draw):
+    """Random posets whose element order need not be a linear extension."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    ranked = [f"e{i}" for i in range(n)]
+    pairs = [
+        (ranked[i], ranked[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.booleans())
+    ]
+    return build_poset(draw(st.permutations(ranked)), pairs)
+
+
+def covers_by_definition(p):
+    """Reference: the O(N²) scan for a < b with nothing strictly between."""
+    n = len(p.labels)
+    out = []
+    for ib in range(n):
+        down_b = p._down[ib]
+        for ia in range(n):
+            if ia == ib or not down_b >> ia & 1:
+                continue
+            if p._up[ia] & down_b == (1 << ia | 1 << ib):
+                out.append((ia, ib))
+    return out
+
+
+@given(permuted_posets())
+def test_covers_match_definition_scan(p):
+    assert list(p.covers()) == covers_by_definition(p)
+
+
+@settings(max_examples=60)
+@given(permuted_posets())
+def test_lower_set_lattice_is_inclusion_order(p):
+    lattice, masks = lower_set_lattice(p, cap=256)
+    assert masks == [b.mask for b in enumerate_lower_sets(p, cap=256)]
+    assert lattice.labels == tuple(
+        lower_set_label(p._labels_of(m)) for m in masks
+    )
+    for mi, up in zip(masks, lattice._up):
+        brute = 0
+        for j, mj in enumerate(masks):
+            if mi & ~mj == 0:
+                brute |= 1 << j
+        assert up == brute
+
+
+def test_lower_set_lattice_of_diamond(d2):
+    lattice, masks = lower_set_lattice(d2)
+    assert lattice.labels == ("{}", "{e}", "{e,p}", "{e,q}", "{e,p,q}", "{e,p,q,t}")
+    assert list(lattice.covers()) == [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]
+    with pytest.raises(CapExceeded):
+        lower_set_lattice(d2, cap=5)
