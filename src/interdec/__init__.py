@@ -67,7 +67,6 @@ from .linalg import (
     intersect,
     is_direct_sum,
     quotient_dim,
-    rank,
     rref,
     subspace_from_generators,
     sum_subspaces,

@@ -42,6 +42,7 @@ from .linalg import (
     random_invertible,
     solve_exact,
     subspace_from_generators,
+    zero_subspace,
 )
 from .posets import (
     downset,
@@ -160,11 +161,7 @@ class Arrangement:
         hit = self._eval_memo.get(mask)
         if hit is not None:
             return hit
-        gens = []
-        for i, lab in enumerate(self.poset.labels):
-            if mask >> i & 1:
-                gens.extend(self.spaces[lab].basis)
-        out = subspace_from_generators(self.ambient_dim, gens, self.field)
+        out = IntEchelon(self.field, self._member_rows(mask)).subspace(self.ambient_dim)
         self._eval_memo[mask] = out
         self._dim_memo[mask] = out.dim
         return out
@@ -174,11 +171,9 @@ class Arrangement:
         hit = self._dim_memo.get(mask)
         if hit is not None:
             return hit
-        acc = IntEchelon(self.field)
-        for row in self._member_rows(mask):
-            acc.insert(row)
-        self._dim_memo[mask] = acc.rank
-        return acc.rank
+        rank = IntEchelon(self.field, self._member_rows(mask)).rank
+        self._dim_memo[mask] = rank
+        return rank
 
     def full_space_value(self):
         return self.eval_mask((1 << len(self.poset.labels)) - 1)
@@ -229,9 +224,9 @@ def check_monotonicity(poset, spaces):
         small, big = spaces[a], spaces[b]
         acc = big.echelon()
         ranks += 1
-        for row, exact in zip(small.basis, small.exact_rows()):
-            if not acc.contains_row(exact):
-                witness = Witness((a, b), row, small, big)
+        for k, row in enumerate(small.exact_rows()):
+            if not acc.contains_row(row):
+                witness = Witness((a, b), small.basis[k], small, big)
                 return CheckReport(
                     "monotonicity",
                     False,
@@ -291,9 +286,9 @@ def check_condition_C(arrangement):
 def _basis_vector_outside(source, target):
     """First canonical basis vector of source that is not in target."""
     acc = target.echelon()
-    for row, exact in zip(source.basis, source.exact_rows()):
-        if not acc.contains_row(exact):
-            return row
+    for row, vector in zip(source.exact_rows(), source.basis):
+        if not acc.contains_row(row):
+            return vector
     raise InternalContradiction(
         "dimension count promised a violating vector but none was found"
     )
@@ -376,11 +371,9 @@ def pre_decompose(arrangement, seed=None):
             components[a] = complement_within(below, space)
         else:
             mix = random_invertible(field, space.dim, rng)
-            rows = mix_rows(mix, [list(r) for r in space.basis], field)
-            kept = complement_rows(below, rows, field)
-            components[a] = subspace_from_generators(
-                arrangement.ambient_dim, kept, field
-            )
+            rows = mix_rows(mix, space.basis, field)
+            kept = complement_rows(below, [field.exact_row(r) for r in rows])
+            components[a] = IntEchelon(field, kept).subspace(arrangement.ambient_dim)
     return Decomposition(components, certified=False)
 
 
@@ -422,14 +415,12 @@ def verify_decomposition(arrangement, decomposition):
     # (ii) components rebuild every space along downsets
     for i, a in enumerate(poset.labels):
         pairs += 1
-        gens = []
+        rows = []
         down = poset._down[i]
         for j, b in enumerate(poset.labels):
             if down >> j & 1:
-                gens.extend(comps[b].basis)
-        rebuilt = subspace_from_generators(
-            arrangement.ambient_dim, gens, arrangement.field
-        )
+                rows.extend(comps[b].exact_rows())
+        rebuilt = IntEchelon(arrangement.field, rows).subspace(arrangement.ambient_dim)
         ranks += 1
         space = arrangement.spaces[a]
         if rebuilt == space:
@@ -458,20 +449,18 @@ def _direct_sum_witness(arrangement, comps):
     """Pinned-element witness: some component meets the sum of the others."""
     labels = arrangement.poset.labels
     for x in labels:
-        gens = []
+        rows = []
         for y in labels:
             if y != x:
-                gens.extend(comps[y].basis)
-        others = subspace_from_generators(
-            arrangement.ambient_dim, gens, arrangement.field
-        )
+                rows.extend(comps[y].exact_rows())
+        others = IntEchelon(arrangement.field, rows).subspace(arrangement.ambient_dim)
         meet = intersect(comps[x], others)
         if meet.dim:
             return Witness(
                 x,
                 meet.basis[0],
                 meet,
-                Subspace(arrangement.field, arrangement.ambient_dim, ()),
+                zero_subspace(arrangement.ambient_dim, arrangement.field),
             )
     raise InternalContradiction(
         "rank deficit promised an overlapping component but none was found"
@@ -531,12 +520,8 @@ def decomposition_of(arrangement, decomposition, vector):
         if count == 0:
             out[lab] = zero
             continue
-        part = list(zero)
-        for k in range(count):
-            c = coeffs[at + k]
-            row = decomposition.components[lab].basis[k]
-            part = [field.add(x, field.mul(c, y)) for x, y in zip(part, row)]
-        out[lab] = tuple(part)
+        rows = decomposition.components[lab].basis
+        out[lab] = tuple(mix_rows([coeffs[at:at + count]], rows, field)[0])
         at += count
     return out
 

@@ -129,12 +129,18 @@ def _parse_rows(rows, ambient_dim, field, location):
     return parsed
 
 
+_ARRANGEMENT_KEYS = ("field", "ambient_dim", "poset", "spaces")
+
+
 def arrangement_from_doc(doc, field_override=None, location="arrangement"):
     if not isinstance(doc, dict):
         raise InputError(f"{location}: expected an object")
-    for key in ("field", "ambient_dim", "poset", "spaces"):
+    for key in _ARRANGEMENT_KEYS:
         if key not in doc:
             raise InputError(f"{location}: missing key {key!r}")
+    extra = set(doc) - set(_ARRANGEMENT_KEYS)
+    if extra:
+        raise InputError(f"{location}: unknown keys {sorted(extra)}")
     field = field_override or field_from_doc(doc["field"], f"{location}.field")
     ambient = doc["ambient_dim"]
     if not isinstance(ambient, int) or isinstance(ambient, bool) or ambient < 0:

@@ -24,7 +24,7 @@ from .errors import (
     SizeLimitExceeded,
     UnknownVariable,
 )
-from .linalg import QQ, quotient_dim, subspace_from_generators
+from .linalg import QQ, IntEchelon, quotient_dim
 from .posets import build_poset, lower_set_lattice
 
 POINT_LIMIT = 4096
@@ -98,17 +98,16 @@ def factor_subspace(product, variables, field=QQ):
     E, so the indicators are independent and dim = Π_{i in a} |E_i|.
     """
     idxs = sorted(product.variable_index(v) for v in set(variables))
-    one, zero = field.one, field.zero
     rows = {}
     for col, point in enumerate(product.points):
         key = tuple(point[i] for i in idxs)
         row = rows.get(key)
         if row is None:
-            row = [zero] * product.total_points
+            row = [0] * product.total_points
             rows[key] = row
-        row[col] = one
+        row[col] = 1
     gens = [rows[key] for key in sorted(rows)]
-    return subspace_from_generators(product.total_points, gens, field)
+    return IntEchelon(field, gens).subspace(product.total_points)
 
 
 class FactorArrangement:

@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals and prime fields.
 
-A subspace of F^d is stored by the reduced row-echelon basis of its row
-space, so two Subspace values describe the same set of vectors exactly
-when their stored bases are identical entry by entry.  All arithmetic is
-exact: rational entries are `fractions.Fraction`, prime-field entries are
-ints reduced mod p.  No floating point appears anywhere.
-
-Rank and containment questions, which dominate the brute-force property
-checkers, run on fraction-free integer (or mod-p) elimination; canonical
-reduced echelon form is only computed when a subspace value is actually
-constructed.
+One elimination kernel does all the work: IntEchelon, fraction-free
+elimination on integer rows.  Over ℚ its rows are primitive integer
+vectors combined by cross multiplication (Bareiss-style, so no fraction
+ever arises); over GF(p) they are residues mod p with pivot one.  A
+subspace of F^d is stored by the kernel's fully reduced echelon rows,
+which are canonical: two Subspace values describe the same set of vectors
+exactly when their stored rows are identical.  Rows with pivot one over
+the field (`fractions.Fraction` over ℚ) are built only at the output
+edge: `Subspace.basis`, `rref` and exact solving.  No floating point
+appears anywhere.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class RationalField:
     kind = "rational"
 
     zero = Fraction(0)
-    one = Fraction(1)
 
     def parse(self, value):
         """Accept ints, Fractions, or strings like '-3/7'."""
@@ -56,33 +55,19 @@ class RationalField:
             return int(element)
         return f"{element.numerator}/{element.denominator}"
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return 1 / a
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return not a
-
-    # fast-path helpers: rows as primitive integer vectors
     def exact_row(self, row):
-        """Clear denominators and divide out the content; sign-normalize."""
+        """Integer row for the kernel: denominators cleared, content divided out."""
         scale = 1
         for e in row:
             d = e.denominator
             scale = scale // gcd(scale, d) * d
         ints = [int(e * scale) for e in row]
         return _primitive(ints)
+
+    def pivot_one(self, row):
+        """The rational row with pivot one that a nonzero kernel row spans."""
+        pivot = next(x for x in row if x)
+        return tuple(Fraction(x, pivot) for x in row)
 
     def eliminate(self, row, pivot_row, col):
         """Cross-multiplied elimination of row[col] against an integer pivot row."""
@@ -109,11 +94,12 @@ class PrimeField:
     kind = "modular"
 
     def __init__(self, p):
+        if isinstance(p, int) and p >= _PRIME_LIMIT:
+            raise InputError(f"modulus must be below {_PRIME_LIMIT}, got {p}")
         if not _is_prime(p):
             raise InputError(f"modulus must be prime, got {p}")
         self.p = p
         self.zero = 0
-        self.one = 1 % p
 
     def parse(self, value):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -123,26 +109,12 @@ class PrimeField:
     def format(self, element):
         return element % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        return pow(a, self.p - 2, self.p)
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
     def exact_row(self, row):
         return tuple(e % self.p for e in row)
+
+    def pivot_one(self, row):
+        # kernel rows mod p already have pivot one
+        return tuple(row)
 
     def eliminate(self, row, pivot_row, col):
         # pivot rows are normalized to pivot value 1, so no inverse here
@@ -175,18 +147,33 @@ def GF(p):
     return PrimeField(p)
 
 
+# Miller–Rabin with the twelve prime bases 2..37 decides primality exactly
+# for every n below this bound (Sorenson & Webster, Math. Comp. 2017).
+_PRIME_LIMIT = 318665857834031151167461
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n):
+    """Deterministic Miller–Rabin primality test for n < _PRIME_LIMIT."""
     if not isinstance(n, int) or n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -248,66 +235,39 @@ class Matrix:
 
 
 def rref(matrix, field=QQ):
-    """Reduced row-echelon form; preserves the shape (zero rows sink to the bottom)."""
-    rows = matrix.row_lists()
-    m, n = matrix.rows, matrix.cols
-    is_zero, mul, sub, inv = field.is_zero, field.mul, field.sub, field.inv
-    pivot = 0
-    for col in range(n):
-        target = None
-        for r in range(pivot, m):
-            if not is_zero(rows[r][col]):
-                target = r
-                break
-        if target is None:
-            continue
-        rows[pivot], rows[target] = rows[target], rows[pivot]
-        s = inv(rows[pivot][col])
-        rows[pivot] = [mul(s, x) for x in rows[pivot]]
-        for r in range(m):
-            if r != pivot and not is_zero(rows[r][col]):
-                c = rows[r][col]
-                prow = rows[pivot]
-                rows[r] = [sub(x, mul(c, y)) for x, y in zip(rows[r], prow)]
-        pivot += 1
-        if pivot == m:
-            break
-    return Matrix.from_rows(rows, cols=n)
+    """Reduced row-echelon form; preserves the shape (zero rows sink to the bottom).
 
-
-def rank(matrix, field=QQ):
-    """Row rank, via the fraction-free elimination kernel."""
-    rows = [field.exact_row(matrix.row(i)) for i in range(matrix.rows)]
-    return rank_of_rows(rows, field)
+    The kernel's reduced rows, scaled to pivot one over the field.
+    """
+    acc = IntEchelon(field, (field.exact_row(row) for row in matrix.row_lists()))
+    rows = [field.pivot_one(r) for r in acc.reduced()]
+    rows += [(field.zero,) * matrix.cols] * (matrix.rows - len(rows))
+    return Matrix.from_rows(rows, cols=matrix.cols)
 
 
 # ---------------------------------------------------------------------------
-# fraction-free echelon accumulator (rank / membership hot path)
+# fraction-free echelon kernel (the one elimination engine)
 # ---------------------------------------------------------------------------
 
 class IntEchelon:
     """Incremental echelon basis over integer rows.
 
-    Rows are kept normalized (primitive over the rationals, pivot 1 over a
-    prime field) and ordered by pivot column.  Inserting a vector reduces
-    it against the accumulated rows; a nonzero residue extends the basis.
+    Rows are kept normalized (primitive with a positive pivot over the
+    rationals, pivot 1 over a prime field) and ordered by pivot column.
+    Inserting a vector reduces it against the accumulated rows; a nonzero
+    residue extends the basis.  reduced() back-substitutes, after which
+    every pivot column is zero outside its own row: that form is canonical
+    and is what a Subspace stores.
     """
 
     __slots__ = ("field", "rows", "pivots")
 
-    def __init__(self, field, rows=None):
+    def __init__(self, field, rows=()):
         self.field = field
         self.rows = []
         self.pivots = []
-        if rows:
-            for row in rows:
-                self.insert(row)
-
-    def copy(self):
-        other = IntEchelon(self.field)
-        other.rows = list(self.rows)
-        other.pivots = list(self.pivots)
-        return other
+        for row in rows:
+            self.insert(row)
 
     @property
     def rank(self):
@@ -333,19 +293,32 @@ class IntEchelon:
         at = 0
         while at < len(self.pivots) and self.pivots[at] < pcol:
             at += 1
-        self.rows.insert(at, list(res))
+        self.rows.insert(at, res)
         self.pivots.insert(at, pcol)
         return True
 
     def contains_row(self, row):
         return not self.residue(row)
 
+    def reduced(self):
+        """Back-substitute bottom up, in place; returns the rows as a tuple."""
+        field, rows, pivots = self.field, self.rows, self.pivots
+        for i in range(len(rows) - 2, -1, -1):
+            row = rows[i]
+            for j in range(i + 1, len(rows)):
+                if row[pivots[j]]:
+                    row = field.eliminate(row, rows[j], pivots[j])
+            if row is not rows[i]:
+                rows[i] = field.normalize_int_row(row)
+        return tuple(rows)
+
+    def subspace(self, ambient_dim):
+        """The canonical Subspace spanned by the rows."""
+        return Subspace(self.field, ambient_dim, self.reduced(), tuple(self.pivots))
+
 
 def rank_of_rows(int_rows, field):
-    acc = IntEchelon(field)
-    for row in int_rows:
-        acc.insert(row)
-    return acc.rank
+    return IntEchelon(field, int_rows).rank
 
 
 # ---------------------------------------------------------------------------
@@ -353,41 +326,49 @@ def rank_of_rows(int_rows, field):
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """A subspace of F^d held by its canonical reduced row-echelon basis.
+    """A subspace of F^d held by its fully reduced integer echelon rows.
 
-    `basis` is a tuple of rows (tuples of field elements) with strictly
-    increasing pivot columns, pivot entries one, zeros above and below each
-    pivot, and no zero rows.  Equality and hashing are structural.
+    The rows come from IntEchelon.reduced(): primitive integer rows over
+    the rationals, residues with pivot one over a prime field, strictly
+    increasing pivot columns, positive pivots, zeros above and below each
+    pivot, and no zero rows.  That form is canonical, so equality and
+    hashing compare the rows.  `basis` holds the same rows scaled to pivot
+    one over the field, for output, witnesses and solving.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "_exact_rows")
+    __slots__ = ("field", "ambient_dim", "_rows", "_pivots", "_basis")
 
-    def __init__(self, field, ambient_dim, basis):
+    def __init__(self, field, ambient_dim, rows, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        self._exact_rows = None
+        self._rows = rows
+        self._pivots = pivots
+        self._basis = None
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self._rows)
 
     @property
     def is_zero(self):
-        return not self.basis
+        return not self._rows
+
+    @property
+    def basis(self):
+        """Canonical basis with pivots one, as tuples of field elements."""
+        if self._basis is None:
+            self._basis = tuple(self.field.pivot_one(r) for r in self._rows)
+        return self._basis
 
     def exact_rows(self):
-        """Basis rows as normalized integer vectors (cached)."""
-        if self._exact_rows is None:
-            self._exact_rows = [self.field.exact_row(r) for r in self.basis]
-        return self._exact_rows
+        """The stored integer echelon rows, as the kernel takes them."""
+        return self._rows
 
     def echelon(self):
-        """Fresh IntEchelon seeded with this subspace's basis."""
+        """Fresh IntEchelon seeded with this subspace's rows."""
         acc = IntEchelon(self.field)
-        # canonical RREF rows are already echelon; insert keeps them verbatim
-        for row in self.exact_rows():
-            acc.insert(row)
+        acc.rows = list(self._rows)
+        acc.pivots = list(self._pivots)
         return acc
 
     def contains_vector(self, vector):
@@ -406,11 +387,11 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis))
+        return hash((self.field, self.ambient_dim, self._rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim} over {self.field!r})"
@@ -418,40 +399,25 @@ class Subspace:
 
 def subspace_from_generators(ambient_dim, gens, field=QQ):
     """Canonical subspace spanned by the given rows (any iterable of rows)."""
-    if isinstance(gens, Matrix):
-        rows = gens.row_lists()
-        if rows and gens.cols != ambient_dim:
+    rows = [list(r) for r in gens]
+    for r in rows:
+        if len(r) != ambient_dim:
             raise DimensionMismatch(
-                f"generators have {gens.cols} columns, ambient dim is {ambient_dim}"
+                f"generator of length {len(r)}, ambient dim is {ambient_dim}"
             )
-    else:
-        rows = [list(r) for r in gens]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise DimensionMismatch(
-                    f"generator of length {len(r)}, ambient dim is {ambient_dim}"
-                )
-    parsed = [[field.parse(e) for e in r] for r in rows]
-    reduced = rref(Matrix.from_rows(parsed, cols=ambient_dim), field)
-    basis = tuple(
-        tuple(reduced.row(i))
-        for i in range(reduced.rows)
-        if any(not field.is_zero(x) for x in reduced.row(i))
-    )
-    return Subspace(field, ambient_dim, basis)
+    parsed = ([field.parse(e) for e in r] for r in rows)
+    return IntEchelon(field, map(field.exact_row, parsed)).subspace(ambient_dim)
 
 
 def zero_subspace(ambient_dim, field=QQ):
-    return Subspace(field, ambient_dim, ())
+    return Subspace(field, ambient_dim, (), ())
 
 
 def full_space(ambient_dim, field=QQ):
-    one, zero = field.one, field.zero
-    basis = tuple(
-        tuple(one if i == j else zero for j in range(ambient_dim))
-        for i in range(ambient_dim)
+    rows = tuple(
+        tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)
     )
-    return Subspace(field, ambient_dim, basis)
+    return Subspace(field, ambient_dim, rows, tuple(range(ambient_dim)))
 
 
 def _check_compatible(*spaces):
@@ -466,43 +432,39 @@ def _check_compatible(*spaces):
 def sum_subspaces(u, w):
     """Smallest subspace containing both, U + W."""
     _check_compatible(u, w)
-    return subspace_from_generators(
-        u.ambient_dim, list(u.basis) + list(w.basis), u.field
-    )
+    acc = u.echelon()
+    for row in w.exact_rows():
+        acc.insert(row)
+    return acc.subspace(u.ambient_dim)
 
 
 def span_of_subspaces(ambient_dim, spaces, field):
     """Sum of a whole collection; empty collections give the zero subspace."""
-    rows = []
+    acc = IntEchelon(field)
     for s in spaces:
         if s.ambient_dim != ambient_dim or s.field != field:
             raise DimensionMismatch(f"incompatible summand {s!r}")
-        rows.extend(s.basis)
-    return subspace_from_generators(ambient_dim, rows, field)
+        for row in s.exact_rows():
+            acc.insert(row)
+    return acc.subspace(ambient_dim)
 
 
 def intersect(u, w):
-    """U ∩ W by block elimination on  [U | U; W | 0].
+    """U ∩ W by Zassenhaus elimination on  [U | U; W | 0].
 
-    After reduction, rows whose left block vanished carry a basis of the
-    intersection in their right block.  The result is checked against
-    dim(U∩W) = dim U + dim W − dim(U+W).
+    Echelon rows whose pivot lies in the right block have a zero left
+    block, and their right blocks span the intersection.  The result is
+    checked against dim(U∩W) = dim U + dim W − dim(U+W).
     """
     _check_compatible(u, w)
     n = u.ambient_dim
     field = u.field
-    zero = field.zero
-    stacked = [list(r) + list(r) for r in u.basis]
-    stacked += [list(r) + [zero] * n for r in w.basis]
-    reduced = rref(Matrix.from_rows(stacked, cols=2 * n), field)
-    right = []
-    for i in range(reduced.rows):
-        row = reduced.row(i)
-        if all(field.is_zero(x) for x in row[:n]) and any(
-            not field.is_zero(x) for x in row[n:]
-        ):
-            right.append(row[n:])
-    result = subspace_from_generators(n, right, field)
+    zeros = (0,) * n
+    acc = IntEchelon(field, [r + r for r in u.exact_rows()])
+    for r in w.exact_rows():
+        acc.insert(r + zeros)
+    right = [r[n:] for r, pcol in zip(acc.rows, acc.pivots) if pcol >= n]
+    result = IntEchelon(field, right).subspace(n)
     expected = u.dim + w.dim - rank_of_rows(u.exact_rows() + w.exact_rows(), field)
     if result.dim != expected:
         raise InternalContradiction(
@@ -531,18 +493,14 @@ def complement_within(w, u):
     _check_compatible(w, u)
     if not contains(u, w):
         raise NotContained(f"{w!r} is not contained in {u!r}")
-    kept = complement_rows(w, u.basis, u.field)
-    return subspace_from_generators(u.ambient_dim, kept, u.field)
+    kept = complement_rows(w, u.exact_rows())
+    return IntEchelon(u.field, kept).subspace(u.ambient_dim)
 
 
-def complement_rows(w, rows, field):
-    """Greedy left-to-right selection of rows independent from W and from each other."""
+def complement_rows(w, rows):
+    """Greedy left-to-right choice of integer rows independent from W and each other."""
     acc = w.echelon()
-    kept = []
-    for row in rows:
-        if acc.insert(field.exact_row(row)):
-            kept.append(row)
-    return kept
+    return [row for row in rows if acc.insert(row)]
 
 
 def is_direct_sum(parts):
@@ -587,17 +545,12 @@ def random_invertible(field, k, rng):
 
 
 def mix_rows(mix, rows, field):
-    """Apply a k x k coefficient matrix to a list of k rows."""
-    add, mul, zero = field.add, field.mul, field.zero
-    out = []
-    for coeffs in mix:
-        acc = [zero] * (len(rows[0]) if rows else 0)
-        for c, row in zip(coeffs, rows):
-            if field.is_zero(c):
-                continue
-            acc = [add(x, mul(c, y)) for x, y in zip(acc, row)]
-        out.append(acc)
-    return out
+    """Combine k rows of field elements by each row of k coefficients in mix."""
+    width = len(rows[0]) if rows else 0
+    return [
+        [field.parse(sum(c * r[i] for c, r in zip(coeffs, rows))) for i in range(width)]
+        for coeffs in mix
+    ]
 
 
 def solve_exact(columns, target, field):
@@ -617,9 +570,7 @@ def solve_exact(columns, target, field):
     coeffs = [field.zero] * k
     for i in range(reduced.rows):
         row = reduced.row(i)
-        pivot = next(
-            (j for j in range(k + 1) if not field.is_zero(row[j])), None
-        )
+        pivot = next((j for j, x in enumerate(row) if x), None)
         if pivot is None:
             continue
         if pivot == k:

@@ -129,6 +129,14 @@ def test_unwritable_output_paths_are_input_errors(runner, tmp_path):
         assert line.startswith(f"error: {missing}: cannot write"), line
 
 
+def test_arrangement_unknown_top_level_key_is_input_error(runner, tmp_path):
+    path = write(tmp_path, "extra.json", dict(CONSTANT_CHAIN, extra=1))
+    result = runner.invoke(main, ["check", path, "--property", "C"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: {path}: unknown keys ['extra']"]
+
+
 def test_check_cap(runner, tmp_path):
     # an 8-element antichain has 256 lower sets
     anti = {
@@ -258,6 +266,17 @@ def test_interactions_field_option(runner, tmp_path):
     result = runner.invoke(main, ["--field", "mod:3", "interactions", m22])
     assert result.exit_code == 0
     assert json.loads(result.output)["dimensions"]["{x1,x2}"] == 1
+
+
+def test_interactions_over_a_large_prime_field(runner, tmp_path):
+    m22 = write(tmp_path, "m22.json", MODEL_22)
+    result = runner.invoke(main, ["--field", "mod:2305843009213693951", "interactions", m22])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["dimensions"]["{x1,x2}"] == 1
+    # 151 * 751 * 28351, a strong pseudoprime to the bases 2, 3, 5 and 7
+    result = runner.invoke(main, ["--field", "mod:3215031751", "interactions", m22])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == ["error: modulus must be prime, got 3215031751"]
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,8 @@ def test_arrangement_doc_validation():
         arrangement_from_doc({**base, "spaces": {"a": [], "b": []}})
     with pytest.raises(InputError, match="not a rational entry"):
         arrangement_from_doc({**base, "spaces": {"a": [[1, "x"]]}})
+    with pytest.raises(InputError, match=r"^arrangement: unknown keys \['extra'\]$"):
+        arrangement_from_doc({**base, "extra": 1})
 
 
 def test_render_vector():

@@ -1,6 +1,7 @@
 """Exact linear algebra: canonical forms, set operations, certificates."""
 
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from interdec.linalg import (
     intersect,
     is_direct_sum,
     quotient_dim,
-    rank,
+    rank_of_rows,
     rref,
     solve_exact,
     subspace_from_generators,
@@ -79,13 +80,34 @@ def test_prime_field_requires_prime():
     GF(97)
 
 
+def test_prime_field_large_moduli():
+    t0 = perf_counter()
+    assert GF(2**61 - 1).p == 2**61 - 1
+    assert GF(2**64 - 59).p == 2**64 - 59
+    # 151 * 751 * 28351, a strong pseudoprime to the bases 2, 3, 5 and 7
+    with pytest.raises(InputError, match="must be prime"):
+        GF(3215031751)
+    # above the bound where the twelve Miller-Rabin bases are proven exact
+    with pytest.raises(InputError, match="must be below"):
+        GF(2**89 - 1)
+    assert perf_counter() - t0 < 1
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(5000) if linalg._is_prime(n)] == [
+        n for n in range(5000) if trial(n)
+    ]
+    # Carmichael numbers and strong pseudoprimes to small bases
+    for n in (561, 1105, 1729, 2047, 1373653, 25326001, 3215031751, 341550071728321):
+        assert not linalg._is_prime(n), n
+
+
 def test_prime_field_arithmetic():
     f = GF(5)
     assert f.parse(7) == 2
-    assert f.add(3, 4) == 2
-    assert f.mul(3, 4) == 2
-    assert f.inv(2) == 3
-    assert f.neg(2) == 3
     with pytest.raises(InputError):
         f.parse("2")
 
@@ -112,10 +134,10 @@ def test_rref_duplicate_row():
 
 
 def test_rank_examples():
-    assert rank(Matrix.from_rows([[Q(0)] * 3] * 2)) == 0
-    ident = Matrix.from_rows([[Q(int(i == j)) for j in range(4)] for i in range(4)])
-    assert rank(ident) == 4
-    assert rank(Matrix.from_rows([[Q(1), Q(2)], [Q(2), Q(4)]])) == 1
+    assert rank_of_rows([[0] * 3] * 2, QQ) == 0
+    ident = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert rank_of_rows(ident, QQ) == 4
+    assert rank_of_rows([[1, 2], [2, 4]], QQ) == 1
 
 
 def test_matrix_shape_checked():
@@ -296,9 +318,9 @@ def generators_two_ways(draw):
     for i in range(len(parsed)):
         j = (i + 1) % len(parsed)
         other.append(
-            [field.add(a, b) for a, b in zip(parsed[i], parsed[j])]
+            [field.parse(a + b) for a, b in zip(parsed[i], parsed[j])]
         )
-        other.append([field.add(a, a) for a in parsed[i]])
+        other.append([field.parse(a + a) for a in parsed[i]])
     return ambient, field, base, other
 
 
@@ -358,3 +380,120 @@ def test_operations_are_deterministic(pair):
     assert complement_within(
         intersect(u, w), sum_subspaces(u, w)
     ) == complement_within(intersect(u, w), sum_subspaces(u, w))
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the field-op elimination the kernel replaced
+# ---------------------------------------------------------------------------
+
+def reference_rref(rows, field):
+    """The former field-op rref loop, on lists of parsed field elements."""
+    if field.kind == "rational":
+        def sub(a, b):
+            return a - b
+
+        def mul(a, b):
+            return a * b
+
+        def inv(a):
+            return 1 / a
+    else:
+        p = field.p
+
+        def sub(a, b):
+            return (a - b) % p
+
+        def mul(a, b):
+            return a * b % p
+
+        def inv(a):
+            return pow(a, p - 2, p)
+
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    pivot = 0
+    for col in range(n):
+        target = None
+        for r in range(pivot, m):
+            if rows[r][col]:
+                target = r
+                break
+        if target is None:
+            continue
+        rows[pivot], rows[target] = rows[target], rows[pivot]
+        s = inv(rows[pivot][col])
+        rows[pivot] = [mul(s, x) for x in rows[pivot]]
+        for r in range(m):
+            if r != pivot and rows[r][col]:
+                c = rows[r][col]
+                prow = rows[pivot]
+                rows[r] = [sub(x, mul(c, y)) for x, y in zip(rows[r], prow)]
+        pivot += 1
+        if pivot == m:
+            break
+    return rows
+
+
+def reference_basis(rows, field):
+    return tuple(tuple(r) for r in reference_rref(rows, field) if any(r))
+
+
+def reference_intersect(u_basis, w_basis, n, field):
+    """The former block-rref intersection on [U | U; W | 0]."""
+    stacked = [list(r) + list(r) for r in u_basis]
+    stacked += [list(r) + [field.zero] * n for r in w_basis]
+    right = [
+        r[n:] for r in reference_rref(stacked, field) if not any(r[:n]) and any(r[n:])
+    ]
+    return reference_basis(right, field)
+
+
+@st.composite
+def generator_lists(draw, field=None, ambient=None):
+    """Generators with zero rows and duplicate rows mixed in; may be empty."""
+    if field is None:
+        field = draw(st.sampled_from([QQ, GF(2), GF(7), GF(101)]))
+    if ambient is None:
+        ambient = draw(st.integers(min_value=0, max_value=5))
+    if field.kind == "rational":
+        entry = st.one_of(
+            entries, st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        )
+    else:
+        entry = st.integers(min_value=-2 * field.p, max_value=2 * field.p)
+    rows = draw(st.lists(st.lists(entry, min_size=ambient, max_size=ambient), max_size=4))
+    extra = draw(st.lists(st.sampled_from(rows + [[0] * ambient]), max_size=3))
+    rows = draw(st.permutations(rows + extra))
+    return field, ambient, [[field.parse(e) for e in r] for r in rows]
+
+
+@given(generator_lists())
+def test_subspace_basis_matches_reference_rref(case):
+    field, ambient, rows = case
+    assert sp(ambient, rows, field).basis == reference_basis(rows, field)
+
+
+@given(generator_lists())
+def test_rref_matches_reference_rref(case):
+    field, ambient, rows = case
+    got = rref(Matrix.from_rows(rows, cols=ambient), field)
+    assert (got.rows, got.cols) == (len(rows), ambient)
+    assert got.row_lists() == reference_rref(rows, field)
+
+
+@st.composite
+def generator_list_pairs(draw):
+    field, ambient, u_rows = draw(generator_lists())
+    _, _, w_rows = draw(generator_lists(field, ambient))
+    return field, ambient, u_rows, w_rows
+
+
+@given(generator_list_pairs())
+def test_intersect_matches_reference_block_rref(case):
+    field, ambient, u_rows, w_rows = case
+    u, w = sp(ambient, u_rows, field), sp(ambient, w_rows, field)
+    expected = reference_intersect(
+        reference_basis(u_rows, field), reference_basis(w_rows, field), ambient, field
+    )
+    assert intersect(u, w).basis == expected

@@ -1,6 +1,10 @@
 """Source-level rules the package keeps."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
+import json
 from pathlib import Path
 
 import interdec
@@ -20,3 +24,36 @@ def test_no_assert_or_assertion_error_in_package():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_names_the_benchmark_traces_exist():
+    # bench/tracing.py binds these names when it wraps the package; a rename
+    # would otherwise surface only in the slow traced benchmark self-test
+    root = PACKAGE.parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", root / "bench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    span_of = {name: qualified for qualified, name in tracing.RENAMED.items()}
+    method_of = {name: key for key, name in tracing.METHODS.items()}
+    spans = set(span_of) | set(method_of)
+    for metric in json.loads((root / "BENCHMARK.json").read_text())["per_layer"]:
+        name, _, kind = metric["name"].rpartition(".")
+        layer, dot, _ = name.partition(".")
+        if kind in ("calls", "self_s") and dot and layer in tracing.MODULES:
+            spans.add(name)
+    missing = []
+    for span in sorted(spans):
+        if span in method_of:
+            layer, cls, attr = method_of[span]
+            owner = getattr(importlib.import_module(f"interdec.{layer}"), cls, None)
+            found = owner is not None and inspect.isfunction(vars(owner).get(attr))
+        else:
+            layer, _, attr = span_of.get(span, span).partition(".")
+            module = importlib.import_module(f"interdec.{layer}")
+            obj = getattr(module, attr, None)
+            found = inspect.isfunction(obj) and obj.__module__ == module.__name__
+        if not found:
+            missing.append(span)
+    assert missing == []
