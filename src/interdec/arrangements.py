@@ -129,8 +129,9 @@ class Arrangement:
     """Monotone map from a finite poset into the subspaces of F^d.
 
     Built through new_arrangement, which validates monotonicity; instances
-    are immutable.  Sums over subsets of elements are memoized, keyed by
-    the subset bitmask.
+    are immutable.  Monotonicity makes F(B) = Σ_{b ∈ max B} F(b) for every
+    subset B, so eval_mask and dim_of_mask sum the maximal members of B
+    only.  Those sums are memoized, keyed by the subset bitmask.
     """
 
     __slots__ = ("poset", "ambient_dim", "field", "spaces", "_eval_memo", "_dim_memo")
@@ -149,19 +150,35 @@ class Arrangement:
             raise InputError(f"no subspace for element {label!r}")
         return sp
 
-    def _member_rows(self, mask):
-        rows = []
-        for i, lab in enumerate(self.poset.labels):
-            if mask >> i & 1:
-                rows.extend(self.spaces[lab].exact_rows())
-        return rows
+    def _sum_echelon(self, mask):
+        """Kernel echelon of F(B) for a bitmask subset B, from max B only.
+
+        The largest maximal member seeds the echelon with its stored rows;
+        the rows of the other maximal members are inserted.
+        """
+        labels = self.poset.labels
+        summands = []
+        m = self.poset._maximal(mask)
+        while m:
+            low = m & -m
+            summands.append(self.spaces[labels[low.bit_length() - 1]])
+            m ^= low
+        if not summands:
+            return IntEchelon(self.field)
+        seed = max(summands, key=lambda space: space.dim)
+        acc = seed.echelon()
+        for space in summands:
+            if space is not seed:
+                for row in space.exact_rows():
+                    acc.insert(row)
+        return acc
 
     def eval_mask(self, mask):
         """Canonical sum of the member spaces of a bitmask subset."""
         hit = self._eval_memo.get(mask)
         if hit is not None:
             return hit
-        out = IntEchelon(self.field, self._member_rows(mask)).subspace(self.ambient_dim)
+        out = self._sum_echelon(mask).subspace(self.ambient_dim)
         self._eval_memo[mask] = out
         self._dim_memo[mask] = out.dim
         return out
@@ -171,7 +188,7 @@ class Arrangement:
         hit = self._dim_memo.get(mask)
         if hit is not None:
             return hit
-        rank = IntEchelon(self.field, self._member_rows(mask)).rank
+        rank = self._sum_echelon(mask).rank
         self._dim_memo[mask] = rank
         return rank
 
@@ -239,7 +256,8 @@ def check_monotonicity(poset, spaces):
 
 
 def eval_lower_set(arrangement, members):
-    """Σ_{b in members} F(b), summing exactly the given members."""
+    """Σ_{b in members} F(b); only the maximal members are summed, the
+    others lie inside them by monotonicity."""
     return arrangement.eval_mask(arrangement.poset._mask_of(members))
 
 

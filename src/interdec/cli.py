@@ -198,9 +198,9 @@ def interactions(ctx, model_file, emit_bases, export_arrangement):
         doc["total_points"] = product.total_points
         doc["dimensions"] = dims
         if emit_bases:
-            components = decompose(factor.arrangement)
+            components = factor.decomposition().components
             doc["components"] = {
-                lab: subspace_rows(components.components[lab])
+                lab: subspace_rows(components[lab])
                 for lab in factor.arrangement.poset.labels
             }
         if export_arrangement is not None:

@@ -7,10 +7,12 @@ the powerset of the variable set, ordered by inclusion.  That arrangement
 is always decomposable, and the components s_a are the interaction terms:
 s_∅ the constants, s_{i} the pure effects, higher subsets the genuine
 joint interactions.  interaction_dimensions reports dim s_a per subset,
-cross-checked against the quotient dimensions dim F(a) − dim F(â*).
+cross-checked against the closed form dim s_a = Π_{i∈a} (|E_i| − 1).
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .arrangements import (
     Decomposition,
@@ -24,7 +26,7 @@ from .errors import (
     SizeLimitExceeded,
     UnknownVariable,
 )
-from .linalg import QQ, IntEchelon, quotient_dim
+from .linalg import QQ, IntEchelon
 from .posets import build_poset, lower_set_lattice
 
 POINT_LIMIT = 4096
@@ -111,13 +113,33 @@ def factor_subspace(product, variables, field=QQ):
 
 
 class FactorArrangement:
-    """The factor subspaces indexed by the powerset of the variables."""
+    """The factor subspaces indexed by the powerset of the variables.
 
-    __slots__ = ("product", "arrangement")
+    subsets maps each poset element to its tuple of variable labels.
+    """
 
-    def __init__(self, product, arrangement):
+    __slots__ = ("product", "arrangement", "subsets", "_decomposition")
+
+    def __init__(self, product, arrangement, subsets):
         self.product = product
         self.arrangement = arrangement
+        self.subsets = subsets
+        self._decomposition = None
+
+    def decomposition(self):
+        """The certified decomposition into interaction terms, computed once.
+
+        Factor arrangements always decompose, so a witness here is a bug.
+        """
+        if self._decomposition is None:
+            out = decompose(self.arrangement)
+            if not isinstance(out, Decomposition):
+                raise InternalContradiction(
+                    "a factor arrangement failed to decompose; its witness was "
+                    f"{out!r}"
+                )
+            self._decomposition = out
+        return self._decomposition
 
     def __repr__(self):
         return f"FactorArrangement({self.product!r})"
@@ -137,39 +159,32 @@ def build_factor_arrangement(product, field=QQ, cap=POINT_LIMIT):
         )
     antichain = build_poset(sorted(product.labels), [])
     poset, masks = lower_set_lattice(antichain, cap)
+    subsets = {name: antichain._labels_of(m) for name, m in zip(poset.labels, masks)}
     spaces = {
-        name: factor_subspace(product, antichain._labels_of(m), field)
-        for name, m in zip(poset.labels, masks)
+        name: factor_subspace(product, subsets[name], field) for name in poset.labels
     }
     arrangement = new_arrangement(poset, product.total_points, field, spaces)
-    return FactorArrangement(product, arrangement)
+    return FactorArrangement(product, arrangement, subsets)
 
 
 def interaction_dimensions(factor_arrangement):
     """dim s_a per subset of variables, from an actual decomposition.
 
-    The decomposition must exist for factor arrangements; the resulting
-    dimensions are cross-checked against the independent quotient
-    computation dim F(a) − dim F(â*), and any disagreement (or a failed
-    decomposition) is a bug, not a data condition.
+    Every dimension is cross-checked against the closed form
+    Π_{i∈a} (|E_i| − 1), which uses the cardinalities only; a disagreement
+    is a bug, not a data condition.
     """
-    arr = factor_arrangement.arrangement
-    out = decompose(arr)
-    if not isinstance(out, Decomposition):
-        raise InternalContradiction(
-            "a factor arrangement failed to decompose; its witness was "
-            f"{out!r}"
-        )
-    poset = arr.poset
+    product = factor_arrangement.product
+    sizes = dict(zip(product.labels, product.cardinalities))
+    components = factor_arrangement.decomposition().components
     dims = {}
-    for i, name in enumerate(poset.labels):
-        strict_mask = poset._down[i] & ~(1 << i)
-        oracle = quotient_dim(arr.spaces[name], arr.eval_mask(strict_mask))
-        got = out.components[name].dim
+    for name in factor_arrangement.arrangement.poset.labels:
+        oracle = prod(sizes[v] - 1 for v in factor_arrangement.subsets[name])
+        got = components[name].dim
         if got != oracle:
             raise InternalContradiction(
                 f"component dimension {got} at {name} disagrees with the "
-                f"quotient dimension {oracle}"
+                f"closed form {oracle}"
             )
         dims[name] = got
     return dims

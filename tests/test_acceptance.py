@@ -125,8 +125,8 @@ def test_criterion_3_interaction_decomposition(suite3):
         assert check_intersection_bruteforce(arr).verdict, sizes
         outcome = decompose(arr)
         assert isinstance(outcome, Decomposition) and outcome.certified, sizes
-        # interaction_dimensions re-decomposes and cross-checks every
-        # component dimension against the quotient oracle internally
+        # interaction_dimensions decomposes again and cross-checks every
+        # component dimension against the closed form internally
         dims = interaction_dimensions(factor)
         assert dims == outcome.dims(), sizes
         assert sum(dims.values()) == expected_totals[sizes], sizes

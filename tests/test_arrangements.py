@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interdec import arrangements
 from interdec.arrangements import (
@@ -31,7 +33,15 @@ from interdec.errors import (
     NotMonotoneMap,
     VectorOutsideArrangement,
 )
-from interdec.linalg import GF, QQ, full_space, subspace_from_generators, zero_subspace
+from interdec.interactions import build_factor_arrangement, build_product_space
+from interdec.linalg import (
+    GF,
+    QQ,
+    IntEchelon,
+    full_space,
+    subspace_from_generators,
+    zero_subspace,
+)
 from interdec.posets import build_poset, downset
 
 from randgen import random_decomposable_arrangement, random_monotone_arrangement
@@ -381,3 +391,62 @@ def test_planted_decompositions_verify():
         out = decompose(arr)
         assert isinstance(out, Decomposition)
         assert check_strong_intersection(arr).verdict
+
+
+# ---------------------------------------------------------------------------
+# subset sums over maximal elements
+# ---------------------------------------------------------------------------
+
+def all_members_sum(arrangement, mask):
+    """Reference F(B): the rows of every member of B, maximal or not."""
+    rows = []
+    for i, lab in enumerate(arrangement.poset.labels):
+        if mask >> i & 1:
+            rows.extend(arrangement.spaces[lab].exact_rows())
+    return IntEchelon(arrangement.field, rows).subspace(arrangement.ambient_dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    field=st.sampled_from([QQ, GF(2), GF(7)]),
+    picks=st.lists(st.integers(min_value=0), max_size=6),
+)
+def test_subset_sums_match_all_members_reference(seed, field, picks):
+    arr = random_monotone_arrangement(random.Random(seed), field)
+    full = (1 << len(arr.poset.labels)) - 1
+    masks = [0, full] + [p & full for p in picks]
+    for mask in masks:
+        reference = all_members_sum(arr, mask)
+        assert arr.dim_of_mask(mask) == reference.dim
+        assert arr.eval_mask(mask) == reference
+    # a fresh arrangement has empty memos, so eval_mask computes here
+    fresh = random_monotone_arrangement(random.Random(seed), field)
+    for mask in masks:
+        assert fresh.eval_mask(mask) == all_members_sum(fresh, mask)
+
+
+def test_subset_sum_inserts_only_non_seed_maximal_rows(monkeypatch):
+    product = build_product_space(["a", "b", "c", "d"], (2, 2, 2, 2))
+    arr = build_factor_arrangement(product).arrangement
+    poset = arr.poset
+    top = poset.index("{a,b,c,d}")
+    strict = poset._down[top] & ~(1 << top)
+    assert bin(strict).count("1") == 15
+    maximal = [arr.spaces[lab] for lab in poset._labels_of(poset._maximal(strict))]
+    assert sorted(s.dim for s in maximal) == [8, 8, 8, 8]
+    inserted = []
+    original = IntEchelon.insert
+
+    def counting(self, row):
+        inserted.append(tuple(row))
+        return original(self, row)
+
+    monkeypatch.setattr(IntEchelon, "insert", counting)
+    assert arr.dim_of_mask(strict) == 15
+    # the seed's 8 rows are copied, the other three spaces' 24 are inserted
+    assert len(inserted) == 24
+    assert set(inserted) <= {r for s in maximal for r in s.exact_rows()}
+    inserted.clear()
+    assert arr.eval_mask(strict).dim == 15
+    assert len(inserted) == 24

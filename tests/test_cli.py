@@ -1,10 +1,17 @@
 """Command-line front door: exit codes, documents, determinism, round trips."""
 
+import copy
 import json
+import tempfile
+import traceback
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from interdec import interactions
 from interdec.cli import main
 
 THREE_LINES = {
@@ -225,6 +232,22 @@ def test_interactions_emit_bases(runner, tmp_path):
         assert len(doc["components"][name]) == dim
 
 
+def test_interactions_emit_bases_decomposes_once(runner, tmp_path, monkeypatch):
+    calls = []
+    original = interactions.decompose
+
+    def counting(arrangement, seed=None):
+        calls.append(seed)
+        return original(arrangement, seed=seed)
+
+    monkeypatch.setattr(interactions, "decompose", counting)
+    monkeypatch.setattr("interdec.cli.decompose", counting)
+    m23 = write(tmp_path, "m23.json", MODEL_23)
+    result = runner.invoke(main, ["interactions", m23, "--emit-bases"])
+    assert result.exit_code == 0
+    assert calls == [None]
+
+
 def test_interactions_size_limit(runner, tmp_path):
     big = {"variables": [{"label": "a", "cardinality": 65},
                          {"label": "b", "cardinality": 64}]}
@@ -307,3 +330,116 @@ def test_output_file(runner, tmp_path):
     assert result.exit_code == 0
     assert result.output == ""
     assert json.loads(out.read_text())["verdict"] is True
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mangled documents end in a documented exit, never a traceback
+# ---------------------------------------------------------------------------
+
+GF5_CHAIN = {
+    "field": {"mod": 5},
+    "ambient_dim": 3,
+    "poset": {"elements": ["u", "v"], "relations": [["u", "v"]]},
+    "spaces": {"u": [[1, 2, 0]], "v": [[1, 2, 0], [0, 0, 4]]},
+}
+
+KEYS = (
+    "field", "ambient_dim", "poset", "spaces", "elements", "relations",
+    "mod", "variables", "label", "cardinality", "a1", "x", "extra",
+)
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=6)
+    | st.sampled_from([10**30, -(10**30), 2**61 - 1, 0.5])
+    | st.sampled_from(["", "3/4", "1/0", "x", "a1", "rational", "mod:5"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for k, value in enumerate(doc):
+            yield from _paths(value, prefix + (k,))
+
+
+@st.composite
+def mangled(draw, bases):
+    """JSON text of a valid document with one to three random edits."""
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        action = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if not path:
+            if action == "replace":
+                doc = draw(json_values)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if action == "replace":
+            parent[key] = draw(json_values)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent[draw(st.sampled_from(KEYS))] = draw(json_values)
+        else:
+            parent.insert(key, draw(json_values))
+    text = json.dumps(doc)
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        text = text[: draw(st.integers(min_value=0, max_value=len(text)))]
+    return text
+
+
+FIELD_FLAGS = st.sampled_from([[], ["--field", "rational"], ["--field", "mod:2"],
+                               ["--field", "mod:7"], ["--field", "mod:4"]])
+
+
+@st.composite
+def fuzz_invocations(draw):
+    command = draw(st.sampled_from(["C", "I", "sI", "decompose", "seeded", "interactions"]))
+    if command == "interactions":
+        text = draw(mangled([MODEL_22, MODEL_23]))
+        tail = ["interactions", draw(st.sampled_from(["--emit-bases", "--pretty"]))]
+    else:
+        text = draw(mangled([THREE_LINES, CONSTANT_CHAIN, GF5_CHAIN]))
+        tail = {
+            "decompose": ["decompose"],
+            "seeded": ["decompose", "--seed", "3"],
+        }.get(command, ["check", "--property", command])
+    return text, draw(FIELD_FLAGS), tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_invocations())
+def test_mangled_documents_exit_cleanly(invocation):
+    text, flags, tail = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text)
+        if tail[-1] == "--pretty":
+            args = flags + ["--pretty", tail[0], str(path)]
+        else:
+            args = flags + [tail[0], str(path)] + tail[1:]
+        result = CliRunner().invoke(main, args)
+    if result.exception is not None and not isinstance(result.exception, SystemExit):
+        raise AssertionError(
+            "".join(traceback.format_exception(*result.exc_info)) + f"\ninput: {text}"
+        )
+    assert result.exit_code in (0, 1, 2, 3), (result.exit_code, text)
+    if result.exit_code in (0, 1):
+        assert isinstance(json.loads(result.stdout), dict)
+        assert result.stderr == ""
+    else:
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("error: ")
+        assert result.stdout == ""

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from interdec.arrangements import (
+    Decomposition,
     check_intersection_bruteforce,
     check_strong_intersection,
     decompose,
@@ -13,10 +14,12 @@ from interdec.arrangements import (
 from interdec.errors import (
     DuplicateLabel,
     EmptyVariableDomain,
+    InternalContradiction,
     SizeLimitExceeded,
     UnknownVariable,
 )
 from interdec.interactions import (
+    FactorArrangement,
     build_factor_arrangement,
     build_product_space,
     factor_subspace,
@@ -196,6 +199,16 @@ def test_interaction_dimensions_match_closed_form():
                 expected *= sizes[labels.index(m)] - 1
             assert dims[name] == expected, (sizes, name)
         assert all(d >= 1 for d in dims.values())
+
+
+def test_interaction_dimensions_reject_a_component_off_the_closed_form(monkeypatch):
+    factor = fa(2, 3)
+    components = dict(factor.decomposition().components)
+    components["{x2}"] = components["{x1}"]
+    bogus = Decomposition(components, certified=True)
+    monkeypatch.setattr(FactorArrangement, "decomposition", lambda self: bogus)
+    with pytest.raises(InternalContradiction, match="closed form 2"):
+        interaction_dimensions(factor)
 
 
 def _subsets(labels):
