@@ -36,16 +36,16 @@ from .linalg import (
     Subspace,
     complement_rows,
     complement_within,
-    contains,
+    first_outside,
     intersect,
     mix_rows,
     random_invertible,
     solve_exact,
     subspace_from_generators,
+    sum_echelon,
     zero_subspace,
 )
 from .posets import (
-    downset,
     enumerate_lower_sets,
     interval_elements,
     is_order_embedding,
@@ -144,18 +144,8 @@ class Arrangement:
         self._eval_memo = {}
         self._dim_memo = {}
 
-    def space(self, label):
-        sp = self.spaces.get(label)
-        if sp is None:
-            raise InputError(f"no subspace for element {label!r}")
-        return sp
-
     def _sum_echelon(self, mask):
-        """Kernel echelon of F(B) for a bitmask subset B, from max B only.
-
-        The largest maximal member seeds the echelon with its stored rows;
-        the rows of the other maximal members are inserted.
-        """
+        """Kernel echelon of F(B) for a bitmask subset B, from max B only."""
         labels = self.poset.labels
         summands = []
         m = self.poset._maximal(mask)
@@ -163,15 +153,7 @@ class Arrangement:
             low = m & -m
             summands.append(self.spaces[labels[low.bit_length() - 1]])
             m ^= low
-        if not summands:
-            return IntEchelon(self.field)
-        seed = max(summands, key=lambda space: space.dim)
-        acc = seed.echelon()
-        for space in summands:
-            if space is not seed:
-                for row in space.exact_rows():
-                    acc.insert(row)
-        return acc
+        return sum_echelon(summands, self.field)
 
     def eval_mask(self, mask):
         """Canonical sum of the member spaces of a bitmask subset."""
@@ -232,27 +214,20 @@ def new_arrangement(poset, ambient_dim, field, spaces):
 
 
 def check_monotonicity(poset, spaces):
-    """Cover-pair containment scan; containment along covers is transitive."""
+    """Cover-pair containment scan; containment along covers is transitive.
+
+    Each cover pair costs one containment test, counted as one rank.
+    """
     pairs = 0
-    ranks = 0
     for ia, ib in poset.covers():
         pairs += 1
         a, b = poset.labels[ia], poset.labels[ib]
         small, big = spaces[a], spaces[b]
-        acc = big.echelon()
-        ranks += 1
-        for k, row in enumerate(small.exact_rows()):
-            if not acc.contains_row(row):
-                witness = Witness((a, b), small.basis[k], small, big)
-                return CheckReport(
-                    "monotonicity",
-                    False,
-                    witness,
-                    {"pairs_checked": pairs, "ranks_computed": ranks},
-                )
-    return CheckReport(
-        "monotonicity", True, None, {"pairs_checked": pairs, "ranks_computed": ranks}
-    )
+        k = first_outside(small, big)
+        if k is not None:
+            witness = Witness((a, b), small.basis[k], small, big)
+            return _report("monotonicity", witness, pairs, pairs)
+    return _report("monotonicity", None, pairs, pairs)
 
 
 def eval_lower_set(arrangement, members):
@@ -270,7 +245,8 @@ def check_condition_C(arrangement):
 
     Since every b < a satisfies a ≰ b, F(â*) sits inside F(a) ∩ F(ǎ)
     already, so the containment holds exactly when the two dimensions
-    agree; that needs three subset-sum ranks per element.
+    agree; that needs three subset-sum ranks per element.  A failure is
+    the pair witness of â and ǎ, since F(â) = F(a) and â ∩ ǎ = â*.
     """
     poset = arrangement.poset
     n = len(poset.labels)
@@ -289,27 +265,36 @@ def check_condition_C(arrangement):
         ranks += 3
         if dim_a + dim_cheek - dim_join == dim_strict:
             continue
-        meet = intersect(arrangement.spaces[a], arrangement.eval_mask(cheek_mask))
-        below = arrangement.eval_mask(strict_mask)
-        vector = _basis_vector_outside(meet, below)
-        witness = Witness(a, vector, meet, below)
-        return CheckReport(
-            "C", False, witness, {"pairs_checked": pairs, "ranks_computed": ranks}
-        )
+        witness = _pair_witness(arrangement, poset._down[i], cheek_mask, a)
+        return _report("C", witness, pairs, ranks)
+    return _report("C", None, pairs, ranks)
+
+
+def _report(property, witness, pairs, ranks):
+    """The report of a check; its verdict is that no witness was found."""
     return CheckReport(
-        "C", True, None, {"pairs_checked": pairs, "ranks_computed": ranks}
+        property,
+        witness is None,
+        witness,
+        {"pairs_checked": pairs, "ranks_computed": ranks},
     )
 
 
 def _basis_vector_outside(source, target):
     """First canonical basis vector of source that is not in target."""
-    acc = target.echelon()
-    for row, vector in zip(source.exact_rows(), source.basis):
-        if not acc.contains_row(row):
-            return vector
-    raise InternalContradiction(
-        "dimension count promised a violating vector but none was found"
-    )
+    k = first_outside(source, target)
+    if k is None:
+        raise InternalContradiction(
+            "dimension count promised a violating vector but none was found"
+        )
+    return source.basis[k]
+
+
+def _pair_witness(arrangement, mb, mc, location):
+    """Witness of F(B) ∩ F(C) ⊄ F(B ∩ C) for bitmask subsets B and C."""
+    lhs = intersect(arrangement.eval_mask(mb), arrangement.eval_mask(mc))
+    rhs = arrangement.eval_mask(mb & mc)
+    return Witness(location, _basis_vector_outside(lhs, rhs), lhs, rhs)
 
 
 def _pairwise_lower_set_scan(arrangement, cap, property_name):
@@ -339,21 +324,10 @@ def _pairwise_lower_set_scan(arrangement, cap, property_name):
             join = mi | mj
             if di + dims[mj] - dims[join] == dims[meet]:
                 continue
-            lhs = intersect(arrangement.eval_mask(mi), arrangement.eval_mask(mj))
-            rhs = arrangement.eval_mask(meet)
-            vector = _basis_vector_outside(lhs, rhs)
-            witness = Witness(
-                (poset._labels_of(mi), poset._labels_of(mj)), vector, lhs, rhs
-            )
-            return CheckReport(
-                property_name,
-                False,
-                witness,
-                {"pairs_checked": pairs, "ranks_computed": ranks},
-            )
-    return CheckReport(
-        property_name, True, None, {"pairs_checked": pairs, "ranks_computed": ranks}
-    )
+            location = (poset._labels_of(mi), poset._labels_of(mj))
+            witness = _pair_witness(arrangement, mi, mj, location)
+            return _report(property_name, witness, pairs, ranks)
+    return _report(property_name, None, pairs, ranks)
 
 
 def check_intersection_bruteforce(arrangement, cap=DEFAULT_CAP):
@@ -406,60 +380,34 @@ def verify_decomposition(arrangement, decomposition):
     for lab in poset.labels:
         if lab not in comps:
             raise InputError(f"decomposition misses element {lab!r}")
-    ranks = 0
-    pairs = 0
+    field, n = arrangement.field, arrangement.ambient_dim
+    parts = [comps[lab] for lab in poset.labels]
+    for lab, comp in zip(poset.labels, parts):
+        if comp.ambient_dim != n or comp.field != field:
+            raise DimensionMismatch(f"component at {lab!r} does not fit the arrangement")
 
     # (i) the sum of all components is direct
-    total = 0
-    acc = IntEchelon(arrangement.field)
-    for lab in poset.labels:
-        comp = comps[lab]
-        if comp.ambient_dim != arrangement.ambient_dim or comp.field != arrangement.field:
-            raise DimensionMismatch(f"component at {lab!r} does not fit the arrangement")
-        total += comp.dim
-        for row in comp.exact_rows():
-            acc.insert(row)
-    ranks += 1
-    if acc.rank != total:
+    if sum_echelon(parts, field).rank != sum(comp.dim for comp in parts):
         witness = _direct_sum_witness(arrangement, comps)
-        report = CheckReport(
-            "decomposition",
-            False,
-            witness,
-            {"pairs_checked": pairs, "ranks_computed": ranks},
-        )
-        return report, Decomposition(comps, certified=False)
+        return _report("decomposition", witness, 0, 1), Decomposition(comps)
 
-    # (ii) components rebuild every space along downsets
+    # (ii) components rebuild every space along downsets; element i is
+    # pair i + 1 and, after the rank of (i), rank i + 2
     for i, a in enumerate(poset.labels):
-        pairs += 1
-        rows = []
         down = poset._down[i]
-        for j, b in enumerate(poset.labels):
-            if down >> j & 1:
-                rows.extend(comps[b].exact_rows())
-        rebuilt = IntEchelon(arrangement.field, rows).subspace(arrangement.ambient_dim)
-        ranks += 1
+        below = [comp for j, comp in enumerate(parts) if down >> j & 1]
+        rebuilt = sum_echelon(below, field).subspace(n)
         space = arrangement.spaces[a]
         if rebuilt == space:
             continue
-        if not contains(space, rebuilt):
-            vector = _basis_vector_outside(rebuilt, space)
-            witness = Witness(a, vector, rebuilt, space)
+        if first_outside(rebuilt, space) is not None:
+            lhs, rhs = rebuilt, space
         else:
-            vector = _basis_vector_outside(space, rebuilt)
-            witness = Witness(a, vector, space, rebuilt)
-        report = CheckReport(
-            "decomposition",
-            False,
-            witness,
-            {"pairs_checked": pairs, "ranks_computed": ranks},
-        )
-        return report, Decomposition(comps, certified=False)
+            lhs, rhs = space, rebuilt
+        witness = Witness(a, _basis_vector_outside(lhs, rhs), lhs, rhs)
+        return _report("decomposition", witness, i + 1, i + 2), Decomposition(comps)
 
-    report = CheckReport(
-        "decomposition", True, None, {"pairs_checked": pairs, "ranks_computed": ranks}
-    )
+    report = _report("decomposition", None, len(parts), len(parts) + 1)
     return report, Decomposition(comps, certified=True)
 
 
@@ -467,12 +415,8 @@ def _direct_sum_witness(arrangement, comps):
     """Pinned-element witness: some component meets the sum of the others."""
     labels = arrangement.poset.labels
     for x in labels:
-        rows = []
-        for y in labels:
-            if y != x:
-                rows.extend(comps[y].exact_rows())
-        others = IntEchelon(arrangement.field, rows).subspace(arrangement.ambient_dim)
-        meet = intersect(comps[x], others)
+        others = sum_echelon([comps[y] for y in labels if y != x], arrangement.field)
+        meet = intersect(comps[x], others.subspace(arrangement.ambient_dim))
         if meet.dim:
             return Witness(
                 x,
@@ -556,17 +500,12 @@ def restrict(arrangement, members):
 
 
 def interval_restrict(arrangement, a, b):
-    """Arrangement on [a, b]; the bottom carries F(â) summed in the parent."""
-    poset = arrangement.poset
-    members = interval_elements(poset, a, b)
-    induced = members.as_poset()
-    spaces = {}
-    for lab in induced.labels:
-        if lab == a:
-            spaces[lab] = eval_lower_set(arrangement, downset(poset, a))
-        else:
-            spaces[lab] = arrangement.spaces[lab]
-    return new_arrangement(induced, arrangement.ambient_dim, arrangement.field, spaces)
+    """Arrangement on the interval [a, b], spaces copied.
+
+    The bottom keeps F(a), which by monotonicity is F(â), the sum over
+    the downset of a in the parent.
+    """
+    return restrict(arrangement, interval_elements(arrangement.poset, a, b))
 
 
 def pushforward(mapping, arrangement, target_poset):

@@ -11,6 +11,7 @@ stdout or to --output.  Identical invocations produce identical bytes.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -100,6 +101,19 @@ def _fail(ctx, message, code):
     ctx.exit(code)
 
 
+@contextmanager
+def _exit_codes(ctx):
+    """Turn the library's errors into one `error:` line and their exit code."""
+    try:
+        yield
+    except InputError as exc:
+        _fail(ctx, exc, EXIT_INPUT)
+    except (CapExceeded, SizeLimitExceeded) as exc:
+        _fail(ctx, exc, EXIT_CAP)
+    except InternalContradiction as exc:
+        _fail(ctx, exc, EXIT_BUG)
+
+
 def _field_override(ctx):
     flag = ctx.obj["field_flag"]
     return field_from_flag(flag) if flag else None
@@ -130,7 +144,7 @@ def _load_arrangement(ctx, path):
 @click.pass_context
 def check(ctx, arrangement_file, prop, cap):
     """Decide a property of an arrangement and report a witness on failure."""
-    try:
+    with _exit_codes(ctx):
         arrangement = _load_arrangement(ctx, arrangement_file)
         if prop == "C":
             report = check_condition_C(arrangement)
@@ -138,12 +152,6 @@ def check(ctx, arrangement_file, prop, cap):
             report = check_intersection_bruteforce(arrangement, cap)
         else:
             report = check_strong_intersection(arrangement, cap)
-    except InputError as exc:
-        _fail(ctx, exc, EXIT_INPUT)
-    except (CapExceeded, SizeLimitExceeded) as exc:
-        _fail(ctx, exc, EXIT_CAP)
-    except InternalContradiction as exc:
-        _fail(ctx, exc, EXIT_BUG)
     doc = report_to_doc(report, arrangement.field)
     _emit(ctx, doc, 0 if report.verdict else EXIT_FALSE)
 
@@ -154,15 +162,9 @@ def check(ctx, arrangement_file, prop, cap):
 @click.pass_context
 def decompose_cmd(ctx, arrangement_file, seed):
     """Decompose an arrangement, or report the witness refuting condition C."""
-    try:
+    with _exit_codes(ctx):
         arrangement = _load_arrangement(ctx, arrangement_file)
         outcome = decompose(arrangement, seed=seed)
-    except InputError as exc:
-        _fail(ctx, exc, EXIT_INPUT)
-    except (CapExceeded, SizeLimitExceeded) as exc:
-        _fail(ctx, exc, EXIT_CAP)
-    except InternalContradiction as exc:
-        _fail(ctx, exc, EXIT_BUG)
     if isinstance(outcome, Witness):
         doc = {
             "certified": False,
@@ -188,7 +190,7 @@ def decompose_cmd(ctx, arrangement_file, seed):
 @click.pass_context
 def interactions(ctx, model_file, emit_bases, export_arrangement):
     """Interaction dimensions of the factor arrangement of finite variables."""
-    try:
+    with _exit_codes(ctx):
         labels, cardinalities = model_from_doc(load_json(model_file), model_file)
         field = _field_override(ctx) or QQ
         product = build_product_space(labels, cardinalities)
@@ -208,12 +210,6 @@ def interactions(ctx, model_file, emit_bases, export_arrangement):
                 arrangement_to_doc(factor.arrangement), pretty=ctx.obj["pretty"]
             )
             _write(ctx, export_arrangement, text)
-    except InputError as exc:
-        _fail(ctx, exc, EXIT_INPUT)
-    except (CapExceeded, SizeLimitExceeded) as exc:
-        _fail(ctx, exc, EXIT_CAP)
-    except InternalContradiction as exc:
-        _fail(ctx, exc, EXIT_BUG)
     _emit(ctx, doc, 0)
 
 

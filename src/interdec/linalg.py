@@ -38,16 +38,18 @@ class RationalField:
     zero = Fraction(0)
 
     def parse(self, value):
-        """Accept ints, Fractions, or strings like '-3/7'."""
-        if isinstance(value, bool):
-            raise InputError(f"not a rational entry: {value!r}")
-        if isinstance(value, (int, Fraction)):
+        """Accept ints, Fractions, or strings like '-3/7' or '0.5'.
+
+        Strings take no exponent: Fraction would read "1e1000000000" as a
+        billion-digit integer before any size cap applies.
+        """
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
             return Fraction(value)
-        if isinstance(value, str):
+        if isinstance(value, str) and "e" not in value and "E" not in value:
             try:
                 return Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputError(f"not a rational entry: {value!r}") from exc
+            except (ValueError, ZeroDivisionError):
+                pass
         raise InputError(f"not a rational entry: {value!r}")
 
     def format(self, element):
@@ -429,24 +431,46 @@ def _check_compatible(*spaces):
             )
 
 
+def sum_echelon(spaces, field):
+    """Kernel echelon of the sum of a list of subspaces over field.
+
+    The largest summand seeds the echelon with its stored rows (the first
+    one on a tie); the rows of the other summands are inserted.  An empty
+    list gives an empty echelon.
+    """
+    if not spaces:
+        return IntEchelon(field)
+    seed = max(spaces, key=lambda space: space.dim)
+    acc = seed.echelon()
+    for space in spaces:
+        if space is not seed:
+            for row in space.exact_rows():
+                acc.insert(row)
+    return acc
+
+
+def first_outside(source, target):
+    """Index of the first stored row of source that is not in target, or None."""
+    acc = target.echelon()
+    for k, row in enumerate(source.exact_rows()):
+        if not acc.contains_row(row):
+            return k
+    return None
+
+
 def sum_subspaces(u, w):
     """Smallest subspace containing both, U + W."""
     _check_compatible(u, w)
-    acc = u.echelon()
-    for row in w.exact_rows():
-        acc.insert(row)
-    return acc.subspace(u.ambient_dim)
+    return sum_echelon([u, w], u.field).subspace(u.ambient_dim)
 
 
 def span_of_subspaces(ambient_dim, spaces, field):
     """Sum of a whole collection; empty collections give the zero subspace."""
-    acc = IntEchelon(field)
+    spaces = list(spaces)
     for s in spaces:
         if s.ambient_dim != ambient_dim or s.field != field:
             raise DimensionMismatch(f"incompatible summand {s!r}")
-        for row in s.exact_rows():
-            acc.insert(row)
-    return acc.subspace(ambient_dim)
+    return sum_echelon(spaces, field).subspace(ambient_dim)
 
 
 def intersect(u, w):
@@ -476,12 +500,9 @@ def intersect(u, w):
 def contains(u, w):
     """True iff W ⊆ U, i.e. every basis row of W lies in U."""
     _check_compatible(u, w)
-    if w.is_zero:
-        return True
     if w.dim > u.dim:
         return False
-    acc = u.echelon()
-    return all(acc.contains_row(r) for r in w.exact_rows())
+    return first_outside(w, u) is None
 
 
 def complement_within(w, u):
@@ -509,13 +530,7 @@ def is_direct_sum(parts):
     if not parts:
         return True
     _check_compatible(*parts)
-    field = parts[0].field
-    total = 0
-    rows = []
-    for s in parts:
-        total += s.dim
-        rows.extend(s.exact_rows())
-    return rank_of_rows(rows, field) == total
+    return sum_echelon(parts, parts[0].field).rank == sum(s.dim for s in parts)
 
 
 def quotient_dim(u, w):

@@ -185,9 +185,6 @@ class Subposet:
     def intersection(self, other):
         return Subposet(self.parent, self.mask & other.mask)
 
-    def union(self, other):
-        return Subposet(self.parent, self.mask | other.mask)
-
     def difference(self, other):
         return Subposet(self.parent, self.mask & ~other.mask)
 

@@ -136,6 +136,17 @@ def test_unwritable_output_paths_are_input_errors(runner, tmp_path):
         assert line.startswith(f"error: {missing}: cannot write"), line
 
 
+def test_rational_exponent_entry_is_input_error(runner, tmp_path):
+    doc = dict(THREE_LINES, spaces={"a1": [["1e1000000000", 0]], "a2": [[0, 1]],
+                                    "a3": [[1, 1]]})
+    path = write(tmp_path, "exp.json", doc)
+    result = runner.invoke(main, ["check", path, "--property", "C"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: ") and "not a rational entry" in line
+
+
 def test_arrangement_unknown_top_level_key_is_input_error(runner, tmp_path):
     path = write(tmp_path, "extra.json", dict(CONSTANT_CHAIN, extra=1))
     result = runner.invoke(main, ["check", path, "--property", "C"])

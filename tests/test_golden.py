@@ -1,0 +1,137 @@
+"""Golden command-line output: exit code, stdout, stderr and written files.
+
+Each invocation below runs the CLI in process on a fixed document: seeded
+`randgen` arrangements over ℚ, GF(2) and GF(7), factor models, the
+three-lines counterexample, a non-monotone document and a cap overflow.
+`golden_cli.json` holds what each run printed, with the temporary directory
+replaced by `<tmp>`, so any change to a verdict, witness, work count or
+output byte fails here.  After an intended output change, re-record with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from interdec.cli import main
+from interdec.fileio import arrangement_to_doc
+from interdec.linalg import GF, QQ
+
+from randgen import random_decomposable_arrangement, random_monotone_arrangement
+
+EXPECTED = Path(__file__).with_name("golden_cli.json")
+
+FIELDS = {"qq": QQ, "gf2": GF(2), "gf7": GF(7)}
+
+THREE_LINES = {
+    "field": "rational",
+    "ambient_dim": 2,
+    "poset": {"elements": ["a1", "a2", "a3"], "relations": []},
+    "spaces": {"a1": [[1, 0]], "a2": [[0, 1]], "a3": [[1, 1]]},
+}
+
+NOT_MONOTONE = {
+    "field": "rational",
+    "ambient_dim": 3,
+    "poset": {"elements": ["u", "v"], "relations": [["u", "v"]]},
+    "spaces": {"u": [[2, 1, "1/3"]], "v": [[1, 0, 0], [0, 0, 1]]},
+}
+
+MODELS = {
+    "m23": {"variables": [{"label": "x", "cardinality": 2},
+                          {"label": "y", "cardinality": 3}]},
+    "m222": {"variables": [{"label": f"x{i}", "cardinality": 2}
+                           for i in range(3)]},
+}
+
+
+def documents():
+    """Document name -> JSON document, all built from fixed seeds."""
+    docs = {"three_lines": THREE_LINES, "not_monotone": NOT_MONOTONE, **MODELS}
+    for name, field in FIELDS.items():
+        arrangement = random_monotone_arrangement(random.Random(23), field)
+        docs[f"{name}_monotone"] = arrangement_to_doc(arrangement)
+        arrangement, _ = random_decomposable_arrangement(random.Random(2), field)
+        docs[f"{name}_planted"] = arrangement_to_doc(arrangement)
+    return docs
+
+
+def invocations():
+    """(id, argument list); `@name` stands for the path of document `name`,
+    `>name` for a file the run writes."""
+    runs = []
+    for name in FIELDS:
+        for doc in (f"{name}_monotone", f"{name}_planted"):
+            for prop in ("C", "I", "sI"):
+                runs.append((f"{doc}-check-{prop}", ["check", f"@{doc}", "--property", prop]))
+            runs.append((f"{doc}-decompose", ["decompose", f"@{doc}"]))
+            runs.append((f"{doc}-decompose-seed", ["decompose", f"@{doc}", "--seed", "3"]))
+    for model, field in (("m23", "rational"), ("m222", "mod:7")):
+        runs.append((f"{model}-interactions", [
+            "--field", field, "interactions", f"@{model}",
+            "--emit-bases", "--export-arrangement", f">{model}_export",
+        ]))
+        runs.append((f"{model}-export-check-C", ["check", f"@{model}_export", "--property", "C"]))
+    for prop in ("C", "I", "sI"):
+        runs.append((f"three_lines-check-{prop}", ["check", "@three_lines", "--property", prop]))
+    runs.append(("three_lines-decompose", ["decompose", "@three_lines"]))
+    runs.append(("not_monotone-check-C", ["check", "@not_monotone", "--property", "C"]))
+    runs.append(("cap-overflow", ["check", "@qq_monotone", "--property", "I", "--cap", "2"]))
+    return runs
+
+
+def run_all(directory):
+    """Run every invocation in order; id -> recorded outcome."""
+    for name, doc in documents().items():
+        (directory / f"{name}.json").write_text(json.dumps(doc))
+    tmp = str(directory)
+    runner = CliRunner()
+    outcomes = {}
+    for run_id, args in invocations():
+        written = [a[1:] for a in args if a.startswith(">")]
+        argv = [
+            str(directory / f"{a[1:]}.json") if a[0] in "@>" else a
+            for a in args
+        ]
+        result = runner.invoke(main, argv)
+        outcomes[run_id] = {
+            "exit": result.exit_code,
+            "stdout": result.stdout.replace(tmp, "<tmp>"),
+            "stderr": result.stderr.replace(tmp, "<tmp>"),
+            "files": {
+                name: (directory / f"{name}.json").read_text() for name in written
+            },
+        }
+    return outcomes
+
+
+@pytest.fixture(scope="module")
+def outcomes(tmp_path_factory):
+    return run_all(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def expected():
+    return json.loads(EXPECTED.read_text())
+
+
+@pytest.mark.parametrize("run_id", [run_id for run_id, _ in invocations()])
+def test_cli_output_matches_golden(run_id, outcomes, expected):
+    assert outcomes[run_id] == expected[run_id]
+
+
+def test_golden_file_covers_exactly_the_invocations(expected):
+    assert sorted(expected) == sorted(run_id for run_id, _ in invocations())
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        recorded = run_all(Path(scratch))
+    EXPECTED.write_text(json.dumps(recorded, indent=1, ensure_ascii=False) + "\n")
+    print(f"recorded {len(recorded)} invocations in {EXPECTED}", file=sys.stderr)

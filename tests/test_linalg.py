@@ -17,9 +17,11 @@ from interdec.errors import (
 from interdec.linalg import (
     GF,
     QQ,
+    IntEchelon,
     Matrix,
     complement_within,
     contains,
+    first_outside,
     full_space,
     intersect,
     is_direct_sum,
@@ -28,6 +30,7 @@ from interdec.linalg import (
     rref,
     solve_exact,
     subspace_from_generators,
+    sum_echelon,
     sum_subspaces,
     zero_subspace,
 )
@@ -69,6 +72,16 @@ def test_rational_parse_and_format():
         QQ.parse("a")
     with pytest.raises(InputError):
         QQ.parse(0.5)
+    assert QQ.parse("0.5") == Fraction(1, 2)
+
+
+def test_rational_parse_rejects_exponents_quickly():
+    # Fraction itself would read "1e1000000000" as a billion-digit integer
+    for text in ("1e1000000000", "1E1000000000", "2.5e3", "-1e-2"):
+        start = perf_counter()
+        with pytest.raises(InputError, match="not a rational entry"):
+            QQ.parse(text)
+        assert perf_counter() - start < 1.0
 
 
 def test_prime_field_requires_prime():
@@ -497,3 +510,63 @@ def test_intersect_matches_reference_block_rref(case):
         reference_basis(u_rows, field), reference_basis(w_rows, field), ambient, field
     )
     assert intersect(u, w).basis == expected
+
+
+# ---------------------------------------------------------------------------
+# the shared subspace sum and first-row-outside scan against plain references
+# ---------------------------------------------------------------------------
+
+def reference_sum_echelon(spaces, field):
+    """Every summand's rows inserted in order into one fresh echelon."""
+    acc = IntEchelon(field)
+    for space in spaces:
+        for row in space.exact_rows():
+            acc.insert(row)
+    return acc
+
+
+def reference_first_outside(source, target):
+    """First k whose row an echelon built afresh from the target lacks."""
+    acc = IntEchelon(target.field, target.exact_rows())
+    for k, row in enumerate(source.exact_rows()):
+        if not acc.contains_row(row):
+            return k
+    return None
+
+
+@st.composite
+def subspace_families(draw):
+    """0-5 subspaces in shuffled order: random ones, zero spaces, and
+    duplicates (the same object again, or an equal one rebuilt)."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(7)]))
+    ambient = draw(st.integers(min_value=0, max_value=5))
+    spaces = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "same", "equal"]))
+        if kind == "zero":
+            spaces.append(zero_subspace(ambient, field))
+        elif kind in ("same", "equal") and spaces:
+            earlier = draw(st.sampled_from(spaces))
+            spaces.append(earlier if kind == "same" else sp(ambient, earlier.basis, field))
+        else:
+            _, _, rows = draw(generator_lists(field, ambient))
+            spaces.append(sp(ambient, rows, field))
+    return field, ambient, draw(st.permutations(spaces))
+
+
+@given(subspace_families())
+def test_sum_echelon_matches_inserting_every_row(case):
+    field, ambient, spaces = case
+    got = sum_echelon(spaces, field)
+    expected = reference_sum_echelon(spaces, field)
+    assert got.rank == expected.rank
+    assert got.subspace(ambient) == expected.subspace(ambient)
+
+
+@given(generator_list_pairs())
+def test_first_outside_matches_fresh_echelon_scan(case):
+    field, ambient, u_rows, w_rows = case
+    u, w = sp(ambient, u_rows, field), sp(ambient, w_rows, field)
+    assert first_outside(u, w) == reference_first_outside(u, w)
+    assert first_outside(w, u) == reference_first_outside(w, u)
+    assert first_outside(u, u) is None
