@@ -86,7 +86,15 @@ class Witness:
 
 
 class CheckReport:
-    """Outcome of one property check; verdict is false iff a witness exists."""
+    """Outcome of one property check; verdict is false iff a witness exists.
+
+    work counts the check's effort: pairs_checked is the number of pairs
+    (cover pairs, elements, pairs of lower sets) examined up to and
+    including the failing one, and ranks_computed the subset-sum ranks
+    behind them.  (I) and (sI) decide success by a valuation identity that
+    covers every pair at once; they then report the full scan's counts,
+    L(L + 1)/2 pairs and L ranks over L lower sets.
+    """
 
     __slots__ = ("property", "verdict", "witness", "work")
 
@@ -306,28 +314,57 @@ def _pairwise_lower_set_scan(arrangement, cap, property_name):
         dim F(ℬ) + dim F(𝒞) − dim F(ℬ ∪ 𝒞) = dim F(ℬ ∩ 𝒞).
     Larger families reduce to pairs: lower sets are closed under
     intersection, so the family identity follows by induction.
+
+    The pair identity says d(ℬ) = dim F(ℬ) is modular on the distributive
+    lattice of lower sets, and since d(∅) = 0 that holds exactly when
+        d(ℬ) = Σ_{x ∈ ℬ} w(x),   w(x) = dim F(x) − dim F(x̂*),
+    for every lower set ℬ (Birkhoff's valuations).  Modularity gives the
+    sum by induction: for x maximal in ℬ, ℬ = (ℬ ∖ {x}) ∪ x̂ and
+    (ℬ ∖ {x}) ∩ x̂ = x̂*.  Conversely, the sums over ℬ and 𝒞 add up to those
+    over ℬ ∪ 𝒞 and ℬ ∩ 𝒞.  So one comparison per lower set decides both
+    properties.  When the identity holds, the work counts are those of the
+    full scan it covers, L(L + 1)/2 pairs and L ranks for L lower sets.
+    When it fails, _first_failing_pair rescans the pairs in order on the
+    same dimensions, so the witness and the counts are the first failing
+    pair's.
     """
     poset = arrangement.poset
-    sets = enumerate_lower_sets(poset, cap)
-    masks = [b.mask for b in sets]
-    dims = {}
-    ranks = 0
+    masks = [b.mask for b in enumerate_lower_sets(poset, cap)]
+    dims = {m: arrangement.dim_of_mask(m) for m in masks}
+    weight = [
+        arrangement.spaces[a].dim - dims[poset._down[i] & ~(1 << i)]
+        for i, a in enumerate(poset.labels)
+    ]
     for m in masks:
-        dims[m] = arrangement.dim_of_mask(m)
-        ranks += 1
+        total = 0
+        rest = m
+        while rest:
+            low = rest & -rest
+            total += weight[low.bit_length() - 1]
+            rest ^= low
+        if total != dims[m]:
+            return _first_failing_pair(arrangement, masks, dims, property_name)
+    count = len(masks)
+    return _report(property_name, None, count * (count + 1) // 2, count)
+
+
+def _first_failing_pair(arrangement, masks, dims, property_name):
+    """The report of the first pair of lower sets, in scan order, whose
+    dimensions break the pair identity; dims holds d of every lower set."""
+    poset = arrangement.poset
     pairs = 0
     for i, mi in enumerate(masks):
         di = dims[mi]
         for mj in masks[i:]:
             pairs += 1
-            meet = mi & mj
-            join = mi | mj
-            if di + dims[mj] - dims[join] == dims[meet]:
+            if di + dims[mj] - dims[mi | mj] == dims[mi & mj]:
                 continue
             location = (poset._labels_of(mi), poset._labels_of(mj))
             witness = _pair_witness(arrangement, mi, mj, location)
-            return _report(property_name, witness, pairs, ranks)
-    return _report(property_name, None, pairs, ranks)
+            return _report(property_name, witness, pairs, len(masks))
+    raise InternalContradiction(
+        "the valuation identity failed but every pair of lower sets passed"
+    )
 
 
 def check_intersection_bruteforce(arrangement, cap=DEFAULT_CAP):

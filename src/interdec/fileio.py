@@ -24,7 +24,9 @@ def load_json(path):
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, undecodable bytes, or an integer literal longer
+        # than the interpreter converts (4,300 digits by default)
         raise InputError(f"{path}: not valid JSON ({exc})") from None
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from None

@@ -34,21 +34,21 @@ class Poset:
 
     __slots__ = ("labels", "_index", "_up", "_down")
 
-    def __init__(self, labels, up_masks):
+    def __init__(self, labels, up_masks, down_masks=None):
         """Internal constructor: up_masks must already be a reflexive-
-        transitive, antisymmetric closure.  Use build_poset for raw input."""
+        transitive, antisymmetric closure, and down_masks, if given, its
+        transpose.  Use build_poset for raw input."""
         self.labels = tuple(labels)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._up = tuple(up_masks)
-        n = len(self.labels)
-        down = [0] * n
-        for a in range(n):
-            mask = self._up[a]
-            while mask:
-                low = mask & -mask
-                down[low.bit_length() - 1] |= 1 << a
-                mask ^= low
-        self._down = tuple(down)
+        if down_masks is None:
+            down_masks = [0] * len(self.labels)
+            for a, mask in enumerate(self._up):
+                while mask:
+                    low = mask & -mask
+                    down_masks[low.bit_length() - 1] |= 1 << a
+                    mask ^= low
+        self._down = tuple(down_masks)
 
     def __len__(self):
         return len(self.labels)
@@ -313,21 +313,26 @@ def lower_set_lattice(poset, cap=LOWER_SET_CAP):
     their member masks, both in enumerate_lower_sets order.
 
     L's covers are L ∪ {x} for the minimal x outside L, which sort after L,
-    so up(L) is L's own bit OR-ed with their up-masks, filled from the end.
+    so up(L) is L's own bit OR-ed with their up-masks, filled from the end,
+    and each cover's down-mask takes in down(L), filled from the front.
     """
     masks = [b.mask for b in enumerate_lower_sets(poset, cap)]
     position = {m: k for k, m in enumerate(masks)}
     down = poset._down
-    ups = [0] * len(masks)
+    upper_covers = [
+        [position[mask | 1 << i] for i, below in enumerate(down) if below & ~mask == 1 << i]
+        for mask in masks
+    ]
+    ups = [1 << k for k in range(len(masks))]
     for k in range(len(masks) - 1, -1, -1):
-        mask = masks[k]
-        row = 1 << k
-        for i, below in enumerate(down):
-            if below & ~mask == 1 << i:
-                row |= ups[position[mask | 1 << i]]
-        ups[k] = row
+        for c in upper_covers[k]:
+            ups[k] |= ups[c]
+    downs = [1 << k for k in range(len(masks))]
+    for k, covers in enumerate(upper_covers):
+        for c in covers:
+            downs[c] |= downs[k]
     labels = [lower_set_label(poset._labels_of(m)) for m in masks]
-    return Poset(labels, ups), masks
+    return Poset(labels, ups, downs), masks
 
 
 def _index_key(mask):

@@ -38,11 +38,13 @@ from interdec.linalg import (
     GF,
     QQ,
     IntEchelon,
+    first_outside,
     full_space,
+    intersect,
     subspace_from_generators,
     zero_subspace,
 )
-from interdec.posets import build_poset, downset
+from interdec.posets import build_poset, downset, enumerate_lower_sets
 
 from randgen import random_decomposable_arrangement, random_monotone_arrangement
 
@@ -450,3 +452,94 @@ def test_subset_sum_inserts_only_non_seed_maximal_rows(monkeypatch):
     inserted.clear()
     assert arr.eval_mask(strict).dim == 15
     assert len(inserted) == 24
+
+
+# ---------------------------------------------------------------------------
+# (I) and (sI) against the full pair loop
+# ---------------------------------------------------------------------------
+
+def full_pair_scan(arrangement):
+    """Reference (I)/(sI) scan: rank every lower set, then test the pair
+    identity on every pair in scan order and convict the first failure.
+    Returns (verdict, witness location, witness vector, work)."""
+    poset = arrangement.poset
+    masks = [b.mask for b in enumerate_lower_sets(poset)]
+    dims = {m: arrangement.dim_of_mask(m) for m in masks}
+    pairs = 0
+    for i, mi in enumerate(masks):
+        for mj in masks[i:]:
+            pairs += 1
+            if dims[mi] + dims[mj] - dims[mi | mj] == dims[mi & mj]:
+                continue
+            lhs = intersect(arrangement.eval_mask(mi), arrangement.eval_mask(mj))
+            rhs = arrangement.eval_mask(mi & mj)
+            vector = lhs.basis[first_outside(lhs, rhs)]
+            location = (poset._labels_of(mi), poset._labels_of(mj))
+            return False, location, vector, {"pairs_checked": pairs, "ranks_computed": len(masks)}
+    return True, None, None, {"pairs_checked": pairs, "ranks_computed": len(masks)}
+
+
+def scan_outcome(report):
+    witness = report.witness
+    if witness is None:
+        return report.verdict, None, None, report.work
+    assert witness.verify()
+    return report.verdict, witness.location, witness.vector, report.work
+
+
+SCAN_FIELDS = [QQ, GF(2), GF(7)]
+
+
+def scan_sample(seed, field):
+    return random_monotone_arrangement(random.Random(seed), field, max_elements=7, max_dim=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    field=st.sampled_from(SCAN_FIELDS),
+)
+def test_lower_set_scans_match_the_full_pair_loop(seed, field):
+    expected = full_pair_scan(scan_sample(seed, field))
+    for check in (check_intersection_bruteforce, check_strong_intersection):
+        # a fresh arrangement each time, so no check sees another's memos
+        assert scan_outcome(check(scan_sample(seed, field))) == expected
+
+
+@pytest.mark.parametrize("field", SCAN_FIELDS, ids=repr)
+def test_lower_set_scan_sample_has_both_verdicts(field):
+    verdicts = set()
+    for seed in range(30):
+        expected = full_pair_scan(scan_sample(seed, field))
+        assert scan_outcome(check_strong_intersection(scan_sample(seed, field))) == expected
+        verdicts.add(expected[0])
+    assert verdicts == {True, False}
+
+
+class EnteredPairLoop(Exception):
+    pass
+
+
+def test_passing_scans_never_enter_the_pair_loop(monkeypatch, three_lines):
+    def refuse(*args):
+        raise EnteredPairLoop
+
+    monkeypatch.setattr(arrangements, "_first_failing_pair", refuse)
+    # eight independent lines on an antichain: 2^8 lower sets
+    labels = [f"l{i}" for i in range(8)]
+    lines = {lab: [[1 if j in (i, i + 1) else 0 for j in range(8)]]
+             for i, lab in enumerate(labels)}
+    antichain = new_arrangement(build_poset(labels, []), 8, QQ, lines)
+    # a planted decomposition on four 3-chains: 4^4 lower sets
+    chains = [[f"c{c}_{k}" for k in range(3)] for c in range(4)]
+    relations = [(chain[k], chain[k + 1]) for chain in chains for k in range(2)]
+    poset = build_poset([e for chain in chains for e in chain], relations)
+    planted, _ = random_decomposable_arrangement(random.Random(5), GF(7), 12, 12, poset)
+    for arr in (antichain, planted):
+        for check in (check_intersection_bruteforce, check_strong_intersection):
+            report = check(arr)
+            assert report.verdict
+            assert report.work == {"pairs_checked": 256 * 257 // 2, "ranks_computed": 256}
+    # the patched loop is the one a failing scan runs
+    with pytest.raises(EnteredPairLoop):
+        check_intersection_bruteforce(three_lines)

@@ -147,6 +147,28 @@ def test_rational_exponent_entry_is_input_error(runner, tmp_path):
     assert line.startswith("error: ") and "not a rational entry" in line
 
 
+def test_overlong_integer_literal_is_input_error(runner, tmp_path):
+    # json.load refuses integer literals over the interpreter's 4,300-digit
+    # conversion limit with a plain ValueError
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(THREE_LINES).replace("[[1, 0]]", "[[" + "7" * 5000 + ", 0]]"))
+    result = runner.invoke(main, ["check", str(path), "--property", "C"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"error: {path}: not valid JSON (")
+
+
+def test_undecodable_bytes_are_input_error(runner, tmp_path):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe\x00\x00garbage")
+    result = runner.invoke(main, ["check", str(path), "--property", "C"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"error: {path}: not valid JSON (")
+
+
 def test_arrangement_unknown_top_level_key_is_input_error(runner, tmp_path):
     path = write(tmp_path, "extra.json", dict(CONSTANT_CHAIN, extra=1))
     result = runner.invoke(main, ["check", path, "--property", "C"])
@@ -359,11 +381,16 @@ KEYS = (
     "mod", "variables", "label", "cardinality", "a1", "x", "extra",
 )
 
+# json.dumps cannot write integers past the 4,300-digit conversion limit, so
+# mangled() writes these placeholders as the literals they stand for
+LONG_INTEGERS = {"<long-int>": "7" * 4301, "<long-negative-int>": "-" + "3" * 5000}
+
 json_values = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(min_value=-3, max_value=6)
     | st.sampled_from([10**30, -(10**30), 2**61 - 1, 0.5])
+    | st.sampled_from(sorted(LONG_INTEGERS))
     | st.sampled_from(["", "3/4", "1/0", "x", "a1", "rational", "mod:5"])
     | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
@@ -406,6 +433,8 @@ def mangled(draw, bases):
         else:
             parent.insert(key, draw(json_values))
     text = json.dumps(doc)
+    for placeholder, literal in LONG_INTEGERS.items():
+        text = text.replace(json.dumps(placeholder), literal)
     if draw(st.integers(min_value=0, max_value=9)) == 0:
         text = text[: draw(st.integers(min_value=0, max_value=len(text)))]
     return text

@@ -2,7 +2,8 @@
 
 Each invocation below runs the CLI in process on a fixed document: seeded
 `randgen` arrangements over ℚ, GF(2) and GF(7), factor models, the
-three-lines counterexample, a non-monotone document and a cap overflow.
+three-lines counterexample, eight independent lines (256 lower sets), a
+non-monotone document and a cap overflow.
 `golden_cli.json` holds what each run printed, with the temporary directory
 replaced by `<tmp>`, so any change to a verdict, witness, work count or
 output byte fails here.  After an intended output change, re-record with
@@ -43,6 +44,15 @@ NOT_MONOTONE = {
     "spaces": {"u": [[2, 1, "1/3"]], "v": [[1, 0, 0], [0, 0, 1]]},
 }
 
+# eight independent lines on an antichain: 256 lower sets, (I) and (sI) hold
+INDEPENDENT_LINES = {
+    "field": "rational",
+    "ambient_dim": 8,
+    "poset": {"elements": [f"l{i}" for i in range(8)], "relations": []},
+    "spaces": {f"l{i}": [[1 if j in (i, i + 1) else 0 for j in range(8)]]
+               for i in range(8)},
+}
+
 MODELS = {
     "m23": {"variables": [{"label": "x", "cardinality": 2},
                           {"label": "y", "cardinality": 3}]},
@@ -53,7 +63,8 @@ MODELS = {
 
 def documents():
     """Document name -> JSON document, all built from fixed seeds."""
-    docs = {"three_lines": THREE_LINES, "not_monotone": NOT_MONOTONE, **MODELS}
+    docs = {"three_lines": THREE_LINES, "not_monotone": NOT_MONOTONE,
+            "independent_lines": INDEPENDENT_LINES, **MODELS}
     for name, field in FIELDS.items():
         arrangement = random_monotone_arrangement(random.Random(23), field)
         docs[f"{name}_monotone"] = arrangement_to_doc(arrangement)
@@ -81,6 +92,9 @@ def invocations():
     for prop in ("C", "I", "sI"):
         runs.append((f"three_lines-check-{prop}", ["check", "@three_lines", "--property", prop]))
     runs.append(("three_lines-decompose", ["decompose", "@three_lines"]))
+    for prop in ("I", "sI"):
+        runs.append((f"independent_lines-check-{prop}",
+                     ["check", "@independent_lines", "--property", prop]))
     runs.append(("not_monotone-check-C", ["check", "@not_monotone", "--property", "C"]))
     runs.append(("cap-overflow", ["check", "@qq_monotone", "--property", "I", "--cap", "2"]))
     return runs

@@ -275,6 +275,12 @@ def test_lower_set_lattice_is_inclusion_order(p):
             if mi & ~mj == 0:
                 brute |= 1 << j
         assert up == brute
+    for mj, down in zip(masks, lattice._down):
+        brute = 0
+        for i, mi in enumerate(masks):
+            if mi & ~mj == 0:
+                brute |= 1 << i
+        assert down == brute
 
 
 def test_lower_set_lattice_of_diamond(d2):
