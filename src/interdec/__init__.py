@@ -74,7 +74,6 @@ from .linalg import (
 )
 from .posets import (
     Poset,
-    Subposet,
     build_poset,
     cheek,
     downset,

@@ -46,13 +46,12 @@ from .linalg import (
     zero_subspace,
 )
 from .posets import (
+    LOWER_SET_CAP,
     enumerate_lower_sets,
     interval_elements,
     is_order_embedding,
     lower_set_lattice,
 )
-
-DEFAULT_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +328,7 @@ def _pairwise_lower_set_scan(arrangement, cap, property_name):
     pair's.
     """
     poset = arrangement.poset
-    masks = [b.mask for b in enumerate_lower_sets(poset, cap)]
+    masks = enumerate_lower_sets(poset, cap)
     dims = {m: arrangement.dim_of_mask(m) for m in masks}
     weight = [
         arrangement.spaces[a].dim - dims[poset._down[i] & ~(1 << i)]
@@ -367,12 +366,12 @@ def _first_failing_pair(arrangement, masks, dims, property_name):
     )
 
 
-def check_intersection_bruteforce(arrangement, cap=DEFAULT_CAP):
+def check_intersection_bruteforce(arrangement, cap=LOWER_SET_CAP):
     """F(ℬ) ∩ F(𝒞) ⊆ F(ℬ ∩ 𝒞) over every pair of lower sets."""
     return _pairwise_lower_set_scan(arrangement, cap, "I-bruteforce")
 
 
-def check_strong_intersection(arrangement, cap=DEFAULT_CAP):
+def check_strong_intersection(arrangement, cap=LOWER_SET_CAP):
     """∩ F(𝒜_j) = F(∩ 𝒜_j) over families of lower sets, by pair reduction."""
     return _pairwise_lower_set_scan(arrangement, cap, "sI")
 
@@ -531,7 +530,7 @@ def decomposition_of(arrangement, decomposition, vector):
 
 def restrict(arrangement, members):
     """Arrangement on the induced subposet, spaces copied."""
-    induced = arrangement.poset.subposet(members).as_poset()
+    induced = arrangement.poset.induced(members)
     spaces = {lab: arrangement.spaces[lab] for lab in induced.labels}
     return new_arrangement(induced, arrangement.ambient_dim, arrangement.field, spaces)
 
@@ -584,7 +583,7 @@ def pushforward(mapping, arrangement, target_poset):
     return result
 
 
-def extend_to_lower_sets(arrangement, cap=DEFAULT_CAP):
+def extend_to_lower_sets(arrangement, cap=LOWER_SET_CAP):
     """Arrangement on the lattice of all lower sets, ℬ ↦ F(ℬ)."""
     lattice, masks = lower_set_lattice(arrangement.poset, cap)
     spaces = {

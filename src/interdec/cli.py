@@ -47,6 +47,7 @@ from .interactions import (
     interaction_dimensions,
 )
 from .linalg import QQ
+from .posets import LOWER_SET_CAP
 
 EXIT_FALSE = 1
 EXIT_INPUT = 2
@@ -137,7 +138,7 @@ def _load_arrangement(ctx, path):
 @click.option(
     "--cap",
     type=click.IntRange(min=1),
-    default=4096,
+    default=LOWER_SET_CAP,
     show_default=True,
     help="Abort if the poset has more lower sets than this.",
 )
@@ -152,7 +153,7 @@ def check(ctx, arrangement_file, prop, cap):
             report = check_intersection_bruteforce(arrangement, cap)
         else:
             report = check_strong_intersection(arrangement, cap)
-    doc = report_to_doc(report, arrangement.field)
+        doc = report_to_doc(report, arrangement.field)
     _emit(ctx, doc, 0 if report.verdict else EXIT_FALSE)
 
 
@@ -165,14 +166,16 @@ def decompose_cmd(ctx, arrangement_file, seed):
     with _exit_codes(ctx):
         arrangement = _load_arrangement(ctx, arrangement_file)
         outcome = decompose(arrangement, seed=seed)
-    if isinstance(outcome, Witness):
-        doc = {
-            "certified": False,
-            "witness": witness_to_doc(outcome, arrangement.field),
-        }
-        _emit(ctx, doc, EXIT_FALSE)
-    doc = decomposition_to_doc(outcome, arrangement.poset)
-    _emit(ctx, doc, 0)
+        if isinstance(outcome, Witness):
+            doc = {
+                "certified": False,
+                "witness": witness_to_doc(outcome, arrangement.field),
+            }
+            code = EXIT_FALSE
+        else:
+            doc = decomposition_to_doc(outcome, arrangement.poset)
+            code = 0
+    _emit(ctx, doc, code)
 
 
 @main.command("interactions")

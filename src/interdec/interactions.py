@@ -42,7 +42,7 @@ class ProductSpace:
 
     __slots__ = ("labels", "cardinalities", "total_points", "points")
 
-    def __init__(self, labels, cardinalities, limit=POINT_LIMIT):
+    def __init__(self, labels, cardinalities):
         labels = tuple(labels)
         cardinalities = tuple(cardinalities)
         if len(labels) != len(cardinalities):
@@ -58,9 +58,9 @@ class ProductSpace:
                     f"variable {lab!r} has empty domain (cardinality {card})"
                 )
             total *= card
-        if total > limit:
+        if total > POINT_LIMIT:
             raise SizeLimitExceeded(
-                f"product space has {total} points, limit is {limit}"
+                f"product space has {total} points, limit is {POINT_LIMIT}"
             )
         self.labels = labels
         self.cardinalities = cardinalities
@@ -88,8 +88,8 @@ def _mixed_radix(cardinalities):
             yield (v,) + tail
 
 
-def build_product_space(labels, cardinalities, limit=POINT_LIMIT):
-    return ProductSpace(labels, cardinalities, limit)
+def build_product_space(labels, cardinalities):
+    return ProductSpace(labels, cardinalities)
 
 
 def factor_subspace(product, variables, field=QQ):

@@ -14,6 +14,7 @@ appears anywhere.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -23,6 +24,7 @@ from .errors import (
     InputError,
     InternalContradiction,
     NotContained,
+    SizeLimitExceeded,
 )
 
 
@@ -53,6 +55,17 @@ class RationalField:
         raise InputError(f"not a rational entry: {value!r}")
 
     def format(self, element):
+        """Document form: an int or "p/q".  Parts longer than the
+        interpreter's integer-to-text limit raise SizeLimitExceeded."""
+        limit = sys.get_int_max_str_digits()
+        for part in (element.numerator, element.denominator):
+            size = abs(part)
+            # 8**limit < 10**limit, so 3 * limit bits always fit
+            if limit and size.bit_length() > 3 * limit and size >= 10**limit:
+                raise SizeLimitExceeded(
+                    f"an output entry has more than {limit} digits, the "
+                    "interpreter's integer-to-text limit"
+                )
         if element.denominator == 1:
             return int(element)
         return f"{element.numerator}/{element.denominator}"

@@ -11,6 +11,10 @@ For an element a the derived subsets are
     cheek(a)          = {b | a ≰ b}
 and for a subset B, lower_completion(B) is the smallest lower set
 containing B.  Lower sets are the subsets equal to their own completion.
+
+Derived subsets come back as frozensets of labels; functions that take a
+subset accept any iterable of labels.  enumerate_lower_sets returns member
+bitmasks instead (bit i is element i), the form the checkers work in.
 """
 
 from __future__ import annotations
@@ -97,36 +101,30 @@ class Poset:
     # -- mask plumbing ------------------------------------------------------
 
     def _mask_of(self, members):
-        if isinstance(members, Subposet):
-            if members.parent is not self and members.parent != self:
-                raise UnknownElement("subposet belongs to a different poset")
-            return members.mask
         mask = 0
         for label in members:
             mask |= 1 << self.index(label)
         return mask
 
     def _maximal(self, mask):
-        """Members of mask with no other member above them."""
+        """Members of mask with no other member above them.
+
+        Walks down from the highest index and drops each visited member's
+        downset, so when element order is a linear extension only the
+        maximal members are visited."""
         out = 0
-        m = mask
-        while m:
-            low = m & -m
-            if self._up[low.bit_length() - 1] & mask == low:
-                out |= low
-            m ^= low
+        rest = mask
+        while rest:
+            i = rest.bit_length() - 1
+            if self._up[i] & mask == 1 << i:
+                out |= 1 << i
+            rest &= ~self._down[i]
         return out
 
     def _labels_of(self, mask):
         return tuple(
             lab for i, lab in enumerate(self.labels) if mask >> i & 1
         )
-
-    def subposet(self, members):
-        return Subposet(self, self._mask_of(members))
-
-    def full_subposet(self):
-        return Subposet(self, (1 << len(self.labels)) - 1)
 
     def induced(self, members):
         """Standalone poset on a subset, with the inherited order."""
@@ -143,56 +141,6 @@ class Poset:
                 m ^= low
             ups.append(packed)
         return Poset([self.labels[i] for i in kept], ups)
-
-
-class Subposet:
-    """A subset of a poset's elements, remembering its parent."""
-
-    __slots__ = ("parent", "mask")
-
-    def __init__(self, parent, mask):
-        self.parent = parent
-        self.mask = mask
-
-    def __iter__(self):
-        """Labels in parent element order."""
-        return iter(self.parent._labels_of(self.mask))
-
-    def __len__(self):
-        return self.mask.bit_count()
-
-    def __contains__(self, label):
-        i = self.parent._index.get(label)
-        return i is not None and bool(self.mask >> i & 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subposet)
-            and self.parent == other.parent
-            and self.mask == other.mask
-        )
-
-    def __hash__(self):
-        return hash((self.parent, self.mask))
-
-    def __repr__(self):
-        return f"Subposet({set(self) or '{}'})"
-
-    @property
-    def labels(self):
-        return self.parent._labels_of(self.mask)
-
-    def intersection(self, other):
-        return Subposet(self.parent, self.mask & other.mask)
-
-    def difference(self, other):
-        return Subposet(self.parent, self.mask & ~other.mask)
-
-    def issubset(self, other):
-        return self.mask & ~other.mask == 0
-
-    def as_poset(self):
-        return self.parent.induced(self)
 
 
 def build_poset(labels, relations):
@@ -239,40 +187,43 @@ def build_poset(labels, relations):
 
 def downset(poset, a):
     """â = {b | b ≤ a}; always a lower set."""
-    return Subposet(poset, poset._down[poset.index(a)])
+    return frozenset(poset._labels_of(poset._down[poset.index(a)]))
 
 
 def strict_downset(poset, a):
     """â* = {b | b < a}."""
     i = poset.index(a)
-    return Subposet(poset, poset._down[i] & ~(1 << i))
+    return frozenset(poset._labels_of(poset._down[i] & ~(1 << i)))
 
 
 def cheek(poset, a):
     """ǎ = {b | a ≰ b}; always a lower set."""
     i = poset.index(a)
     full = (1 << len(poset.labels)) - 1
-    return Subposet(poset, full & ~poset._up[i])
+    return frozenset(poset._labels_of(full & ~poset._up[i]))
 
 
 def lower_completion(poset, members):
     """B̂ = {a | a ≤ b for some b in B}: the smallest lower set containing B."""
+    return frozenset(poset._labels_of(_completion(poset, poset._mask_of(members))))
+
+
+def is_lower_set(poset, members):
     mask = poset._mask_of(members)
+    return _completion(poset, mask) == mask
+
+
+def _completion(poset, mask):
     out = 0
     while mask:
         low = mask & -mask
         out |= poset._down[low.bit_length() - 1]
         mask ^= low
-    return Subposet(poset, out)
-
-
-def is_lower_set(poset, members):
-    mask = poset._mask_of(members)
-    return lower_completion(poset, Subposet(poset, mask)).mask == mask
+    return out
 
 
 def enumerate_lower_sets(poset, cap=LOWER_SET_CAP):
-    """All lower sets of the poset, sorted by (size, element order).
+    """Member bitmasks of all lower sets, sorted by (size, element order).
 
     Raises CapExceeded when more than cap exist; the count can be
     exponential in the poset size, so brute-force callers stay desk-scale.
@@ -299,8 +250,7 @@ def enumerate_lower_sets(poset, cap=LOWER_SET_CAP):
                         f"poset has more than {cap} lower sets"
                     )
                 queue.append(grown)
-    order = sorted(seen, key=lambda m: (m.bit_count(), _index_key(m)))
-    return [Subposet(poset, m) for m in order]
+    return sorted(seen, key=lambda m: (m.bit_count(), _index_key(m)))
 
 
 def lower_set_label(labels):
@@ -316,7 +266,7 @@ def lower_set_lattice(poset, cap=LOWER_SET_CAP):
     so up(L) is L's own bit OR-ed with their up-masks, filled from the end,
     and each cover's down-mask takes in down(L), filled from the front.
     """
-    masks = [b.mask for b in enumerate_lower_sets(poset, cap)]
+    masks = enumerate_lower_sets(poset, cap)
     position = {m: k for k, m in enumerate(masks)}
     down = poset._down
     upper_covers = [
@@ -348,7 +298,7 @@ def _index_key(mask):
 
 def maximal_elements(poset, members):
     """Elements of B with nothing of B strictly above them."""
-    return Subposet(poset, poset._maximal(poset._mask_of(members)))
+    return frozenset(poset._labels_of(poset._maximal(poset._mask_of(members))))
 
 
 def height(poset):
@@ -376,7 +326,7 @@ def interval_elements(poset, a, b):
     ia, ib = poset.index(a), poset.index(b)
     if not poset._up[ia] >> ib & 1:
         raise NotComparable(f"{a!r} is not below {b!r}")
-    return Subposet(poset, poset._up[ia] & poset._down[ib])
+    return frozenset(poset._labels_of(poset._up[ia] & poset._down[ib]))
 
 
 def is_order_embedding(mapping, source, target):

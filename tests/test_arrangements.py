@@ -463,7 +463,7 @@ def full_pair_scan(arrangement):
     identity on every pair in scan order and convict the first failure.
     Returns (verdict, witness location, witness vector, work)."""
     poset = arrangement.poset
-    masks = [b.mask for b in enumerate_lower_sets(poset)]
+    masks = enumerate_lower_sets(poset)
     dims = {m: arrangement.dim_of_mask(m) for m in masks}
     pairs = 0
     for i, mi in enumerate(masks):

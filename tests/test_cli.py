@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 import tempfile
 import traceback
 from pathlib import Path
@@ -157,6 +158,25 @@ def test_overlong_integer_literal_is_input_error(runner, tmp_path):
     assert result.stdout == ""
     (line,) = result.stderr.splitlines()
     assert line.startswith(f"error: {path}: not valid JSON (")
+
+
+def test_overlong_output_entry_is_size_limit(runner, tmp_path):
+    # the canonical basis of a plane spanned by rows of 3,000-digit entries
+    # has entries past the interpreter's 4,300-digit integer-to-text limit
+    rng = random.Random(5)
+    rows = [[rng.randrange(10**2999, 10**3000) for _ in range(3)] for _ in range(2)]
+    doc = {
+        "field": "rational",
+        "ambient_dim": 3,
+        "poset": {"elements": ["a"], "relations": []},
+        "spaces": {"a": rows},
+    }
+    path = write(tmp_path, "plane.json", doc)
+    result = runner.invoke(main, ["decompose", path])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: an output entry has more than ")
 
 
 def test_undecodable_bytes_are_input_error(runner, tmp_path):

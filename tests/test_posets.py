@@ -122,7 +122,7 @@ def test_is_lower_set(c3, d2):
 
 
 def test_enumerate_lower_sets(c3, a3, d2):
-    c3_sets = [set(b) for b in enumerate_lower_sets(c3)]
+    c3_sets = [set(c3._labels_of(b)) for b in enumerate_lower_sets(c3)]
     assert c3_sets == [set(), {"x"}, {"x", "y"}, {"x", "y", "z"}]
     assert len(enumerate_lower_sets(a3)) == 8
     assert len(enumerate_lower_sets(d2)) == 6
@@ -135,9 +135,9 @@ def test_enumerate_lower_sets_cap(a3):
 
 
 def test_maximal_elements(a3, d2):
-    assert set(maximal_elements(d2, d2.full_subposet())) == {"t"}
+    assert set(maximal_elements(d2, d2.labels)) == {"t"}
     assert set(maximal_elements(d2, ["e", "p", "q"])) == {"p", "q"}
-    assert set(maximal_elements(a3, a3.full_subposet())) == {"a1", "a2", "a3"}
+    assert set(maximal_elements(a3, a3.labels)) == {"a1", "a2", "a3"}
 
 
 def test_height(c3, a3):
@@ -164,7 +164,7 @@ def test_order_embeddings(c3):
 
 
 def test_induced_subposet(d2):
-    sub = d2.subposet(["e", "p", "t"]).as_poset()
+    sub = d2.induced(["e", "p", "t"])
     assert sub.leq("e", "t")
     assert sub.leq("p", "t")
     assert height(sub) == 3
@@ -211,21 +211,21 @@ def test_lower_completion_idempotent_and_monotone(p, data):
 @given(posets())
 def test_lower_sets_closed_under_meet_and_join(p):
     sets = enumerate_lower_sets(p, cap=64)
-    masks = {b.mask for b in sets}
+    masks = set(sets)
     for x in sets:
         for y in sets:
-            assert x.mask & y.mask in masks
-            assert x.mask | y.mask in masks
+            assert x & y in masks
+            assert x | y in masks
 
 
 @given(posets())
 def test_removing_maximal_elements(p):
-    full = p.full_subposet()
+    full = frozenset(p.labels)
     h = height(p)
     rest = full.difference(maximal_elements(p, full))
     assert is_lower_set(p, rest)
     if len(p.labels) > 0:
-        assert height(rest.as_poset()) <= h - 1
+        assert height(p.induced(rest)) <= h - 1
 
 
 @st.composite
@@ -256,16 +256,25 @@ def covers_by_definition(p):
     return out
 
 
-@given(permuted_posets())
-def test_covers_match_definition_scan(p):
+@given(permuted_posets(), st.data())
+def test_covers_match_definition_scan(p, data):
     assert list(p.covers()) == covers_by_definition(p)
+    n = len(p.labels)
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    for mask in masks:
+        members = [i for i in range(n) if mask >> i & 1]
+        maximal = 0
+        for i in members:
+            if not any(j != i and p.leq(p.labels[i], p.labels[j]) for j in members):
+                maximal |= 1 << i
+        assert p._maximal(mask) == maximal
 
 
 @settings(max_examples=60)
 @given(permuted_posets())
 def test_lower_set_lattice_is_inclusion_order(p):
     lattice, masks = lower_set_lattice(p, cap=256)
-    assert masks == [b.mask for b in enumerate_lower_sets(p, cap=256)]
+    assert masks == enumerate_lower_sets(p, cap=256)
     assert lattice.labels == tuple(
         lower_set_label(p._labels_of(m)) for m in masks
     )

@@ -5,11 +5,19 @@ import importlib
 import importlib.util
 import inspect
 import json
+import re
 from pathlib import Path
 
 import interdec
 
 PACKAGE = Path(interdec.__file__).parent
+
+# package exports that neither the CLI, the README nor the tests name,
+# each kept on purpose
+KEPT_EXPORTS = {
+    "InterdecError": "the base class of every error callers catch",
+    "ProductSpace": "the type build_product_space returns",
+}
 
 
 def test_no_assert_or_assertion_error_in_package():
@@ -57,3 +65,29 @@ def test_names_the_benchmark_traces_exist():
         if not found:
             missing.append(span)
     assert missing == []
+
+
+def test_every_export_is_used_or_kept():
+    # the public API is what the CLI, the README and the tests use; this
+    # file is left out of the search because it holds the keep list
+    root = PACKAGE.parents[1]
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    names = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    texts = [PACKAGE / "cli.py", root / "README.md"] + [
+        path
+        for path in sorted((root / "tests").glob("*.py"))
+        if path.name != Path(__file__).name
+    ]
+    corpus = "".join(path.read_text() for path in texts)
+    unused = [
+        name
+        for name in names
+        if name not in KEPT_EXPORTS and not re.search(rf"\b{name}\b", corpus)
+    ]
+    assert unused == []
+    assert set(KEPT_EXPORTS) <= set(names)
