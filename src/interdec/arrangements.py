@@ -47,6 +47,7 @@ from .linalg import (
 )
 from .posets import (
     LOWER_SET_CAP,
+    _bits,
     enumerate_lower_sets,
     interval_elements,
     is_order_embedding,
@@ -156,6 +157,7 @@ class Arrangement:
         labels = self.poset.labels
         summands = []
         m = self.poset._maximal(mask)
+        # inline rather than posets._bits: generator setup shows on this hot path
         while m:
             low = m & -m
             summands.append(self.spaces[labels[low.bit_length() - 1]])
@@ -337,6 +339,7 @@ def _pairwise_lower_set_scan(arrangement, cap, property_name):
     for m in masks:
         total = 0
         rest = m
+        # inline rather than posets._bits: generator setup shows once per lower set
         while rest:
             low = rest & -rest
             total += weight[low.bit_length() - 1]
@@ -430,8 +433,7 @@ def verify_decomposition(arrangement, decomposition):
     # (ii) components rebuild every space along downsets; element i is
     # pair i + 1 and, after the rank of (i), rank i + 2
     for i, a in enumerate(poset.labels):
-        down = poset._down[i]
-        below = [comp for j, comp in enumerate(parts) if down >> j & 1]
+        below = [parts[j] for j in _bits(poset._down[i])]
         rebuilt = sum_echelon(below, field).subspace(n)
         space = arrangement.spaces[a]
         if rebuilt == space:
@@ -557,12 +559,11 @@ def pushforward(mapping, arrangement, target_poset):
             raise NotMonotoneMap(f"map is not defined on element {lab!r}")
         images[lab] = mapping[lab]
         target_poset.index(images[lab])
-    for a1 in source.labels:
-        for a2 in source.labels:
-            if source.leq(a1, a2) and not target_poset.leq(images[a1], images[a2]):
-                raise NotMonotoneMap(
-                    f"map does not preserve {a1!r} ≤ {a2!r}"
-                )
+    # the order is the transitive closure of its covers
+    for i, j in source.covers():
+        a1, a2 = source.labels[i], source.labels[j]
+        if not target_poset.leq(images[a1], images[a2]):
+            raise NotMonotoneMap(f"map does not preserve {a1!r} ≤ {a2!r}")
     spaces = {}
     for b in target_poset.labels:
         mask = 0

@@ -223,6 +223,9 @@ def decomposition_to_doc(decomposition, poset):
 def model_from_doc(doc, location="model"):
     if not isinstance(doc, dict) or "variables" not in doc:
         raise InputError(f'{location}: expected an object with "variables"')
+    extra = set(doc) - {"variables"}
+    if extra:
+        raise InputError(f"{location}: unknown keys {sorted(extra)}")
     variables = doc["variables"]
     if not isinstance(variables, list):
         raise InputError(f"{location}.variables: expected a list")
@@ -232,6 +235,9 @@ def model_from_doc(doc, location="model"):
         where = f"{location}.variables[{k}]"
         if not isinstance(entry, dict):
             raise InputError(f"{where}: expected an object")
+        extra = set(entry) - {"label", "cardinality"}
+        if extra:
+            raise InputError(f"{where}: unknown keys {sorted(extra)}")
         lab = entry.get("label")
         card = entry.get("cardinality")
         if not isinstance(lab, str):

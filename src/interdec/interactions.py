@@ -145,7 +145,7 @@ class FactorArrangement:
         return f"FactorArrangement({self.product!r})"
 
 
-def build_factor_arrangement(product, field=QQ, cap=POINT_LIMIT):
+def build_factor_arrangement(product, field=QQ):
     """Arrangement a ↦ F(a) over the inclusion-ordered powerset.
 
     The powerset is the lower-set lattice of the antichain on the sorted
@@ -153,12 +153,12 @@ def build_factor_arrangement(product, field=QQ, cap=POINT_LIMIT):
     Monotonicity (a ⊆ b means F(a) ⊆ F(b)) is certified by construction
     validation, not assumed.
     """
-    if 2 ** len(product.labels) > cap:
+    if 2 ** len(product.labels) > POINT_LIMIT:
         raise SizeLimitExceeded(
-            f"powerset has {2 ** len(product.labels)} subsets, cap is {cap}"
+            f"powerset has {2 ** len(product.labels)} subsets, cap is {POINT_LIMIT}"
         )
     antichain = build_poset(sorted(product.labels), [])
-    poset, masks = lower_set_lattice(antichain, cap)
+    poset, masks = lower_set_lattice(antichain, POINT_LIMIT)
     subsets = {name: antichain._labels_of(m) for name, m in zip(poset.labels, masks)}
     spaces = {
         name: factor_subspace(product, subsets[name], field) for name in poset.labels

@@ -365,10 +365,6 @@ class Subspace:
         return len(self._rows)
 
     @property
-    def is_zero(self):
-        return not self._rows
-
-    @property
     def basis(self):
         """Canonical basis with pivots one, as tuples of field elements."""
         if self._basis is None:

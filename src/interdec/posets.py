@@ -15,11 +15,13 @@ containing B.  Lower sets are the subsets equal to their own completion.
 Derived subsets come back as frozensets of labels; functions that take a
 subset accept any iterable of labels.  enumerate_lower_sets returns member
 bitmasks instead (bit i is element i), the form the checkers work in.
+
+Every Poset has unique labels, the lattice's "{a,b}" names included: two
+lower sets with the same name (elements "a,b", "a" and "b", say) raise
+DuplicateLabel.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .errors import (
     CapExceeded,
@@ -41,37 +43,20 @@ class Poset:
     def __init__(self, labels, up_masks, down_masks=None):
         """Internal constructor: up_masks must already be a reflexive-
         transitive, antisymmetric closure, and down_masks, if given, its
-        transpose.  Use build_poset for raw input."""
+        transpose.  A repeated label raises DuplicateLabel.  Use build_poset
+        for raw input."""
         self.labels = tuple(labels)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self._index = _label_index(self.labels)
         self._up = tuple(up_masks)
         if down_masks is None:
             down_masks = [0] * len(self.labels)
             for a, mask in enumerate(self._up):
-                while mask:
-                    low = mask & -mask
-                    down_masks[low.bit_length() - 1] |= 1 << a
-                    mask ^= low
+                for b in _bits(mask):
+                    down_masks[b] |= 1 << a
         self._down = tuple(down_masks)
-
-    def __len__(self):
-        return len(self.labels)
-
-    def __iter__(self):
-        return iter(self.labels)
 
     def __contains__(self, label):
         return label in self._index
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poset)
-            and self.labels == other.labels
-            and self._up == other._up
-        )
-
-    def __hash__(self):
-        return hash((self.labels, self._up))
 
     def __repr__(self):
         return f"Poset({len(self.labels)} elements)"
@@ -92,11 +77,8 @@ class Poset:
         The lower covers of j are the maximal elements of its strict
         downset, so the cost is Σ |downset| rather than N²."""
         for j, down in enumerate(self._down):
-            top = self._maximal(down & ~(1 << j))
-            while top:
-                low = top & -top
-                yield low.bit_length() - 1, j
-                top ^= low
+            for i in _bits(self._maximal(down & ~(1 << j))):
+                yield i, j
 
     # -- mask plumbing ------------------------------------------------------
 
@@ -122,25 +104,33 @@ class Poset:
         return out
 
     def _labels_of(self, mask):
-        return tuple(
-            lab for i, lab in enumerate(self.labels) if mask >> i & 1
-        )
+        return tuple(self.labels[i] for i in _bits(mask))
 
     def induced(self, members):
         """Standalone poset on a subset, with the inherited order."""
         mask = self._mask_of(members)
-        kept = [i for i in range(len(self.labels)) if mask >> i & 1]
+        kept = list(_bits(mask))
         pos = {i: j for j, i in enumerate(kept)}
-        ups = []
-        for i in kept:
-            m = self._up[i] & mask
-            packed = 0
-            while m:
-                low = m & -m
-                packed |= 1 << pos[low.bit_length() - 1]
-                m ^= low
-            ups.append(packed)
+        ups = [sum(1 << pos[j] for j in _bits(self._up[i] & mask)) for i in kept]
         return Poset([self.labels[i] for i in kept], ups)
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _label_index(labels):
+    """Position of each label; raises DuplicateLabel at the first repeat."""
+    index = {}
+    for i, lab in enumerate(labels):
+        if lab in index:
+            raise DuplicateLabel(f"duplicate element {lab!r}")
+        index[lab] = i
+    return index
 
 
 def build_poset(labels, relations):
@@ -150,12 +140,7 @@ def build_poset(labels, relations):
     a closure that violates antisymmetry is rejected.
     """
     labels = list(labels)
-    seen = set()
-    for lab in labels:
-        if lab in seen:
-            raise DuplicateLabel(f"duplicate element {lab!r}")
-        seen.add(lab)
-    index = {lab: i for i, lab in enumerate(labels)}
+    index = _label_index(labels)
     n = len(labels)
     up = [1 << i for i in range(n)]
     for pair in relations:
@@ -215,10 +200,8 @@ def is_lower_set(poset, members):
 
 def _completion(poset, mask):
     out = 0
-    while mask:
-        low = mask & -mask
-        out |= poset._down[low.bit_length() - 1]
-        mask ^= low
+    for i in _bits(mask):
+        out |= poset._down[i]
     return out
 
 
@@ -230,27 +213,27 @@ def enumerate_lower_sets(poset, cap=LOWER_SET_CAP):
     """
     if cap < 1:
         raise CapExceeded("cap must allow at least the empty lower set")
-    n = len(poset.labels)
-    strict_down = [poset._down[i] & ~(1 << i) for i in range(n)]
     seen = {0}
-    queue = deque([0])
-    while queue:
-        mask = queue.popleft()
-        for i in range(n):
-            bit = 1 << i
-            if mask & bit:
-                continue
-            if strict_down[i] & ~mask:
-                continue
-            grown = mask | bit
+    todo = [0]
+    while todo:
+        for grown in _upper_covers(poset, todo.pop()):
             if grown not in seen:
                 seen.add(grown)
                 if len(seen) > cap:
                     raise CapExceeded(
                         f"poset has more than {cap} lower sets"
                     )
-                queue.append(grown)
-    return sorted(seen, key=lambda m: (m.bit_count(), _index_key(m)))
+                todo.append(grown)
+    # reversed bits, descending: the lowest index where two sets differ decides
+    n = len(poset.labels)
+    return sorted(seen, key=lambda m: (m.bit_count(), -int(f"{m:0{n}b}"[::-1], 2)))
+
+
+def _upper_covers(poset, mask):
+    """Masks of L ∪ {x} for the lower set L = mask and each x minimal outside L."""
+    return [
+        mask | 1 << i for i, below in enumerate(poset._down) if below & ~mask == 1 << i
+    ]
 
 
 def lower_set_label(labels):
@@ -268,11 +251,7 @@ def lower_set_lattice(poset, cap=LOWER_SET_CAP):
     """
     masks = enumerate_lower_sets(poset, cap)
     position = {m: k for k, m in enumerate(masks)}
-    down = poset._down
-    upper_covers = [
-        [position[mask | 1 << i] for i, below in enumerate(down) if below & ~mask == 1 << i]
-        for mask in masks
-    ]
+    upper_covers = [[position[c] for c in _upper_covers(poset, m)] for m in masks]
     ups = [1 << k for k in range(len(masks))]
     for k in range(len(masks) - 1, -1, -1):
         for c in upper_covers[k]:
@@ -283,17 +262,6 @@ def lower_set_lattice(poset, cap=LOWER_SET_CAP):
             downs[c] |= downs[k]
     labels = [lower_set_label(poset._labels_of(m)) for m in masks]
     return Poset(labels, ups, downs), masks
-
-
-def _index_key(mask):
-    key = []
-    i = 0
-    while mask:
-        if mask & 1:
-            key.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(key)
 
 
 def maximal_elements(poset, members):
@@ -309,15 +277,8 @@ def height(poset):
     depth = [0] * n
     order = sorted(range(n), key=lambda i: poset._down[i].bit_count())
     for i in order:
-        below = poset._down[i] & ~(1 << i)
-        best = 0
-        while below:
-            low = below & -below
-            j = low.bit_length() - 1
-            if depth[j] > best:
-                best = depth[j]
-            below ^= low
-        depth[i] = best + 1
+        below = _bits(poset._down[i] & ~(1 << i))
+        depth[i] = 1 + max((depth[j] for j in below), default=0)
     return max(depth)
 
 

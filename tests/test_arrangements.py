@@ -26,6 +26,7 @@ from interdec.arrangements import (
     verify_decomposition,
 )
 from interdec.errors import (
+    DuplicateLabel,
     InputError,
     InternalContradiction,
     NotComparable,
@@ -336,6 +337,11 @@ def test_pushforward_rejects_non_monotone_maps():
         pushforward({"u": "a", "v": "b"}, arr, a2)
     with pytest.raises(NotMonotoneMap):
         pushforward({"u": "a"}, arr, a2)
+    # x ≤ z breaks too, but the named pair is the failing cover
+    c3 = build_poset(["x", "y", "z"], [("x", "y"), ("y", "z")])
+    arr = new_arrangement(c3, 1, QQ, {"x": [], "y": [], "z": []})
+    with pytest.raises(NotMonotoneMap, match="^map does not preserve 'y' ≤ 'z'$"):
+        pushforward({"x": "a", "y": "a", "z": "b"}, arr, a2)
 
 
 def test_pushforward_embedding_mismatch_is_internal_contradiction(monkeypatch):
@@ -358,6 +364,14 @@ def test_extend_to_lower_sets(c3_constant):
     assert ext.poset.leq("{}", "{x,y,z}")
     out = decompose(ext)
     assert isinstance(out, Decomposition)
+
+
+def test_extend_rejects_colliding_lower_set_names():
+    # {a,b} names both the lower set of element "a,b" and that of a and b
+    poset = build_poset(["a,b", "a", "b"], [])
+    arr = new_arrangement(poset, 1, QQ, {"a,b": [], "a": [], "b": []})
+    with pytest.raises(DuplicateLabel, match=r"^duplicate element '\{a,b\}'$"):
+        extend_to_lower_sets(arr)
 
 
 def test_extend_empty_poset():

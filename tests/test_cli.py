@@ -316,6 +316,32 @@ def test_interactions_size_limit(runner, tmp_path):
     assert runner.invoke(main, ["interactions", bad_model]).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "labels, cards, name",
+    [
+        (["a,b", "a", "b"], [1, 1, 1], "{a,b}"),
+        (["a,b", "a", "b"], [2, 2, 2], "{a,b}"),
+        (["", "a"], [1, 1], "{}"),
+    ],
+)
+def test_interactions_rejects_colliding_subset_names(runner, tmp_path, labels, cards, name):
+    model = {"variables": [{"label": lab, "cardinality": c}
+                           for lab, c in zip(labels, cards)]}
+    path = write(tmp_path, "collide.json", model)
+    result = runner.invoke(main, ["interactions", path])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: duplicate element '{name}'"]
+
+
+def test_interactions_unknown_model_key_is_input_error(runner, tmp_path):
+    path = write(tmp_path, "field.json", dict(MODEL_22, field={"mod": 3}))
+    result = runner.invoke(main, ["interactions", path])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: {path}: unknown keys ['field']"]
+
+
 def test_interactions_round_trip(runner, tmp_path):
     m23 = write(tmp_path, "m23.json", MODEL_23)
     exported = str(tmp_path / "fa23.json")

@@ -149,3 +149,9 @@ def test_model_docs():
         model_from_doc({"variables": [{"label": "a", "cardinality": "2"}]})
     with pytest.raises(InputError, match="variables"):
         model_from_doc({})
+    with pytest.raises(InputError, match=r"^model: unknown keys \['field'\]$"):
+        model_from_doc(dict(doc, field={"mod": 3}))
+    with pytest.raises(
+        InputError, match=r"^model\.variables\[0\]: unknown keys \['size'\]$"
+    ):
+        model_from_doc({"variables": [{"label": "a", "cardinality": 2, "size": 2}]})

@@ -123,10 +123,10 @@ def test_factor_arrangement_cube():
 
 
 def test_powerset_cap():
-    with pytest.raises(SizeLimitExceeded):
-        labels = [f"v{i}" for i in range(4)]
-        product = build_product_space(labels, [1, 1, 1, 1])
-        build_factor_arrangement(product, cap=8)
+    # 13 one-point variables: 1 point, but 2^13 subsets > POINT_LIMIT
+    product = build_product_space([f"v{i}" for i in range(13)], [1] * 13)
+    with pytest.raises(SizeLimitExceeded, match="powerset has 8192 subsets"):
+        build_factor_arrangement(product)
 
 
 def test_factor_powerset_matches_combinations_on_unsorted_labels():

@@ -91,3 +91,32 @@ def test_every_export_is_used_or_kept():
     ]
     assert unused == []
     assert set(KEPT_EXPORTS) <= set(names)
+
+
+def test_lowest_bit_walk_has_one_home():
+    # posets._bits walks a mask's set bits; only the two per-call hot
+    # paths, where a generator's setup cost shows, keep an inline copy
+    found = set()
+
+    def scan(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                scan(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.BinOp)
+                and isinstance(child.op, ast.BitAnd)
+                and isinstance(child.right, ast.UnaryOp)
+                and isinstance(child.right.op, ast.USub)
+                and ast.dump(child.left) == ast.dump(child.right.operand)
+            ):
+                found.add(".".join(scope))
+            scan(child, scope)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        scan(ast.parse(path.read_text(), filename=str(path)), (path.stem,))
+    assert found == {
+        "posets._bits",
+        "arrangements.Arrangement._sum_echelon",
+        "arrangements._pairwise_lower_set_scan",
+    }
