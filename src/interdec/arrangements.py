@@ -13,8 +13,9 @@ The checkers decide, exactly:
 A decomposition is a family of subspaces {s_a} whose overall sum is direct
 and which rebuilds every F(a) as the sum of s_b over b ≤ a.  On a finite
 poset an arrangement is decomposable exactly when (C) holds, and then any
-pre-decomposition (images of sections of F(a) ↠ F(a)/F(â*)) already works;
-decompose() exploits this and certificate-checks the result.
+pre-decomposition (images of sections of F(a) ↠ F(a)/F(â*)) already works.
+So decompose() builds one pre-decomposition and certifies it; only a failed
+certificate runs the (C) check, whose witness then explains the failure.
 
 Everything is exact; verdicts carry re-verifiable witnesses on failure.
 """
@@ -35,7 +36,6 @@ from .linalg import (
     IntEchelon,
     Subspace,
     complement_rows,
-    complement_within,
     first_outside,
     intersect,
     mix_rows,
@@ -86,7 +86,7 @@ class Witness:
 
 
 class CheckReport:
-    """Outcome of one property check; verdict is false iff a witness exists.
+    """Outcome of one property check; the verdict is that no witness exists.
 
     work counts the check's effort: pairs_checked is the number of pairs
     (cover pairs, elements, pairs of lower sets) examined up to and
@@ -96,17 +96,16 @@ class CheckReport:
     L(L + 1)/2 pairs and L ranks over L lower sets.
     """
 
-    __slots__ = ("property", "verdict", "witness", "work")
+    __slots__ = ("property", "witness", "work")
 
-    def __init__(self, property, verdict, witness, work):
-        if verdict == (witness is not None):
-            raise InternalContradiction(
-                "a check verdict must be false exactly when a witness exists"
-            )
+    def __init__(self, property, witness, pairs, ranks):
         self.property = property
-        self.verdict = verdict
         self.witness = witness
-        self.work = dict(work)
+        self.work = {"pairs_checked": pairs, "ranks_computed": ranks}
+
+    @property
+    def verdict(self):
+        return self.witness is None
 
     def __repr__(self):
         return f"CheckReport({self.property}: {self.verdict}, work={self.work})"
@@ -235,8 +234,8 @@ def check_monotonicity(poset, spaces):
         k = first_outside(small, big)
         if k is not None:
             witness = Witness((a, b), small.basis[k], small, big)
-            return _report("monotonicity", witness, pairs, pairs)
-    return _report("monotonicity", None, pairs, pairs)
+            return CheckReport("monotonicity", witness, pairs, pairs)
+    return CheckReport("monotonicity", None, pairs, pairs)
 
 
 def eval_lower_set(arrangement, members):
@@ -275,18 +274,8 @@ def check_condition_C(arrangement):
         if dim_a + dim_cheek - dim_join == dim_strict:
             continue
         witness = _pair_witness(arrangement, poset._down[i], cheek_mask, a)
-        return _report("C", witness, pairs, ranks)
-    return _report("C", None, pairs, ranks)
-
-
-def _report(property, witness, pairs, ranks):
-    """The report of a check; its verdict is that no witness was found."""
-    return CheckReport(
-        property,
-        witness is None,
-        witness,
-        {"pairs_checked": pairs, "ranks_computed": ranks},
-    )
+        return CheckReport("C", witness, pairs, ranks)
+    return CheckReport("C", None, pairs, ranks)
 
 
 def _basis_vector_outside(source, target):
@@ -347,7 +336,7 @@ def _pairwise_lower_set_scan(arrangement, cap, property_name):
         if total != dims[m]:
             return _first_failing_pair(arrangement, masks, dims, property_name)
     count = len(masks)
-    return _report(property_name, None, count * (count + 1) // 2, count)
+    return CheckReport(property_name, None, count * (count + 1) // 2, count)
 
 
 def _first_failing_pair(arrangement, masks, dims, property_name):
@@ -363,7 +352,7 @@ def _first_failing_pair(arrangement, masks, dims, property_name):
                 continue
             location = (poset._labels_of(mi), poset._labels_of(mj))
             witness = _pair_witness(arrangement, mi, mj, location)
-            return _report(property_name, witness, pairs, len(masks))
+            return CheckReport(property_name, witness, pairs, len(masks))
     raise InternalContradiction(
         "the valuation identity failed but every pair of lower sets passed"
     )
@@ -386,25 +375,25 @@ def check_strong_intersection(arrangement, cap=LOWER_SET_CAP):
 def pre_decompose(arrangement, seed=None):
     """Candidate components: a section image of F(a) ↠ F(a)/F(â*) per element.
 
-    With seed None the deterministic greedy rule picks each component from
-    F(a)'s canonical basis; an integer seed re-mixes that basis by a random
-    invertible matrix first, yielding a different but equally valid section.
+    Each component keeps, greedily and in order, the rows of F(a) that are
+    independent from F(â*) and the rows kept before; F(â*) ⊆ F(a) holds by
+    monotonicity.  With seed None the rows are F(a)'s canonical basis; an
+    integer seed re-mixes that basis by a random invertible matrix first,
+    yielding a different but equally valid section.
     """
     poset = arrangement.poset
     field = arrangement.field
     rng = random.Random(seed) if seed is not None else None
     components = {}
     for i, a in enumerate(poset.labels):
-        strict_mask = poset._down[i] & ~(1 << i)
-        below = arrangement.eval_mask(strict_mask)
+        below = arrangement.eval_mask(poset._down[i] & ~(1 << i))
         space = arrangement.spaces[a]
-        if rng is None:
-            components[a] = complement_within(below, space)
-        else:
+        rows = space.exact_rows()
+        if rng is not None:
             mix = random_invertible(field, space.dim, rng)
-            rows = mix_rows(mix, space.basis, field)
-            kept = complement_rows(below, [field.exact_row(r) for r in rows])
-            components[a] = IntEchelon(field, kept).subspace(arrangement.ambient_dim)
+            rows = [field.exact_row(r) for r in mix_rows(mix, space.basis, field)]
+        kept = complement_rows(below, rows)
+        components[a] = IntEchelon(field, kept).subspace(arrangement.ambient_dim)
     return Decomposition(components, certified=False)
 
 
@@ -428,12 +417,13 @@ def verify_decomposition(arrangement, decomposition):
     # (i) the sum of all components is direct
     if sum_echelon(parts, field).rank != sum(comp.dim for comp in parts):
         witness = _direct_sum_witness(arrangement, comps)
-        return _report("decomposition", witness, 0, 1), Decomposition(comps)
+        return CheckReport("decomposition", witness, 0, 1), Decomposition(comps)
 
-    # (ii) components rebuild every space along downsets; element i is
-    # pair i + 1 and, after the rank of (i), rank i + 2
+    # (ii) components rebuild every space along downsets, where zero
+    # components add nothing; element i is pair i + 1 and, after the rank
+    # of (i), rank i + 2
     for i, a in enumerate(poset.labels):
-        below = [parts[j] for j in _bits(poset._down[i])]
+        below = [parts[j] for j in _bits(poset._down[i]) if parts[j].dim]
         rebuilt = sum_echelon(below, field).subspace(n)
         space = arrangement.spaces[a]
         if rebuilt == space:
@@ -443,9 +433,9 @@ def verify_decomposition(arrangement, decomposition):
         else:
             lhs, rhs = space, rebuilt
         witness = Witness(a, _basis_vector_outside(lhs, rhs), lhs, rhs)
-        return _report("decomposition", witness, i + 1, i + 2), Decomposition(comps)
+        return CheckReport("decomposition", witness, i + 1, i + 2), Decomposition(comps)
 
-    report = _report("decomposition", None, len(parts), len(parts) + 1)
+    report = CheckReport("decomposition", None, len(parts), len(parts) + 1)
     return report, Decomposition(comps, certified=True)
 
 
@@ -471,20 +461,22 @@ def decompose(arrangement, seed=None):
     """Decomposition if one exists, else the witness refuting condition (C).
 
     On a finite poset decomposability is equivalent to (C), and any
-    pre-decomposition of a (C)-arrangement is a decomposition, so a single
-    synthesis pass must verify; a verification failure after (C) passed
-    can only mean a bug and raises InternalContradiction.
+    pre-decomposition of a (C)-arrangement is a decomposition.  So the
+    verdict is the certificate of one pre-decomposition: a certified
+    candidate is returned as is, and only a failed one runs the (C) check,
+    whose witness is returned.  A failed certificate on an arrangement
+    with (C) can only mean a bug and raises InternalContradiction.
     """
-    report = check_condition_C(arrangement)
-    if not report.verdict:
-        return report.witness
     candidate = pre_decompose(arrangement, seed=seed)
     check, certified = verify_decomposition(arrangement, candidate)
-    if not check.verdict:
+    if check.verdict:
+        return certified
+    report = check_condition_C(arrangement)
+    if report.verdict:
         raise InternalContradiction(
             "condition (C) holds but a pre-decomposition failed verification"
         )
-    return certified
+    return report.witness
 
 
 def decomposition_of(arrangement, decomposition, vector):
@@ -584,9 +576,9 @@ def pushforward(mapping, arrangement, target_poset):
     return result
 
 
-def extend_to_lower_sets(arrangement, cap=LOWER_SET_CAP):
+def extend_to_lower_sets(arrangement):
     """Arrangement on the lattice of all lower sets, ℬ ↦ F(ℬ)."""
-    lattice, masks = lower_set_lattice(arrangement.poset, cap)
+    lattice, masks = lower_set_lattice(arrangement.poset)
     spaces = {
         lab: arrangement.eval_mask(m) for lab, m in zip(lattice.labels, masks)
     }

@@ -158,7 +158,7 @@ def build_factor_arrangement(product, field=QQ):
             f"powerset has {2 ** len(product.labels)} subsets, cap is {POINT_LIMIT}"
         )
     antichain = build_poset(sorted(product.labels), [])
-    poset, masks = lower_set_lattice(antichain, POINT_LIMIT)
+    poset, masks = lower_set_lattice(antichain)
     subsets = {name: antichain._labels_of(m) for name, m in zip(poset.labels, masks)}
     spaces = {
         name: factor_subspace(product, subsets[name], field) for name in poset.labels

@@ -211,29 +211,34 @@ def enumerate_lower_sets(poset, cap=LOWER_SET_CAP):
     Raises CapExceeded when more than cap exist; the count can be
     exponential in the poset size, so brute-force callers stay desk-scale.
     """
+    return _in_lower_set_order(poset, (mask for mask, _ in _grow_lower_sets(poset, cap)))
+
+
+def _grow_lower_sets(poset, cap):
+    """Yield each lower set's mask L with its upper covers L ∪ {x}, one for
+    each x minimal outside L; raises CapExceeded past cap lower sets."""
     if cap < 1:
         raise CapExceeded("cap must allow at least the empty lower set")
     seen = {0}
     todo = [0]
     while todo:
-        for grown in _upper_covers(poset, todo.pop()):
+        mask = todo.pop()
+        covers = [
+            mask | 1 << i for i, below in enumerate(poset._down) if below & ~mask == 1 << i
+        ]
+        yield mask, covers
+        for grown in covers:
             if grown not in seen:
                 seen.add(grown)
                 if len(seen) > cap:
-                    raise CapExceeded(
-                        f"poset has more than {cap} lower sets"
-                    )
+                    raise CapExceeded(f"poset has more than {cap} lower sets")
                 todo.append(grown)
+
+
+def _in_lower_set_order(poset, masks):
     # reversed bits, descending: the lowest index where two sets differ decides
     n = len(poset.labels)
-    return sorted(seen, key=lambda m: (m.bit_count(), -int(f"{m:0{n}b}"[::-1], 2)))
-
-
-def _upper_covers(poset, mask):
-    """Masks of L ∪ {x} for the lower set L = mask and each x minimal outside L."""
-    return [
-        mask | 1 << i for i, below in enumerate(poset._down) if below & ~mask == 1 << i
-    ]
+    return sorted(masks, key=lambda m: (m.bit_count(), -int(f"{m:0{n}b}"[::-1], 2)))
 
 
 def lower_set_label(labels):
@@ -241,24 +246,26 @@ def lower_set_label(labels):
     return "{" + ",".join(labels) + "}"
 
 
-def lower_set_lattice(poset, cap=LOWER_SET_CAP):
+def lower_set_lattice(poset):
     """The lower sets ordered by inclusion, named by lower_set_label, and
-    their member masks, both in enumerate_lower_sets order.
+    their member masks, both in enumerate_lower_sets order (at most
+    LOWER_SET_CAP of them).
 
     L's covers are L ∪ {x} for the minimal x outside L, which sort after L,
     so up(L) is L's own bit OR-ed with their up-masks, filled from the end,
     and each cover's down-mask takes in down(L), filled from the front.
     """
-    masks = enumerate_lower_sets(poset, cap)
+    covers = dict(_grow_lower_sets(poset, LOWER_SET_CAP))
+    masks = _in_lower_set_order(poset, covers)
     position = {m: k for k, m in enumerate(masks)}
-    upper_covers = [[position[c] for c in _upper_covers(poset, m)] for m in masks]
+    upper_covers = [[position[c] for c in covers[m]] for m in masks]
     ups = [1 << k for k in range(len(masks))]
     for k in range(len(masks) - 1, -1, -1):
         for c in upper_covers[k]:
             ups[k] |= ups[c]
     downs = [1 << k for k in range(len(masks))]
-    for k, covers in enumerate(upper_covers):
-        for c in covers:
+    for k, above in enumerate(upper_covers):
+        for c in above:
             downs[c] |= downs[k]
     labels = [lower_set_label(poset._labels_of(m)) for m in masks]
     return Poset(labels, ups, downs), masks

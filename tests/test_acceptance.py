@@ -83,7 +83,11 @@ def suite3():
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_equivalence_suite(suite1):
-    """decompose ⇔ (C) ⇔ (I) on 200 random arrangements, < 30 s."""
+    """decompose ⇔ (C) ⇔ (I) on 200 random arrangements, < 30 s.
+
+    decompose's verdict is the certificate of its pre-decomposition, reached
+    independently of (C); it runs (C) only to explain a failed certificate.
+    """
     agreements = 0
     decomposable = 0
     for arr, verdict_c, verdict_i, decomposed in suite1["cases"]:

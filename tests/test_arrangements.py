@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from interdec import arrangements
 from interdec.arrangements import (
+    CheckReport,
     Decomposition,
     Witness,
     check_condition_C,
@@ -242,6 +243,32 @@ def test_decompose_growing_chain(c3_growing):
     out = decompose(c3_growing)
     assert out.certified
     assert out.dims() == {"x": 1, "y": 0, "z": 1}
+
+
+def test_decompose_certifies_without_condition_C(monkeypatch, c3_constant, c3_growing):
+    def refuse(arrangement):
+        pytest.fail("decompose ran (C) on a decomposable arrangement")
+
+    monkeypatch.setattr(arrangements, "check_condition_C", refuse)
+    planted, _ = random_decomposable_arrangement(random.Random(0), GF(7), 6, 6)
+    for arr in (c3_constant, c3_growing, planted):
+        for seed in (None, 3):
+            out = decompose(arr, seed=seed)
+            assert isinstance(out, Decomposition) and out.certified
+
+
+def test_decompose_failure_returns_the_condition_C_witness(monkeypatch, three_lines):
+    expected = check_condition_C(three_lines).witness
+    out = decompose(three_lines)
+    assert (out.location, out.vector, out.lhs_space, out.rhs_space) == (
+        expected.location, expected.vector, expected.lhs_space, expected.rhs_space
+    )
+    # a failed certificate while (C) holds contradicts the theory
+    monkeypatch.setattr(
+        arrangements, "check_condition_C", lambda arr: CheckReport("C", None, 3, 9)
+    )
+    with pytest.raises(InternalContradiction):
+        decompose(three_lines)
 
 
 def test_seeded_sections_also_verify(c3_growing):

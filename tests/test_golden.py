@@ -89,6 +89,9 @@ def invocations():
             "--emit-bases", "--export-arrangement", f">{model}_export",
         ]))
         runs.append((f"{model}-export-check-C", ["check", f"@{model}_export", "--property", "C"]))
+        runs.append((f"{model}-export-decompose", ["decompose", f"@{model}_export"]))
+        runs.append((f"{model}-export-decompose-seed",
+                     ["decompose", f"@{model}_export", "--seed", "3"]))
     for prop in ("C", "I", "sI"):
         runs.append((f"three_lines-check-{prop}", ["check", "@three_lines", "--property", prop]))
     runs.append(("three_lines-decompose", ["decompose", "@three_lines"]))

@@ -273,8 +273,8 @@ def test_covers_match_definition_scan(p, data):
 @settings(max_examples=60)
 @given(permuted_posets())
 def test_lower_set_lattice_is_inclusion_order(p):
-    lattice, masks = lower_set_lattice(p, cap=256)
-    assert masks == enumerate_lower_sets(p, cap=256)
+    lattice, masks = lower_set_lattice(p)
+    assert masks == enumerate_lower_sets(p)
     assert lattice.labels == tuple(
         lower_set_label(p._labels_of(m)) for m in masks
     )
@@ -296,5 +296,10 @@ def test_lower_set_lattice_of_diamond(d2):
     lattice, masks = lower_set_lattice(d2)
     assert lattice.labels == ("{}", "{e}", "{e,p}", "{e,q}", "{e,p,q}", "{e,p,q,t}")
     assert list(lattice.covers()) == [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]
+
+
+def test_lower_set_lattice_cap():
+    # a 13-element antichain has 2^13 = 8,192 lower sets, over LOWER_SET_CAP
+    antichain = build_poset([f"a{i}" for i in range(13)], [])
     with pytest.raises(CapExceeded):
-        lower_set_lattice(d2, cap=5)
+        lower_set_lattice(antichain)
