@@ -90,10 +90,11 @@ class CheckReport:
 
     work counts the check's effort: pairs_checked is the number of pairs
     (cover pairs, elements, pairs of lower sets) examined up to and
-    including the failing one, and ranks_computed the subset-sum ranks
-    behind them.  (I) and (sI) decide success by a valuation identity that
-    covers every pair at once; they then report the full scan's counts,
-    L(L + 1)/2 pairs and L ranks over L lower sets.
+    including the failing one, and ranks_computed the ranks behind them.
+    (I) and (sI) take one rank per lower set, each from an echelon grown
+    from its parent's rather than a fresh subset sum, and decide success by
+    a valuation identity that covers every pair at once; they then report
+    the full scan's counts, L(L + 1)/2 pairs and L ranks over L lower sets.
     """
 
     __slots__ = ("property", "witness", "work")
@@ -312,15 +313,16 @@ def _pairwise_lower_set_scan(arrangement, cap, property_name):
     sum by induction: for x maximal in ℬ, ℬ = (ℬ ∖ {x}) ∪ x̂ and
     (ℬ ∖ {x}) ∩ x̂ = x̂*.  Conversely, the sums over ℬ and 𝒞 add up to those
     over ℬ ∪ 𝒞 and ℬ ∩ 𝒞.  So one comparison per lower set decides both
-    properties.  When the identity holds, the work counts are those of the
-    full scan it covers, L(L + 1)/2 pairs and L ranks for L lower sets.
-    When it fails, _first_failing_pair rescans the pairs in order on the
-    same dimensions, so the witness and the counts are the first failing
-    pair's.
+    properties.  Each d(ℬ) is the rank of ℬ's echelon in
+    _lower_set_echelons, which grows it from its parent ℬ ∖ {x}.  When the
+    identity holds, the work counts are those of the full scan it covers,
+    L(L + 1)/2 pairs and L ranks for L lower sets.  When it fails,
+    _first_failing_pair rescans the pairs in order on the same dimensions,
+    so the witness and the counts are the first failing pair's.
     """
     poset = arrangement.poset
     masks = enumerate_lower_sets(poset, cap)
-    dims = {m: arrangement.dim_of_mask(m) for m in masks}
+    dims = {m: acc.rank for m, acc in _lower_set_echelons(arrangement, masks)}
     weight = [
         arrangement.spaces[a].dim - dims[poset._down[i] & ~(1 << i)]
         for i, a in enumerate(poset.labels)
@@ -337,6 +339,43 @@ def _pairwise_lower_set_scan(arrangement, cap, property_name):
             return _first_failing_pair(arrangement, masks, dims, property_name)
     count = len(masks)
     return CheckReport(property_name, None, count * (count + 1) // 2, count)
+
+
+def _lower_set_echelons(arrangement, masks):
+    """Yield (mask, kernel echelon of F(mask)) for the lower sets masks, in
+    enumerate_lower_sets order, each grown from its parent.
+
+    For x maximal in a lower set L, F(L) = F(L ∖ {x}) + span s_x, where
+    s_x holds the rows of F(x) independent of F(x̂*), the section that
+    pre_decompose keeps: F(x) = F(x̂*) + span s_x and x̂* ⊆ L ∖ {x}.  So
+    L's echelon is a copy of its parent's plus |s_x| = w(x) inserts.  The
+    element order need not be a linear extension, so x comes from the
+    maximal members, not the highest bit.  Sets come by size, so only the
+    echelons of the current and the previous size are kept.  A caller may
+    reduce a yielded echelon in place: it stays an echelon of the same
+    span, and the children copy that.
+    """
+    poset = arrangement.poset
+    sections = [
+        complement_rows(
+            arrangement.eval_mask(poset._down[i] & ~(1 << i)),
+            arrangement.spaces[a].exact_rows(),
+        )
+        for i, a in enumerate(poset.labels)
+    ]
+    previous, current, size = {}, {}, 0
+    for m in masks:
+        if m.bit_count() != size:
+            previous, current, size = current, {}, m.bit_count()
+        if m:
+            x = poset._maximal(m).bit_length() - 1
+            acc = previous[m & ~(1 << x)].copy()
+            for row in sections[x]:
+                acc.insert(row)
+        else:
+            acc = IntEchelon(arrangement.field)
+        current[m] = acc
+        yield m, acc
 
 
 def _first_failing_pair(arrangement, masks, dims, property_name):
@@ -401,7 +440,8 @@ def verify_decomposition(arrangement, decomposition):
     """Certificate check: global direct sum, and Σ_{b≤a} s_b = F(a) per element.
 
     Returns the report together with a copy of the decomposition whose
-    certified flag records the verdict.
+    certified flag records the verdict; a failure found by
+    _certificate_failure becomes the report's witness.
     """
     poset = arrangement.poset
     comps = decomposition.components
@@ -409,34 +449,49 @@ def verify_decomposition(arrangement, decomposition):
         if lab not in comps:
             raise InputError(f"decomposition misses element {lab!r}")
     field, n = arrangement.field, arrangement.ambient_dim
-    parts = [comps[lab] for lab in poset.labels]
-    for lab, comp in zip(poset.labels, parts):
-        if comp.ambient_dim != n or comp.field != field:
+    for lab in poset.labels:
+        if comps[lab].ambient_dim != n or comps[lab].field != field:
             raise DimensionMismatch(f"component at {lab!r} does not fit the arrangement")
 
-    # (i) the sum of all components is direct
-    if sum_echelon(parts, field).rank != sum(comp.dim for comp in parts):
+    failure = _certificate_failure(arrangement, comps)
+    if failure is None:
+        count = len(poset.labels)
+        report = CheckReport("decomposition", None, count, count + 1)
+        return report, Decomposition(comps, certified=True)
+    i, rebuilt = failure
+    if i is None:
         witness = _direct_sum_witness(arrangement, comps)
         return CheckReport("decomposition", witness, 0, 1), Decomposition(comps)
+    # element i is pair i + 1 and, after the rank of (i), rank i + 2
+    a = poset.labels[i]
+    space = arrangement.spaces[a]
+    if first_outside(rebuilt, space) is not None:
+        lhs, rhs = rebuilt, space
+    else:
+        lhs, rhs = space, rebuilt
+    witness = Witness(a, _basis_vector_outside(lhs, rhs), lhs, rhs)
+    return CheckReport("decomposition", witness, i + 1, i + 2), Decomposition(comps)
 
+
+def _certificate_failure(arrangement, comps):
+    """Where the certificate of the components comps first fails: None
+    when it holds, (None, None) when (i) their sum is not direct, and
+    (i, rebuilt) when (ii) the components below element i sum to
+    rebuilt ≠ F(i)."""
+    poset = arrangement.poset
+    field, n = arrangement.field, arrangement.ambient_dim
+    parts = [comps[lab] for lab in poset.labels]
+    # (i) the sum of all components is direct
+    if sum_echelon(parts, field).rank != sum(comp.dim for comp in parts):
+        return None, None
     # (ii) components rebuild every space along downsets, where zero
-    # components add nothing; element i is pair i + 1 and, after the rank
-    # of (i), rank i + 2
+    # components add nothing
     for i, a in enumerate(poset.labels):
         below = [parts[j] for j in _bits(poset._down[i]) if parts[j].dim]
         rebuilt = sum_echelon(below, field).subspace(n)
-        space = arrangement.spaces[a]
-        if rebuilt == space:
-            continue
-        if first_outside(rebuilt, space) is not None:
-            lhs, rhs = rebuilt, space
-        else:
-            lhs, rhs = space, rebuilt
-        witness = Witness(a, _basis_vector_outside(lhs, rhs), lhs, rhs)
-        return CheckReport("decomposition", witness, i + 1, i + 2), Decomposition(comps)
-
-    report = CheckReport("decomposition", None, len(parts), len(parts) + 1)
-    return report, Decomposition(comps, certified=True)
+        if rebuilt != arrangement.spaces[a]:
+            return i, rebuilt
+    return None
 
 
 def _direct_sum_witness(arrangement, comps):
@@ -464,13 +519,13 @@ def decompose(arrangement, seed=None):
     pre-decomposition of a (C)-arrangement is a decomposition.  So the
     verdict is the certificate of one pre-decomposition: a certified
     candidate is returned as is, and only a failed one runs the (C) check,
-    whose witness is returned.  A failed certificate on an arrangement
+    whose witness is returned.  Only the certificate's verdict is read, so
+    no certificate witness is built.  A failed certificate on an arrangement
     with (C) can only mean a bug and raises InternalContradiction.
     """
-    candidate = pre_decompose(arrangement, seed=seed)
-    check, certified = verify_decomposition(arrangement, candidate)
-    if check.verdict:
-        return certified
+    comps = pre_decompose(arrangement, seed=seed).components
+    if _certificate_failure(arrangement, comps) is None:
+        return Decomposition(comps, certified=True)
     report = check_condition_C(arrangement)
     if report.verdict:
         raise InternalContradiction(
@@ -577,9 +632,10 @@ def pushforward(mapping, arrangement, target_poset):
 
 
 def extend_to_lower_sets(arrangement):
-    """Arrangement on the lattice of all lower sets, ℬ ↦ F(ℬ)."""
+    """Arrangement on the lattice of all lower sets, ℬ ↦ F(ℬ), each space
+    grown from its parent's by _lower_set_echelons."""
     lattice, masks = lower_set_lattice(arrangement.poset)
-    spaces = {
-        lab: arrangement.eval_mask(m) for lab, m in zip(lattice.labels, masks)
-    }
-    return new_arrangement(lattice, arrangement.ambient_dim, arrangement.field, spaces)
+    n = arrangement.ambient_dim
+    walk = _lower_set_echelons(arrangement, masks)
+    spaces = {lab: acc.subspace(n) for lab, (_, acc) in zip(lattice.labels, walk)}
+    return new_arrangement(lattice, n, arrangement.field, spaces)

@@ -327,9 +327,20 @@ class IntEchelon:
                 rows[i] = field.normalize_int_row(row)
         return tuple(rows)
 
+    def copy(self):
+        """An independent echelon over the same rows; nothing is re-inserted."""
+        # __new__ skips the insert loop of __init__: copies sit on hot paths
+        acc = IntEchelon.__new__(IntEchelon)
+        acc.field = self.field
+        acc.rows = list(self.rows)
+        acc.pivots = list(self.pivots)
+        return acc
+
     def subspace(self, ambient_dim):
-        """The canonical Subspace spanned by the rows."""
-        return Subspace(self.field, ambient_dim, self.reduced(), tuple(self.pivots))
+        """The canonical Subspace spanned by the rows; it keeps a reduced
+        copy, so later inserts here leave it unchanged."""
+        self.reduced()
+        return Subspace(ambient_dim, self.copy())
 
 
 def rank_of_rows(int_rows, field):
@@ -351,13 +362,15 @@ class Subspace:
     one over the field, for output, witnesses and solving.
     """
 
-    __slots__ = ("field", "ambient_dim", "_rows", "_pivots", "_basis")
+    __slots__ = ("field", "ambient_dim", "_echelon", "_rows", "_basis")
 
-    def __init__(self, field, ambient_dim, rows, pivots):
-        self.field = field
+    def __init__(self, ambient_dim, echelon):
+        """Takes over echelon, which must be reduced and is never inserted
+        into again; IntEchelon.subspace is the way to build one."""
+        self.field = echelon.field
         self.ambient_dim = ambient_dim
-        self._rows = rows
-        self._pivots = pivots
+        self._echelon = echelon
+        self._rows = tuple(echelon.rows)
         self._basis = None
 
     @property
@@ -377,10 +390,7 @@ class Subspace:
 
     def echelon(self):
         """Fresh IntEchelon seeded with this subspace's rows."""
-        acc = IntEchelon(self.field)
-        acc.rows = list(self._rows)
-        acc.pivots = list(self._pivots)
-        return acc
+        return self._echelon.copy()
 
     def contains_vector(self, vector):
         """Exact membership test for a single coordinate vector."""
@@ -421,14 +431,14 @@ def subspace_from_generators(ambient_dim, gens, field=QQ):
 
 
 def zero_subspace(ambient_dim, field=QQ):
-    return Subspace(field, ambient_dim, (), ())
+    return IntEchelon(field).subspace(ambient_dim)
 
 
 def full_space(ambient_dim, field=QQ):
-    rows = tuple(
+    rows = (
         tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)
     )
-    return Subspace(field, ambient_dim, rows, tuple(range(ambient_dim)))
+    return IntEchelon(field, rows).subspace(ambient_dim)
 
 
 def _check_compatible(*spaces):

@@ -46,9 +46,9 @@ from interdec.linalg import (
     subspace_from_generators,
     zero_subspace,
 )
-from interdec.posets import build_poset, downset, enumerate_lower_sets
+from interdec.posets import build_poset, downset, enumerate_lower_sets, lower_set_lattice
 
-from randgen import random_decomposable_arrangement, random_monotone_arrangement
+from randgen import random_decomposable_arrangement, random_monotone_arrangement, random_poset
 
 
 def sp(ambient, rows, field=QQ):
@@ -259,6 +259,12 @@ def test_decompose_certifies_without_condition_C(monkeypatch, c3_constant, c3_gr
 
 def test_decompose_failure_returns_the_condition_C_witness(monkeypatch, three_lines):
     expected = check_condition_C(three_lines).witness
+    # the certificate fails at (i) here; decompose reads only that verdict
+    # and builds no direct-sum witness of its own
+    monkeypatch.setattr(
+        arrangements, "_direct_sum_witness",
+        lambda *args: pytest.fail("decompose built a direct-sum witness"),
+    )
     out = decompose(three_lines)
     assert (out.location, out.vector, out.lhs_space, out.rhs_space) == (
         expected.location, expected.vector, expected.lhs_space, expected.rhs_space
@@ -565,22 +571,88 @@ def test_passing_scans_never_enter_the_pair_loop(monkeypatch, three_lines):
     def refuse(*args):
         raise EnteredPairLoop
 
+    sums = []
+    original = arrangements.Arrangement._sum_echelon
+
+    def counting(self, mask):
+        sums.append(mask)
+        return original(self, mask)
+
     monkeypatch.setattr(arrangements, "_first_failing_pair", refuse)
+    monkeypatch.setattr(arrangements.Arrangement, "_sum_echelon", counting)
     # eight independent lines on an antichain: 2^8 lower sets
     labels = [f"l{i}" for i in range(8)]
     lines = {lab: [[1 if j in (i, i + 1) else 0 for j in range(8)]]
              for i, lab in enumerate(labels)}
-    antichain = new_arrangement(build_poset(labels, []), 8, QQ, lines)
-    # a planted decomposition on four 3-chains: 4^4 lower sets
+    antichains = [new_arrangement(build_poset(labels, []), 8, QQ, lines)]
+    # planted decompositions on four 3-chains listed top first: 4^4 lower sets
     chains = [[f"c{c}_{k}" for k in range(3)] for c in range(4)]
     relations = [(chain[k], chain[k + 1]) for chain in chains for k in range(2)]
-    poset = build_poset([e for chain in chains for e in chain], relations)
-    planted, _ = random_decomposable_arrangement(random.Random(5), GF(7), 12, 12, poset)
-    for arr in (antichain, planted):
-        for check in (check_intersection_bruteforce, check_strong_intersection):
+    poset = build_poset([e for chain in chains for e in reversed(chain)], relations)
+    for check in (check_intersection_bruteforce, check_strong_intersection):
+        planted = [random_decomposable_arrangement(random.Random(5), field, 12, 12, poset)[0]
+                   for field in SCAN_FIELDS]
+        for arr in antichains + planted:
+            sums.clear()
             report = check(arr)
             assert report.verdict
             assert report.work == {"pairs_checked": 256 * 257 // 2, "ranks_computed": 256}
+            # lower sets grow from their parents: at most one subset sum
+            # per element, F(x̂*) for the section each element adds
+            assert len(sums) <= len(arr.poset.labels)
     # the patched loop is the one a failing scan runs
     with pytest.raises(EnteredPairLoop):
         check_intersection_bruteforce(three_lines)
+
+
+# ---------------------------------------------------------------------------
+# lower-set echelons grown from their parents, against per-set subset sums
+# ---------------------------------------------------------------------------
+
+def against_order_sample(seed, field):
+    """A random monotone arrangement on a random poset whose elements are
+    listed in shuffled order, so element order is rarely a linear extension."""
+    rng = random.Random(seed)
+    base = random_poset(rng, 7)
+    labels = list(base.labels)
+    rng.shuffle(labels)
+    relations = [(a, b) for a in labels for b in labels if a != b and base.leq(a, b)]
+    poset = build_poset(labels, relations)
+    return random_monotone_arrangement(rng, field, max_dim=4, poset=poset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    field=st.sampled_from(SCAN_FIELDS),
+)
+def test_lower_set_echelons_match_per_set_subset_sums(seed, field):
+    arr = against_order_sample(seed, field)
+    masks = enumerate_lower_sets(arr.poset)
+    oracle = against_order_sample(seed, field)
+    walked = [m for m, acc in arrangements._lower_set_echelons(arr, masks)
+              if acc.rank == oracle.dim_of_mask(m)]
+    assert walked == masks
+    lattice_masks = lower_set_lattice(arr.poset)[1]
+    ext = extend_to_lower_sets(arr)
+    assert [ext.spaces[lab] for lab in ext.poset.labels] == [
+        oracle.eval_mask(m) for m in lattice_masks
+    ]
+    expected = full_pair_scan(oracle)
+    for check in (check_intersection_bruteforce, check_strong_intersection):
+        assert scan_outcome(check(against_order_sample(seed, field))) == expected
+
+
+@pytest.mark.parametrize("field", SCAN_FIELDS, ids=repr)
+def test_against_order_sample_has_unsorted_posets_and_both_verdicts(field):
+    verdicts = set()
+    unsorted = 0
+    for seed in range(30):
+        arr = against_order_sample(seed, field)
+        poset = arr.poset
+        # some element has a larger one listed before it
+        unsorted += any(poset._up[i] & ((1 << i) - 1) for i in range(len(poset.labels)))
+        verdicts.add(check_intersection_bruteforce(arr).verdict)
+    assert unsorted >= 10
+    assert verdicts == {True, False}
+

@@ -3,7 +3,8 @@
 Each invocation below runs the CLI in process on a fixed document: seeded
 `randgen` arrangements over ℚ, GF(2) and GF(7), factor models, the
 three-lines counterexample, eight independent lines (256 lower sets), a
-non-monotone document and a cap overflow.
+poset listed against its order, seven lines whose only failing lower set
+is the last one scanned, a non-monotone document and a cap overflow.
 `golden_cli.json` holds what each run printed, with the temporary directory
 replaced by `<tmp>`, so any change to a verdict, witness, work count or
 output byte fails here.  After an intended output change, re-record with
@@ -53,6 +54,30 @@ INDEPENDENT_LINES = {
                for i in range(8)},
 }
 
+# a chain p < q < t and p < r < t, plus a separate line s, listed against
+# that order; the components e0..e4 are independent, so (I) and (sI) hold
+AGAINST_ORDER = {
+    "field": "rational",
+    "ambient_dim": 5,
+    "poset": {"elements": ["t", "s", "r", "q", "p"],
+              "relations": [["p", "q"], ["p", "r"], ["q", "t"], ["r", "t"]]},
+    "spaces": {"p": [[1, 0, 0, 0, 0]],
+               "q": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]],
+               "r": [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0]],
+               "t": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]],
+               "s": [[0, 0, 0, 0, 1]]},
+}
+
+# six coordinate lines and the all-ones line on an antichain: the only
+# lower set that breaks the valuation identity is the last one, all seven
+LATE_FAILURE = {
+    "field": "rational",
+    "ambient_dim": 6,
+    "poset": {"elements": [f"l{i}" for i in range(7)], "relations": []},
+    "spaces": {**{f"l{i}": [[int(j == i) for j in range(6)]] for i in range(6)},
+               "l6": [[1] * 6]},
+}
+
 MODELS = {
     "m23": {"variables": [{"label": "x", "cardinality": 2},
                           {"label": "y", "cardinality": 3}]},
@@ -64,7 +89,8 @@ MODELS = {
 def documents():
     """Document name -> JSON document, all built from fixed seeds."""
     docs = {"three_lines": THREE_LINES, "not_monotone": NOT_MONOTONE,
-            "independent_lines": INDEPENDENT_LINES, **MODELS}
+            "independent_lines": INDEPENDENT_LINES, "against_order": AGAINST_ORDER,
+            "late_failure": LATE_FAILURE, **MODELS}
     for name, field in FIELDS.items():
         arrangement = random_monotone_arrangement(random.Random(23), field)
         docs[f"{name}_monotone"] = arrangement_to_doc(arrangement)
@@ -95,9 +121,9 @@ def invocations():
     for prop in ("C", "I", "sI"):
         runs.append((f"three_lines-check-{prop}", ["check", "@three_lines", "--property", prop]))
     runs.append(("three_lines-decompose", ["decompose", "@three_lines"]))
-    for prop in ("I", "sI"):
-        runs.append((f"independent_lines-check-{prop}",
-                     ["check", "@independent_lines", "--property", prop]))
+    for doc in ("independent_lines", "against_order", "late_failure"):
+        for prop in ("I", "sI"):
+            runs.append((f"{doc}-check-{prop}", ["check", f"@{doc}", "--property", prop]))
     runs.append(("not_monotone-check-C", ["check", "@not_monotone", "--property", "C"]))
     runs.append(("cap-overflow", ["check", "@qq_monotone", "--property", "I", "--cap", "2"]))
     return runs

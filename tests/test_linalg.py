@@ -570,3 +570,23 @@ def test_first_outside_matches_fresh_echelon_scan(case):
     assert first_outside(u, w) == reference_first_outside(u, w)
     assert first_outside(w, u) == reference_first_outside(w, u)
     assert first_outside(u, u) is None
+
+
+@given(generator_list_pairs())
+def test_echelon_copies_and_subspaces_are_independent(case):
+    field, ambient, u_rows, w_rows = case
+    rows = [field.exact_row([field.parse(e) for e in r]) for r in u_rows]
+    extra = [field.exact_row([field.parse(e) for e in r]) for r in w_rows]
+    acc = IntEchelon(field, rows)
+    space = acc.subspace(ambient)
+    twin = acc.copy()
+    assert (twin.rows, twin.pivots) == (acc.rows, acc.pivots)
+    for row in extra:
+        twin.insert(row)
+        space.echelon().insert(row)
+    # inserting into the copies moved neither the original nor the subspace
+    assert acc.subspace(ambient) == space == sp(ambient, u_rows, field)
+    for row in extra:
+        acc.insert(row)
+    assert space == sp(ambient, u_rows, field)
+    assert twin.subspace(ambient) == acc.subspace(ambient) == sp(ambient, u_rows + w_rows, field)
