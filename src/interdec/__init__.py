@@ -66,7 +66,6 @@ from .linalg import (
     full_space,
     intersect,
     is_direct_sum,
-    quotient_dim,
     rref,
     subspace_from_generators,
     sum_subspaces,

@@ -38,6 +38,7 @@ from .linalg import (
     complement_rows,
     first_outside,
     intersect,
+    is_direct_sum,
     mix_rows,
     random_invertible,
     solve_exact,
@@ -92,8 +93,8 @@ class CheckReport:
     (cover pairs, elements, pairs of lower sets) examined up to and
     including the failing one, and ranks_computed the ranks behind them.
     (I) and (sI) take one rank per lower set, each from an echelon grown
-    from its parent's rather than a fresh subset sum, and decide success by
-    a valuation identity that covers every pair at once; they then report
+    from its parent's by a section, and succeed when every such step grew
+    by its whole section, which covers every pair at once; they then report
     the full scan's counts, L(L + 1)/2 pairs and L ranks over L lower sets.
     """
 
@@ -312,70 +313,66 @@ def _pairwise_lower_set_scan(arrangement, cap, property_name):
     for every lower set ℬ (Birkhoff's valuations).  Modularity gives the
     sum by induction: for x maximal in ℬ, ℬ = (ℬ ∖ {x}) ∪ x̂ and
     (ℬ ∖ {x}) ∩ x̂ = x̂*.  Conversely, the sums over ℬ and 𝒞 add up to those
-    over ℬ ∪ 𝒞 and ℬ ∩ 𝒞.  So one comparison per lower set decides both
-    properties.  Each d(ℬ) is the rank of ℬ's echelon in
-    _lower_set_echelons, which grows it from its parent ℬ ∖ {x}.  When the
-    identity holds, the work counts are those of the full scan it covers,
-    L(L + 1)/2 pairs and L ranks for L lower sets.  When it fails,
-    _first_failing_pair rescans the pairs in order on the same dimensions,
+    over ℬ ∪ 𝒞 and ℬ ∩ 𝒞.  _lower_set_echelons grows each ℬ from its parent
+    ℬ ∖ {x} by the w(x) rows of x's section, so the sum identity holds on
+    every lower set exactly when each step grew by all of them (by induction
+    along the parents one way, counting rows the other), and the walk alone
+    decides both properties.  Then the work counts are those of the full
+    scan this covers, L(L + 1)/2 pairs and L ranks for L lower sets.  Else
+    _first_failing_pair rescans the pairs in order on the walk's dimensions,
     so the witness and the counts are the first failing pair's.
     """
-    poset = arrangement.poset
-    masks = enumerate_lower_sets(poset, cap)
-    dims = {m: acc.rank for m, acc in _lower_set_echelons(arrangement, masks)}
-    weight = [
-        arrangement.spaces[a].dim - dims[poset._down[i] & ~(1 << i)]
-        for i, a in enumerate(poset.labels)
-    ]
-    for m in masks:
-        total = 0
-        rest = m
-        # inline rather than posets._bits: generator setup shows once per lower set
-        while rest:
-            low = rest & -rest
-            total += weight[low.bit_length() - 1]
-            rest ^= low
-        if total != dims[m]:
-            return _first_failing_pair(arrangement, masks, dims, property_name)
+    masks = enumerate_lower_sets(arrangement.poset, cap)
+    dims, stalled = {}, False
+    for m, acc, grew in _lower_set_echelons(arrangement, masks):
+        dims[m] = acc.rank
+        stalled = stalled or not grew
+    if stalled:
+        return _first_failing_pair(arrangement, masks, dims, property_name)
     count = len(masks)
     return CheckReport(property_name, None, count * (count + 1) // 2, count)
 
 
-def _lower_set_echelons(arrangement, masks):
-    """Yield (mask, kernel echelon of F(mask)) for the lower sets masks, in
-    enumerate_lower_sets order, each grown from its parent.
+def _section_rows(arrangement, i, rows):
+    """The section rule: of rows spanning F(x), x = labels[i], keep greedily
+    and in order those independent of F(x̂*) and of the rows kept before;
+    they span a complement of F(x̂*) in F(x), of dimension w(x)."""
+    strict = arrangement.poset._down[i] & ~(1 << i)
+    return complement_rows(arrangement.eval_mask(strict), rows)
 
-    For x maximal in a lower set L, F(L) = F(L ∖ {x}) + span s_x, where
-    s_x holds the rows of F(x) independent of F(x̂*), the section that
-    pre_decompose keeps: F(x) = F(x̂*) + span s_x and x̂* ⊆ L ∖ {x}.  So
-    L's echelon is a copy of its parent's plus |s_x| = w(x) inserts.  The
-    element order need not be a linear extension, so x comes from the
-    maximal members, not the highest bit.  Sets come by size, so only the
-    echelons of the current and the previous size are kept.  A caller may
-    reduce a yielded echelon in place: it stays an echelon of the same
-    span, and the children copy that.
+
+def _lower_set_echelons(arrangement, masks):
+    """Yield (mask, kernel echelon of F(mask), grew) for the lower sets
+    masks, in enumerate_lower_sets order, each grown from its parent.
+
+    For x maximal in a lower set L, F(L) = F(L ∖ {x}) + span s_x, where s_x
+    is x's section of _section_rows: F(x) = F(x̂*) + span s_x and
+    x̂* ⊆ L ∖ {x}.  So L's echelon is a copy of its parent's plus the
+    |s_x| = w(x) rows of s_x, and grew says each of them enlarged it (the
+    empty set grows trivially).  The element order need not be a linear
+    extension, so x comes from the maximal members, not the highest bit.
+    Sets come by size, so only the echelons of the current and the previous
+    size are kept.  A caller may reduce a yielded echelon in place: it stays
+    an echelon of the same span, and the children copy that.
     """
     poset = arrangement.poset
     sections = [
-        complement_rows(
-            arrangement.eval_mask(poset._down[i] & ~(1 << i)),
-            arrangement.spaces[a].exact_rows(),
-        )
+        _section_rows(arrangement, i, arrangement.spaces[a].exact_rows())
         for i, a in enumerate(poset.labels)
     ]
     previous, current, size = {}, {}, 0
     for m in masks:
         if m.bit_count() != size:
             previous, current, size = current, {}, m.bit_count()
+        grew = True
         if m:
             x = poset._maximal(m).bit_length() - 1
             acc = previous[m & ~(1 << x)].copy()
-            for row in sections[x]:
-                acc.insert(row)
+            grew = all([acc.insert(row) for row in sections[x]])
         else:
             acc = IntEchelon(arrangement.field)
         current[m] = acc
-        yield m, acc
+        yield m, acc, grew
 
 
 def _first_failing_pair(arrangement, masks, dims, property_name):
@@ -393,7 +390,7 @@ def _first_failing_pair(arrangement, masks, dims, property_name):
             witness = _pair_witness(arrangement, mi, mj, location)
             return CheckReport(property_name, witness, pairs, len(masks))
     raise InternalContradiction(
-        "the valuation identity failed but every pair of lower sets passed"
+        "a lower set did not grow by its section but every pair passed"
     )
 
 
@@ -414,24 +411,22 @@ def check_strong_intersection(arrangement, cap=LOWER_SET_CAP):
 def pre_decompose(arrangement, seed=None):
     """Candidate components: a section image of F(a) ↠ F(a)/F(â*) per element.
 
-    Each component keeps, greedily and in order, the rows of F(a) that are
-    independent from F(â*) and the rows kept before; F(â*) ⊆ F(a) holds by
-    monotonicity.  With seed None the rows are F(a)'s canonical basis; an
-    integer seed re-mixes that basis by a random invertible matrix first,
-    yielding a different but equally valid section.
+    Each component spans the rows _section_rows keeps of F(a)'s canonical
+    basis; F(â*) ⊆ F(a) holds by monotonicity.  An integer seed re-mixes
+    that basis by a random invertible matrix first, yielding a different
+    but equally valid section.
     """
     poset = arrangement.poset
     field = arrangement.field
     rng = random.Random(seed) if seed is not None else None
     components = {}
     for i, a in enumerate(poset.labels):
-        below = arrangement.eval_mask(poset._down[i] & ~(1 << i))
         space = arrangement.spaces[a]
         rows = space.exact_rows()
         if rng is not None:
             mix = random_invertible(field, space.dim, rng)
             rows = [field.exact_row(r) for r in mix_rows(mix, space.basis, field)]
-        kept = complement_rows(below, rows)
+        kept = _section_rows(arrangement, i, rows)
         components[a] = IntEchelon(field, kept).subspace(arrangement.ambient_dim)
     return Decomposition(components, certified=False)
 
@@ -482,7 +477,7 @@ def _certificate_failure(arrangement, comps):
     field, n = arrangement.field, arrangement.ambient_dim
     parts = [comps[lab] for lab in poset.labels]
     # (i) the sum of all components is direct
-    if sum_echelon(parts, field).rank != sum(comp.dim for comp in parts):
+    if not is_direct_sum(parts):
         return None, None
     # (ii) components rebuild every space along downsets, where zero
     # components add nothing
@@ -637,5 +632,5 @@ def extend_to_lower_sets(arrangement):
     lattice, masks = lower_set_lattice(arrangement.poset)
     n = arrangement.ambient_dim
     walk = _lower_set_echelons(arrangement, masks)
-    spaces = {lab: acc.subspace(n) for lab, (_, acc) in zip(lattice.labels, walk)}
+    spaces = {lab: acc.subspace(n) for lab, (_, acc, _) in zip(lattice.labels, walk)}
     return new_arrangement(lattice, n, arrangement.field, spaces)

@@ -12,6 +12,7 @@ cross-checked against the closed form dim s_a = Π_{i∈a} (|E_i| − 1).
 
 from __future__ import annotations
 
+import itertools
 from math import prod
 
 from .arrangements import (
@@ -65,7 +66,7 @@ class ProductSpace:
         self.labels = labels
         self.cardinalities = cardinalities
         self.total_points = total
-        self.points = tuple(_mixed_radix(cardinalities))
+        self.points = tuple(itertools.product(*map(range, cardinalities)))
 
     def variable_index(self, label):
         try:
@@ -76,16 +77,6 @@ class ProductSpace:
     def __repr__(self):
         sizes = "x".join(str(c) for c in self.cardinalities) or "1"
         return f"ProductSpace({sizes}, {self.total_points} points)"
-
-
-def _mixed_radix(cardinalities):
-    if not cardinalities:
-        yield ()
-        return
-    head, rest = cardinalities[0], cardinalities[1:]
-    for v in range(head):
-        for tail in _mixed_radix(rest):
-            yield (v,) + tail
 
 
 def build_product_space(labels, cardinalities):

@@ -483,15 +483,6 @@ def sum_subspaces(u, w):
     return sum_echelon([u, w], u.field).subspace(u.ambient_dim)
 
 
-def span_of_subspaces(ambient_dim, spaces, field):
-    """Sum of a whole collection; empty collections give the zero subspace."""
-    spaces = list(spaces)
-    for s in spaces:
-        if s.ambient_dim != ambient_dim or s.field != field:
-            raise DimensionMismatch(f"incompatible summand {s!r}")
-    return sum_echelon(spaces, field).subspace(ambient_dim)
-
-
 def intersect(u, w):
     """U ∩ W by Zassenhaus elimination on  [U | U; W | 0].
 
@@ -550,14 +541,6 @@ def is_direct_sum(parts):
         return True
     _check_compatible(*parts)
     return sum_echelon(parts, parts[0].field).rank == sum(s.dim for s in parts)
-
-
-def quotient_dim(u, w):
-    """dim(U / W) for W ⊆ U."""
-    _check_compatible(u, w)
-    if not contains(u, w):
-        raise NotContained(f"{w!r} is not contained in {u!r}")
-    return u.dim - w.dim
 
 
 # ---------------------------------------------------------------------------

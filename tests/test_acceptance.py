@@ -27,8 +27,8 @@ from interdec.linalg import (
     QQ,
     intersect,
     is_direct_sum,
-    span_of_subspaces,
     subspace_from_generators,
+    sum_echelon,
     sum_subspaces,
     zero_subspace,
 )
@@ -274,9 +274,9 @@ def test_criterion_8_linear_algebra_kernel():
         pinned = all(
             intersect(
                 part,
-                span_of_subspaces(
-                    ambient, [q for j, q in enumerate(parts) if j != i], field
-                ),
+                sum_echelon(
+                    [q for j, q in enumerate(parts) if j != i], field
+                ).subspace(ambient),
             ).dim == 0
             for i, part in enumerate(parts)
         )

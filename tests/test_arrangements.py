@@ -630,17 +630,27 @@ def test_lower_set_echelons_match_per_set_subset_sums(seed, field):
     arr = against_order_sample(seed, field)
     masks = enumerate_lower_sets(arr.poset)
     oracle = against_order_sample(seed, field)
-    walked = [m for m, acc in arrangements._lower_set_echelons(arr, masks)
-              if acc.rank == oracle.dim_of_mask(m)]
-    assert walked == masks
+    walk = [(m, acc.rank, grew)
+            for m, acc, grew in arrangements._lower_set_echelons(arr, masks)]
+    assert [m for m, rank, _ in walk if rank == oracle.dim_of_mask(m)] == masks
     lattice_masks = lower_set_lattice(arr.poset)[1]
     ext = extend_to_lower_sets(arr)
     assert [ext.spaces[lab] for lab in ext.poset.labels] == [
         oracle.eval_mask(m) for m in lattice_masks
     ]
     expected = full_pair_scan(oracle)
+    # every step grows by its whole section exactly when (I) and (sI) hold
+    assert all(grew for _, _, grew in walk) == expected[0]
     for check in (check_intersection_bruteforce, check_strong_intersection):
         assert scan_outcome(check(against_order_sample(seed, field))) == expected
+
+
+def test_only_the_top_lower_set_of_three_lines_fails_to_grow(three_lines):
+    # each line grows the empty set or one other line; the third line
+    # adds nothing to the plane the other two span
+    masks = enumerate_lower_sets(three_lines.poset)
+    walk = arrangements._lower_set_echelons(three_lines, masks)
+    assert [m for m, _, grew in walk if not grew] == [0b111]
 
 
 @pytest.mark.parametrize("field", SCAN_FIELDS, ids=repr)

@@ -25,7 +25,6 @@ from interdec.linalg import (
     full_space,
     intersect,
     is_direct_sum,
-    quotient_dim,
     rank_of_rows,
     rref,
     solve_exact,
@@ -264,14 +263,6 @@ def test_is_direct_sum_examples():
     assert is_direct_sum([])
 
 
-def test_quotient_dim_examples():
-    assert quotient_dim(full_space(2), L1()) == 1
-    u = sp(2, [[1, 2]])
-    assert quotient_dim(u, u) == 0
-    with pytest.raises(NotContained):
-        quotient_dim(L1(), L3())
-
-
 def test_solve_exact():
     cols = [(Q(1), Q(0)), (Q(1), Q(1))]
     assert solve_exact(cols, (Q(3), Q(2)), QQ) == [Q(1), Q(2)]
@@ -350,17 +341,14 @@ def test_complement_certificate(pair):
     s = complement_within(w, big)
     assert is_direct_sum([s, w])
     assert sum_subspaces(s, w) == big
-    assert s.dim == quotient_dim(big, w)
+    assert s.dim == big.dim - w.dim
 
 
 def pinned_element_direct(parts, ambient, field):
     """Pinned-element criterion: each part meets the sum of the others in 0."""
-    from interdec.linalg import span_of_subspaces
-
     for i, x in enumerate(parts):
-        rest = span_of_subspaces(
-            ambient, [y for j, y in enumerate(parts) if j != i], field
-        )
+        others = [y for j, y in enumerate(parts) if j != i]
+        rest = sum_echelon(others, field).subspace(ambient)
         if intersect(x, rest).dim != 0:
             return False
     return True

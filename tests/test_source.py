@@ -93,9 +93,9 @@ def test_every_export_is_used_or_kept():
     assert set(KEPT_EXPORTS) <= set(names)
 
 
-def test_lowest_bit_walk_has_one_home():
-    # posets._bits walks a mask's set bits; only the two per-call hot
-    # paths, where a generator's setup cost shows, keep an inline copy
+def scopes_where(matches):
+    """The dotted module.class.function scopes of the package whose own
+    body (not a nested definition) holds a node for which matches holds."""
     found = set()
 
     def scan(node, scope):
@@ -103,20 +103,46 @@ def test_lowest_bit_walk_has_one_home():
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 scan(child, scope + (child.name,))
                 continue
-            if (
-                isinstance(child, ast.BinOp)
-                and isinstance(child.op, ast.BitAnd)
-                and isinstance(child.right, ast.UnaryOp)
-                and isinstance(child.right.op, ast.USub)
-                and ast.dump(child.left) == ast.dump(child.right.operand)
-            ):
+            if matches(child):
                 found.add(".".join(scope))
             scan(child, scope)
 
     for path in sorted(PACKAGE.rglob("*.py")):
         scan(ast.parse(path.read_text(), filename=str(path)), (path.stem,))
-    assert found == {
+    return found
+
+
+def test_lowest_bit_walk_has_one_home():
+    # posets._bits walks a mask's set bits; only the per-call hot path,
+    # where a generator's setup cost shows, keeps an inline copy
+    def lowest_bit(node):
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.BitAnd)
+            and isinstance(node.right, ast.UnaryOp)
+            and isinstance(node.right.op, ast.USub)
+            and ast.dump(node.left) == ast.dump(node.right.operand)
+        )
+
+    assert scopes_where(lowest_bit) == {
         "posets._bits",
         "arrangements.Arrangement._sum_echelon",
-        "arrangements._pairwise_lower_set_scan",
+    }
+
+
+def test_section_rule_has_one_home():
+    # pre_decompose and the lower-set walk both take their sections of
+    # F(x) ↠ F(x)/F(x̂*) from arrangements._section_rows; in linalg only
+    # complement_within wraps the greedy rule, and it stays while the
+    # benchmark traces its name
+    def calls_complement_rows(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "complement_rows"
+        )
+
+    assert scopes_where(calls_complement_rows) == {
+        "arrangements._section_rows",
+        "linalg.complement_within",
     }
