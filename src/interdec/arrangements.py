@@ -424,8 +424,7 @@ def pre_decompose(arrangement, seed=None):
         space = arrangement.spaces[a]
         rows = space.exact_rows()
         if rng is not None:
-            mix = random_invertible(field, space.dim, rng)
-            rows = [field.exact_row(r) for r in mix_rows(mix, space.basis, field)]
+            rows = mix_rows(random_invertible(field, space.dim, rng), rows, field)
         kept = _section_rows(arrangement, i, rows)
         components[a] = IntEchelon(field, kept).subspace(arrangement.ambient_dim)
     return Decomposition(components, certified=False)
@@ -530,7 +529,8 @@ def decompose(arrangement, seed=None):
 
 
 def decomposition_of(arrangement, decomposition, vector):
-    """The unique components {s_a(v)} with v = Σ s_a(v), s_a(v) ∈ s_a."""
+    """The unique components {s_a(v)} with v = Σ s_a(v), s_a(v) ∈ s_a,
+    solved for in the pivot-one bases of the components."""
     if not decomposition.certified:
         raise InputError("need a certified decomposition to split vectors")
     field = arrangement.field
@@ -544,28 +544,22 @@ def decomposition_of(arrangement, decomposition, vector):
             "vector is outside the sum of the arrangement's spaces"
         )
     labels = arrangement.poset.labels
-    columns = []
-    spans = []
-    for lab in labels:
-        rows = decomposition.components[lab].basis
-        spans.append((lab, len(rows)))
-        columns.extend(rows)
-    coeffs = solve_exact(columns, target, field)
+    bases = [decomposition.components[lab].basis for lab in labels]
+    coeffs = solve_exact([row for basis in bases for row in basis], target, field)
     if coeffs is None:
         raise InternalContradiction(
             "vector inside the arrangement has no expansion in a certified decomposition"
         )
-    out = {}
-    at = 0
-    zero = tuple(field.zero for _ in range(arrangement.ambient_dim))
-    for lab, count in spans:
-        if count == 0:
-            out[lab] = zero
-            continue
-        rows = decomposition.components[lab].basis
-        out[lab] = tuple(mix_rows([coeffs[at:at + count]], rows, field)[0])
-        at += count
-    return out
+    # the coefficients follow the bases in order
+    coeffs = iter(coeffs)
+    return {
+        lab: tuple(
+            field.parse(sum(c * row[i] for c, row in zip(own, basis)))
+            for i in range(len(target))
+        )
+        for lab, basis in zip(labels, bases)
+        for own in [[next(coeffs) for _ in basis]]
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ cross-checked against the closed form dim s_a = Π_{i∈a} (|E_i| − 1).
 from __future__ import annotations
 
 import itertools
+import json
 from math import prod
 
 from .arrangements import (
@@ -125,9 +126,11 @@ class FactorArrangement:
         if self._decomposition is None:
             out = decompose(self.arrangement)
             if not isinstance(out, Decomposition):
+                field = self.arrangement.field
+                rendered = json.dumps([field.format(x) for x in out.vector])
                 raise InternalContradiction(
-                    "a factor arrangement failed to decompose; its witness was "
-                    f"{out!r}"
+                    "a factor arrangement failed to decompose: condition C fails "
+                    f"at {out.location!r}, witness vector {rendered}"
                 )
             self._decomposition = out
         return self._decomposition

@@ -6,18 +6,19 @@ vectors combined by cross multiplication (Bareiss-style, so no fraction
 ever arises); over GF(p) they are residues mod p with pivot one.  A
 subspace of F^d is stored by the kernel's fully reduced echelon rows,
 which are canonical: two Subspace values describe the same set of vectors
-exactly when their stored rows are identical.  Rows with pivot one over
-the field (`fractions.Fraction` over ℚ) are built only at the output
-edge: `Subspace.basis`, `rref` and exact solving.  No floating point
-appears anywhere.
+exactly when their stored rows are identical.  Field elements
+(`fractions.Fraction` over ℚ) appear only at the edges: parsed input,
+the pivot-one rows of `Subspace.basis`, and solve_exact's coefficients.
+No floating point appears anywhere.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     DimensionMismatch,
@@ -289,7 +290,8 @@ class IntEchelon:
         return len(self.rows)
 
     def residue(self, row):
-        """Reduce an integer row against the basis; () means dependent."""
+        """Reduce an integer row against the basis, which stays unchanged;
+        () means dependent."""
         field = self.field
         row = list(row)
         for prow, pcol in zip(self.rows, self.pivots):
@@ -305,9 +307,8 @@ class IntEchelon:
         if not res:
             return False
         pcol = next(i for i, x in enumerate(res) if x)
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < pcol:
-            at += 1
+        # residue zeroed every pivot column, so pcol is not one of them
+        at = bisect_left(self.pivots, pcol)
         self.rows.insert(at, res)
         self.pivots.insert(at, pcol)
         return True
@@ -401,7 +402,7 @@ class Subspace:
         row = self.field.exact_row([self.field.parse(v) for v in vector])
         if not any(row):
             return True
-        return self.echelon().contains_row(row)
+        return self._echelon.contains_row(row)
 
     def __eq__(self, other):
         return (
@@ -470,7 +471,7 @@ def sum_echelon(spaces, field):
 
 def first_outside(source, target):
     """Index of the first stored row of source that is not in target, or None."""
-    acc = target.echelon()
+    acc = target._echelon
     for k, row in enumerate(source.exact_rows()):
         if not acc.contains_row(row):
             return k
@@ -544,28 +545,31 @@ def is_direct_sum(parts):
 
 
 # ---------------------------------------------------------------------------
-# small dense helpers used by the seeded section rule and component solving
+# the seeded section mix and exact solving, on kernel rows
 # ---------------------------------------------------------------------------
 
 def random_invertible(field, k, rng):
-    """Random invertible k x k matrix with small entries, by rejection."""
-    if k == 0:
-        return []
+    """Random invertible k x k integer matrix, by rejection: entries in
+    [-2, 2] over ℚ and in [0, p) over GF(p), rows the kernel takes as is."""
     while True:
         if field.kind == "rational":
-            entries = [[Fraction(rng.randint(-2, 2)) for _ in range(k)] for _ in range(k)]
+            rows = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
         else:
-            entries = [[rng.randrange(field.p) for _ in range(k)] for _ in range(k)]
-        rows = [field.exact_row(r) for r in entries]
+            rows = [[rng.randrange(field.p) for _ in range(k)] for _ in range(k)]
         if rank_of_rows(rows, field) == k:
-            return entries
+            return rows
 
 
 def mix_rows(mix, rows, field):
-    """Combine k rows of field elements by each row of k coefficients in mix."""
-    width = len(rows[0]) if rows else 0
+    """Kernel rows of the combinations, by each row of coefficients in mix,
+    of the pivot-one rows r_k / p_k of kernel rows r_k with pivots p_k:
+    Σ c_k r_k / p_k is a positive multiple of Σ c_k (L / p_k) r_k, L the
+    lcm of the pivots (1 over GF(p)), which exact_row normalizes away."""
+    pivots = [next(x for x in r if x) for r in rows]
+    scale = lcm(*pivots)
+    scaled = [[scale // pivot * x for x in r] for r, pivot in zip(rows, pivots)]
     return [
-        [field.parse(sum(c * r[i] for c, r in zip(coeffs, rows))) for i in range(width)]
+        field.exact_row([sum(c * x for c, x in zip(coeffs, col)) for col in zip(*scaled)])
         for coeffs in mix
     ]
 
@@ -576,21 +580,17 @@ def solve_exact(columns, target, field):
     Returns the coefficient list, or None when the target is outside the
     column span.  Columns are expected independent; with dependent columns
     the first consistent solution (free coefficients zero) is returned.
+    Each reduced kernel row of the augmented rows [columns | target] gives
+    its pivot column's coefficient: its target entry over its pivot.
     """
-    n = len(target)
     k = len(columns)
-    rows = [
-        [columns[j][i] for j in range(k)] + [target[i]]
-        for i in range(n)
-    ]
-    reduced = rref(Matrix.from_rows(rows, cols=k + 1), field)
+    acc = IntEchelon(field, (
+        field.exact_row([column[i] for column in columns] + [t])
+        for i, t in enumerate(target)
+    ))
+    if k in acc.pivots:
+        return None
     coeffs = [field.zero] * k
-    for i in range(reduced.rows):
-        row = reduced.row(i)
-        pivot = next((j for j, x in enumerate(row) if x), None)
-        if pivot is None:
-            continue
-        if pivot == k:
-            return None
-        coeffs[pivot] = row[k]
+    for row, pcol in zip(acc.reduced(), acc.pivots):
+        coeffs[pcol] = field.pivot_one(row)[k]
     return coeffs

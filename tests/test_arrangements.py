@@ -1,6 +1,7 @@
 """Arrangements: validation, property checkers, decomposition, functoriality."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -666,3 +667,83 @@ def test_against_order_sample_has_unsorted_posets_and_both_verdicts(field):
     assert unsorted >= 10
     assert verdicts == {True, False}
 
+
+
+# ---------------------------------------------------------------------------
+# seeded sections and vector splitting against the field-element rules
+# ---------------------------------------------------------------------------
+
+ALL_FIELDS = [QQ, GF(2), GF(7), GF(101)]
+
+
+def field_element_invertible(field, k, rng):
+    """Random invertible k x k matrix of field elements (Fractions over ℚ),
+    drawn with the same rng calls as linalg.random_invertible."""
+    if k == 0:
+        return []
+    while True:
+        if field.kind == "rational":
+            entries = [[Fraction(rng.randint(-2, 2)) for _ in range(k)] for _ in range(k)]
+        else:
+            entries = [[rng.randrange(field.p) for _ in range(k)] for _ in range(k)]
+        if IntEchelon(field, map(field.exact_row, entries)).rank == k:
+            return entries
+
+
+def field_element_seeded_sections(arrangement, seed):
+    """The seeded section rule on pivot-one rows: a matrix of field elements
+    mixes each Subspace.basis, and the mixed rows go back to kernel rows."""
+    field = arrangement.field
+    rng = random.Random(seed)
+    components = {}
+    for i, a in enumerate(arrangement.poset.labels):
+        basis = arrangement.spaces[a].basis
+        mixed = [
+            [field.parse(sum(c * r[j] for c, r in zip(coeffs, basis)))
+             for j in range(arrangement.ambient_dim)]
+            for coeffs in field_element_invertible(field, len(basis), rng)
+        ]
+        rows = [field.exact_row(r) for r in mixed]
+        kept = arrangements._section_rows(arrangement, i, rows)
+        components[a] = IntEchelon(field, kept).subspace(arrangement.ambient_dim)
+    return components
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sample=st.integers(min_value=0, max_value=2**32 - 1),
+    field=st.sampled_from(ALL_FIELDS),
+)
+def test_seeded_sections_match_the_field_element_rule(sample, field):
+    arr = against_order_sample(sample, field)
+    for seed in range(4):
+        got = pre_decompose(arr, seed=seed).components
+        assert got == field_element_seeded_sections(arr, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sample=st.integers(min_value=0, max_value=2**32 - 1),
+    field=st.sampled_from(ALL_FIELDS),
+    seed=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+)
+def test_decomposition_of_splits_into_the_components(sample, field, seed):
+    rng = random.Random(sample)
+    arr, _ = random_decomposable_arrangement(rng, field)
+    dec = decompose(arr, seed=seed)
+    assert dec.certified
+    full = arr.full_space_value().basis
+    weights = [rng.randint(-3, 3) for _ in full]
+    v = tuple(
+        field.parse(sum(w * row[i] for w, row in zip(weights, full)))
+        for i in range(arr.ambient_dim)
+    )
+    parts = decomposition_of(arr, dec, v)
+    assert list(parts) == list(arr.poset.labels)
+    for lab, part in parts.items():
+        assert dec.components[lab].contains_vector(part)
+    total = tuple(
+        field.parse(sum(part[i] for part in parts.values()))
+        for i in range(arr.ambient_dim)
+    )
+    assert total == v

@@ -5,6 +5,7 @@ import json
 import random
 import tempfile
 import traceback
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interdec import interactions
+from interdec.arrangements import Witness
 from interdec.cli import main
 
 THREE_LINES = {
@@ -299,6 +301,24 @@ def test_interactions_emit_bases_decomposes_once(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["interactions", m23, "--emit-bases"])
     assert result.exit_code == 0
     assert calls == [None]
+
+
+def test_interactions_bug_prints_the_witness_in_document_format(
+    runner, tmp_path, monkeypatch
+):
+    def failing(arrangement, seed=None):
+        space = arrangement.spaces["{x1}"]
+        half = (Fraction(1, 2),) + (Fraction(0),) * (arrangement.ambient_dim - 1)
+        return Witness("{x1}", half, space, space)
+
+    monkeypatch.setattr(interactions, "decompose", failing)
+    m22 = write(tmp_path, "m22.json", MODEL_22)
+    result = runner.invoke(main, ["interactions", m22])
+    assert result.exit_code == 4
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: a factor arrangement failed to decompose")
+    assert "'{x1}'" in line and '["1/2", 0, 0, 0]' in line
+    assert "Fraction(" not in line
 
 
 def test_interactions_size_limit(runner, tmp_path):

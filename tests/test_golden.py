@@ -3,7 +3,8 @@
 Each invocation below runs the CLI in process on a fixed document: seeded
 `randgen` arrangements over ℚ, GF(2) and GF(7), factor models, the
 three-lines counterexample, eight independent lines (256 lower sets), a
-poset listed against its order, seven lines whose only failing lower set
+chain whose canonical rows have pivots other than one, a poset listed
+against its order, seven lines whose only failing lower set
 is the last one scanned, a non-monotone document and a cap overflow.
 `golden_cli.json` holds what each run printed, with the temporary directory
 replaced by `<tmp>`, so any change to a verdict, witness, work count or
@@ -78,6 +79,18 @@ LATE_FAILURE = {
                "l6": [[1] * 6]},
 }
 
+# a chain p < q < r over ℚ whose canonical rows have pivots 2 and 3: a
+# seeded section mixes the pivot-one rows they span, so mixing the integer
+# rows unscaled would pick other sections
+NON_UNIT_PIVOTS = {
+    "field": "rational",
+    "ambient_dim": 4,
+    "poset": {"elements": ["p", "q", "r"], "relations": [["p", "q"], ["q", "r"]]},
+    "spaces": {"p": [[2, -3, 0, 0]],
+               "q": [[2, 0, 1, 0], [0, 3, 1, 0]],
+               "r": [[2, 0, 1, 0], [0, 3, 1, 0], [0, 0, 0, 1]]},
+}
+
 MODELS = {
     "m23": {"variables": [{"label": "x", "cardinality": 2},
                           {"label": "y", "cardinality": 3}]},
@@ -90,7 +103,8 @@ def documents():
     """Document name -> JSON document, all built from fixed seeds."""
     docs = {"three_lines": THREE_LINES, "not_monotone": NOT_MONOTONE,
             "independent_lines": INDEPENDENT_LINES, "against_order": AGAINST_ORDER,
-            "late_failure": LATE_FAILURE, **MODELS}
+            "late_failure": LATE_FAILURE, "non_unit_pivots": NON_UNIT_PIVOTS,
+            **MODELS}
     for name, field in FIELDS.items():
         arrangement = random_monotone_arrangement(random.Random(23), field)
         docs[f"{name}_monotone"] = arrangement_to_doc(arrangement)
@@ -121,6 +135,8 @@ def invocations():
     for prop in ("C", "I", "sI"):
         runs.append((f"three_lines-check-{prop}", ["check", "@three_lines", "--property", prop]))
     runs.append(("three_lines-decompose", ["decompose", "@three_lines"]))
+    runs.append(("non_unit_pivots-decompose-seed",
+                 ["decompose", "@non_unit_pivots", "--seed", "3"]))
     for doc in ("independent_lines", "against_order", "late_failure"):
         for prop in ("I", "sI"):
             runs.append((f"{doc}-check-{prop}", ["check", f"@{doc}", "--property", prop]))

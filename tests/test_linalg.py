@@ -4,7 +4,7 @@ from fractions import Fraction
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interdec import linalg
@@ -498,6 +498,56 @@ def test_intersect_matches_reference_block_rref(case):
         reference_basis(u_rows, field), reference_basis(w_rows, field), ambient, field
     )
     assert intersect(u, w).basis == expected
+
+
+def reference_solve(columns, target, field):
+    """The former rref solve: reduce the augmented rows to pivot one and
+    read each pivot row's target entry."""
+    k = len(columns)
+    rows = [[column[i] for column in columns] + [t] for i, t in enumerate(target)]
+    coeffs = [field.zero] * k
+    for row in reference_rref(rows, field):
+        pivot = next((j for j, x in enumerate(row) if x), None)
+        if pivot == k:
+            return None
+        if pivot is not None:
+            coeffs[pivot] = row[k]
+    return coeffs
+
+
+@st.composite
+def solve_cases(draw):
+    """Columns with zero, repeated and combined (dependent) ones mixed in,
+    and a target drawn freely (so often outside their span) or combined
+    from them; over ℚ the weights are fractions, so a solution read off
+    the kernel's integer rows needs their pivots divided out."""
+    field, n, columns = draw(generator_lists())
+    if field.kind == "rational":
+        scalar = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        scalar = st.integers(min_value=0, max_value=field.p - 1)
+
+    def combination():
+        weights = draw(st.lists(scalar, min_size=len(columns), max_size=len(columns)))
+        return [
+            field.parse(sum(w * column[i] for w, column in zip(weights, columns)))
+            for i in range(n)
+        ]
+
+    if columns and draw(st.booleans()):
+        columns.insert(draw(st.integers(0, len(columns))), combination())
+    if columns and draw(st.booleans()):
+        target = combination()
+    else:
+        target = [field.parse(x) for x in draw(st.lists(scalar, min_size=n, max_size=n))]
+    return field, columns, target
+
+
+@given(solve_cases())
+@example((QQ, [[Q(2)]], [Q(1)]))
+def test_solve_exact_matches_reference_rref_solve(case):
+    field, columns, target = case
+    assert solve_exact(columns, target, field) == reference_solve(columns, target, field)
 
 
 # ---------------------------------------------------------------------------

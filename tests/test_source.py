@@ -146,3 +146,26 @@ def test_section_rule_has_one_home():
         "arrangements._section_rows",
         "linalg.complement_within",
     }
+
+
+def test_only_the_rational_field_names_fraction():
+    # the kernel computes on integer rows; Fraction values are made only
+    # where RationalField parses, renders or scales a row to pivot one
+    def names_fraction(node):
+        return (isinstance(node, ast.Name) and node.id == "Fraction") or (
+            isinstance(node, ast.Attribute) and node.attr == "Fraction"
+        )
+
+    for scope in scopes_where(names_fraction):
+        assert scope == "linalg.RationalField" or scope.startswith(
+            "linalg.RationalField."
+        ), scope
+
+
+def test_nothing_in_the_package_calls_rref_or_matrix():
+    # rref and Matrix stay only while the benchmark traces rref; deleting
+    # them then takes no other change
+    def names_rref_or_matrix(node):
+        return isinstance(node, ast.Name) and node.id in ("rref", "Matrix")
+
+    assert scopes_where(names_rref_or_matrix) <= {"linalg.rref"}
