@@ -17,6 +17,13 @@ pre-decomposition (images of sections of F(a) ↠ F(a)/F(â*)) already works.
 So decompose() builds one pre-decomposition and certifies it; only a failed
 certificate runs the (C) check, whose witness then explains the failure.
 
+The certificate is checked by counting.  (i) the global sum is direct, one
+rank.  Given (i), (ii) Σ_{b≤a} s_b = F(a) holds exactly when every element
+has s_a ⊆ F(a) and Σ_{b≤a} dim s_b = dim F(a): monotonicity puts the sum
+inside F(a), directness gives it dimension Σ_{b≤a} dim s_b, and equal
+dimensions give equality.  Only verify_decomposition, once that count has
+failed, rebuilds the sums from the first element on, to locate the witness.
+
 Everything is exact; verdicts carry re-verifiable witnesses on failure.
 """
 
@@ -434,14 +441,21 @@ def verify_decomposition(arrangement, decomposition):
     """Certificate check: global direct sum, and Σ_{b≤a} s_b = F(a) per element.
 
     Returns the report together with a copy of the decomposition whose
-    certified flag records the verdict; a failure found by
-    _certificate_failure becomes the report's witness.
+    certified flag records the verdict, which _certificate_failure decides
+    by counting.  When (ii) fails there, _first_rebuild_failure rebuilds the
+    sums from the first element on, so the witness and the work counts are
+    those of the first element, in element order, whose components below
+    do not sum to its space; when element order is not a linear extension,
+    the count can first fail at another element.
     """
     poset = arrangement.poset
     comps = decomposition.components
     for lab in poset.labels:
         if lab not in comps:
             raise InputError(f"decomposition misses element {lab!r}")
+    for lab in comps:
+        if lab not in poset:
+            raise InputError(f"decomposition has component for unknown element {lab!r}")
     field, n = arrangement.field, arrangement.ambient_dim
     for lab in poset.labels:
         if comps[lab].ambient_dim != n or comps[lab].field != field:
@@ -452,10 +466,10 @@ def verify_decomposition(arrangement, decomposition):
         count = len(poset.labels)
         report = CheckReport("decomposition", None, count, count + 1)
         return report, Decomposition(comps, certified=True)
-    i, rebuilt = failure
-    if i is None:
+    if failure == "(i)":
         witness = _direct_sum_witness(arrangement, comps)
         return CheckReport("decomposition", witness, 0, 1), Decomposition(comps)
+    i, rebuilt = _first_rebuild_failure(arrangement, comps)
     # element i is pair i + 1 and, after the rank of (i), rank i + 2
     a = poset.labels[i]
     space = arrangement.spaces[a]
@@ -468,24 +482,51 @@ def verify_decomposition(arrangement, decomposition):
 
 
 def _certificate_failure(arrangement, comps):
-    """Where the certificate of the components comps first fails: None
-    when it holds, (None, None) when (i) their sum is not direct, and
-    (i, rebuilt) when (ii) the components below element i sum to
-    rebuilt ≠ F(i)."""
+    """Which part of the certificate of the components comps fails: None
+    when it holds, "(i)" when their sum is not direct, and "(ii)" when
+    some element a has s_a ⊄ F(a) or Σ_{b≤a} dim s_b ≠ dim F(a).
+
+    Given (i), that count is (ii): by monotonicity, which new_arrangement
+    certifies, Σ_{b≤a} s_b ⊆ Σ_{b≤a} F(b) = F(a); a subfamily of a direct
+    family is direct, so that sum has dimension Σ_{b≤a} dim s_b; and equal
+    dimensions give equality.  Conversely equality gives both tests.  So
+    (ii) costs one containment test and one sum of integers per element,
+    and no subset sum.  The count does not say where the rebuilt sums
+    first differ; verify_decomposition asks _first_rebuild_failure.
+    """
     poset = arrangement.poset
-    field, n = arrangement.field, arrangement.ambient_dim
     parts = [comps[lab] for lab in poset.labels]
     # (i) the sum of all components is direct
     if not is_direct_sum(parts):
-        return None, None
-    # (ii) components rebuild every space along downsets, where zero
-    # components add nothing
+        return "(i)"
+    # (ii) each component lies in its space, and the components below each
+    # element have its dimension in total
+    dims = [s.dim for s in parts]
+    for i, a in enumerate(poset.labels):
+        space = arrangement.spaces[a]
+        below = sum(dims[j] for j in _bits(poset._down[i]))
+        if below != space.dim or first_outside(parts[i], space) is not None:
+            return "(ii)"
+    return None
+
+
+def _first_rebuild_failure(arrangement, comps):
+    """(i, rebuilt) for the first element i, in element order, whose
+    components below sum to rebuilt ≠ F(i); called only once the count
+    route of _certificate_failure failed on a direct sum, which promises
+    such an element."""
+    poset = arrangement.poset
+    field, n = arrangement.field, arrangement.ambient_dim
+    parts = [comps[lab] for lab in poset.labels]
+    # zero components add nothing to a sum
     for i, a in enumerate(poset.labels):
         below = [parts[j] for j in _bits(poset._down[i]) if parts[j].dim]
         rebuilt = sum_echelon(below, field).subspace(n)
         if rebuilt != arrangement.spaces[a]:
             return i, rebuilt
-    return None
+    raise InternalContradiction(
+        "a component count failed but every element rebuilds its space"
+    )
 
 
 def _direct_sum_witness(arrangement, comps):
@@ -513,9 +554,11 @@ def decompose(arrangement, seed=None):
     pre-decomposition of a (C)-arrangement is a decomposition.  So the
     verdict is the certificate of one pre-decomposition: a certified
     candidate is returned as is, and only a failed one runs the (C) check,
-    whose witness is returned.  Only the certificate's verdict is read, so
-    no certificate witness is built.  A failed certificate on an arrangement
-    with (C) can only mean a bug and raises InternalContradiction.
+    whose witness is returned.  Only the certificate's verdict is read, and
+    _certificate_failure decides it by counting, so no certificate witness
+    is built and no sum below an element is rebuilt.  A failed certificate
+    on an arrangement with (C) can only mean a bug and raises
+    InternalContradiction.
     """
     comps = pre_decompose(arrangement, seed=seed).components
     if _certificate_failure(arrangement, comps) is None:

@@ -227,6 +227,17 @@ def test_verify_decomposition_rejects_wrong_rebuild(c3_growing):
     assert report.witness.verify()
 
 
+def test_verify_decomposition_rejects_missing_and_unknown_elements():
+    arr = new_arrangement(build_poset(["x"], []), 2, QQ, {"x": [[1, 0]]})
+    with pytest.raises(InputError, match="misses element 'x'"):
+        verify_decomposition(arr, Decomposition({}))
+    # the extra component makes the sum not direct; it is refused like a
+    # missing one rather than certified
+    cand = Decomposition({"x": sp(2, [[1, 0]]), "ghost": sp(2, [[1, 0]])})
+    with pytest.raises(InputError, match="unknown element 'ghost'"):
+        verify_decomposition(arr, cand)
+
+
 def test_decompose_three_lines_returns_witness(three_lines):
     out = decompose(three_lines)
     assert isinstance(out, Witness)
@@ -610,16 +621,20 @@ def test_passing_scans_never_enter_the_pair_loop(monkeypatch, three_lines):
 # lower-set echelons grown from their parents, against per-set subset sums
 # ---------------------------------------------------------------------------
 
-def against_order_sample(seed, field):
-    """A random monotone arrangement on a random poset whose elements are
-    listed in shuffled order, so element order is rarely a linear extension."""
-    rng = random.Random(seed)
+def shuffled_poset(rng):
+    """A random poset whose elements are listed in shuffled order, so
+    element order is rarely a linear extension."""
     base = random_poset(rng, 7)
     labels = list(base.labels)
     rng.shuffle(labels)
     relations = [(a, b) for a in labels for b in labels if a != b and base.leq(a, b)]
-    poset = build_poset(labels, relations)
-    return random_monotone_arrangement(rng, field, max_dim=4, poset=poset)
+    return build_poset(labels, relations)
+
+
+def against_order_sample(seed, field):
+    """A random monotone arrangement on a shuffled_poset."""
+    rng = random.Random(seed)
+    return random_monotone_arrangement(rng, field, max_dim=4, poset=shuffled_poset(rng))
 
 
 @settings(max_examples=150, deadline=None)
@@ -667,6 +682,230 @@ def test_against_order_sample_has_unsorted_posets_and_both_verdicts(field):
     assert unsorted >= 10
     assert verdicts == {True, False}
 
+
+
+# ---------------------------------------------------------------------------
+# the decomposition certificate by counting, against the rebuild route
+# ---------------------------------------------------------------------------
+
+def rebuild_route(arrangement, comps):
+    """Reference certificate: the rank of all components, then the sum of
+    the components below each element rebuilt and compared with its
+    space, in element order.  Returns (verdict, witness location, vector,
+    lhs, rhs, work) for the first failure."""
+    poset = arrangement.poset
+    field, n = arrangement.field, arrangement.ambient_dim
+    parts = [comps[lab] for lab in poset.labels]
+    count = len(parts)
+    rows = [row for s in parts for row in s.basis]
+    if sp(n, rows, field).dim != sum(s.dim for s in parts):
+        for i, x in enumerate(poset.labels):
+            others = [row for j, s in enumerate(parts) if j != i for row in s.basis]
+            meet = intersect(parts[i], sp(n, others, field))
+            if meet.dim:
+                work = {"pairs_checked": 0, "ranks_computed": 1}
+                return False, x, meet.basis[0], meet, zero_subspace(n, field), work
+    for i, a in enumerate(poset.labels):
+        below = [row for b in downset(poset, a) for row in comps[b].basis]
+        rebuilt = sp(n, below, field)
+        space = arrangement.spaces[a]
+        if rebuilt == space:
+            continue
+        lhs, rhs = (rebuilt, space)
+        if first_outside(rebuilt, space) is None:
+            lhs, rhs = space, rebuilt
+        work = {"pairs_checked": i + 1, "ranks_computed": i + 2}
+        return False, a, lhs.basis[first_outside(lhs, rhs)], lhs, rhs, work
+    return True, None, None, None, None, {"pairs_checked": count, "ranks_computed": count + 1}
+
+
+def verify_outcome(arrangement, comps):
+    report, out = verify_decomposition(arrangement, Decomposition(comps))
+    assert out.certified == report.verdict
+    w = report.witness
+    if w is None:
+        return True, None, None, None, None, report.work
+    assert w.verify()
+    return False, w.location, w.vector, w.lhs_space, w.rhs_space, report.work
+
+
+def first_count_failure(arrangement, comps):
+    """Index of the first element, in element order, whose component lies
+    outside its space or whose components below miss its dimension."""
+    poset = arrangement.poset
+    for i, a in enumerate(poset.labels):
+        space = arrangement.spaces[a]
+        total = sum(comps[b].dim for b in downset(poset, a))
+        if total != space.dim or first_outside(comps[a], space) is not None:
+            return i
+    return None
+
+
+MUTATIONS = ["none", "drop", "outside", "move"]
+
+
+def certificate_candidate(sample, field, planted, seed, mutation, pick):
+    """An arrangement on a shuffled_poset, monotone or decomposable by
+    construction, and its pre-decomposition, possibly broken by one
+    mutation at an element chosen by pick: a dropped row, a row from
+    outside F(a) in place of one of s_a, or the component moved onto
+    another element."""
+    rng = random.Random(sample)
+    poset = shuffled_poset(rng)
+    if planted:
+        arr, _ = random_decomposable_arrangement(rng, field, max_dim=4, poset=poset)
+    else:
+        arr = random_monotone_arrangement(rng, field, max_dim=4, poset=poset)
+    comps = dict(pre_decompose(arr, seed=seed).components)
+    labels = arr.poset.labels
+    n = arr.ambient_dim
+    filled = [a for a in labels if comps[a].dim]
+    if mutation == "drop" and filled:
+        a = filled[pick % len(filled)]
+        rows = comps[a].basis
+        k = pick % len(rows)
+        comps[a] = sp(n, rows[:k] + rows[k + 1:], field)
+    elif mutation == "outside" and labels:
+        a = labels[pick % len(labels)]
+        units = [[int(j == k) for j in range(n)] for k in range(n)]
+        outside = [u for u in units if not arr.spaces[a].contains_vector(u)]
+        if outside:
+            # in place of a row if there is one, so the dimension stays
+            rows = list(comps[a].basis)
+            vector = outside[pick % len(outside)]
+            if rows:
+                rows[pick % len(rows)] = vector
+            else:
+                rows.append(vector)
+            comps[a] = sp(n, rows, field)
+    elif mutation == "move" and filled and len(labels) > 1:
+        a = filled[pick % len(filled)]
+        others = [b for b in labels if b != a]
+        b = others[pick % len(others)]
+        comps[b] = sp(n, list(comps[a].basis) + list(comps[b].basis), field)
+        comps[a] = zero_subspace(n, field)
+    return arr, comps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sample=st.integers(min_value=0, max_value=2**32 - 1),
+    field=st.sampled_from(SCAN_FIELDS),
+    planted=st.booleans(),
+    seed=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+    mutation=st.sampled_from(MUTATIONS),
+    pick=st.integers(min_value=0, max_value=63),
+)
+def test_certificate_by_counting_matches_the_rebuild_route(
+    sample, field, planted, seed, mutation, pick
+):
+    arr, comps = certificate_candidate(sample, field, planted, seed, mutation, pick)
+    assert verify_outcome(arr, comps) == rebuild_route(arr, comps)
+
+
+def test_certificate_candidates_cover_every_route():
+    # certified candidates, failures of (i) and of (ii), and (ii) failures
+    # whose first failing sum comes before the first failing count
+    seen = set()
+    for sample in range(40):
+        for field in SCAN_FIELDS:
+            for planted in (False, True):
+                for mutation in MUTATIONS:
+                    arr, comps = certificate_candidate(
+                        sample, field, planted, None, mutation, sample
+                    )
+                    expected = rebuild_route(arr, comps)
+                    assert verify_outcome(arr, comps) == expected
+                    if expected[0]:
+                        seen.add("certified")
+                    elif expected[5]["pairs_checked"] == 0:
+                        seen.add("(i)")
+                    else:
+                        seen.add("(ii)")
+                        failing = arr.poset.labels.index(expected[1])
+                        if failing < first_count_failure(arr, comps):
+                            seen.add("sum before count")
+    assert seen == {"certified", "(i)", "(ii)", "sum before count"}
+
+
+def test_swapped_lines_fail_the_containment_test():
+    # the sum is direct and every count matches; only s_a ⊆ F(a) fails
+    arr = new_arrangement(build_poset(["a", "b"], []), 2, QQ, {"a": [[1, 0]], "b": [[0, 1]]})
+    comps = {"a": sp(2, [[0, 1]]), "b": sp(2, [[1, 0]])}
+    assert [comps[x].dim for x in "ab"] == [arr.spaces[x].dim for x in "ab"] == [1, 1]
+    assert first_count_failure(arr, comps) == 0
+    outcome = verify_outcome(arr, comps)
+    assert outcome == rebuild_route(arr, comps)
+    assert outcome[0] is False and outcome[1] == "a" and outcome[2] == (0, 1)
+    assert outcome[5] == {"pairs_checked": 1, "ranks_computed": 2}
+
+
+class EnteredRebuild(Exception):
+    pass
+
+
+def refuse_rebuild(*args):
+    raise EnteredRebuild
+
+
+def test_certified_decompose_takes_no_subset_sum(monkeypatch, c3_growing):
+    sums = []
+    original = arrangements.sum_echelon
+
+    def counting(spaces, field):
+        sums.append(spaces)
+        return original(spaces, field)
+
+    monkeypatch.setattr(arrangements, "_first_rebuild_failure", refuse_rebuild)
+    monkeypatch.setattr(arrangements, "sum_echelon", counting)
+    product = build_product_space(["x0", "x1", "x2"], (2, 2, 2))
+    factor = build_factor_arrangement(product, GF(7)).arrangement
+    for arr in (factor, c3_growing):
+        for seed in (None, 3):
+            # fresh copies, so neither run sees the other's memos
+            fresh = [new_arrangement(arr.poset, arr.ambient_dim, arr.field, arr.spaces)
+                     for _ in range(2)]
+            sums.clear()
+            pre_decompose(fresh[0], seed=seed)
+            sections = len(sums)
+            sums.clear()
+            out = decompose(fresh[1], seed=seed)
+            assert isinstance(out, Decomposition) and out.certified
+            # certifying adds no subset sum to those of the sections
+            assert len(sums) == sections
+
+
+def test_failing_decompose_never_rebuilds(monkeypatch, three_lines):
+    monkeypatch.setattr(arrangements, "_first_rebuild_failure", refuse_rebuild)
+    out = decompose(three_lines)
+    assert isinstance(out, Witness) and out.verify()
+
+
+def test_verify_decomposition_rebuilds_only_after_a_count_failure(
+    monkeypatch, c3_growing, three_lines
+):
+    calls = []
+    original = arrangements._first_rebuild_failure
+
+    def recording(arrangement, comps):
+        calls.append(arrangement)
+        return original(arrangement, comps)
+
+    monkeypatch.setattr(arrangements, "_first_rebuild_failure", recording)
+    # certified, and (i) failing: decided without a rebuild
+    for arr in (c3_growing, three_lines):
+        verify_decomposition(arr, pre_decompose(arr))
+    assert calls == []
+    # (ii) failing: one rebuild locates the witness at the first element
+    cand = Decomposition({"x": zero_subspace(2), "y": zero_subspace(2),
+                          "z": sp(2, [[0, 1]])})
+    report, _ = verify_decomposition(c3_growing, cand)
+    assert calls == [c3_growing]
+    assert report.witness.location == "x"
+    # a failed count on which every sum rebuilds contradicts the proof
+    monkeypatch.setattr(arrangements, "_certificate_failure", lambda *args: "(ii)")
+    with pytest.raises(InternalContradiction):
+        verify_decomposition(c3_growing, pre_decompose(c3_growing))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Golden command-line output: exit code, stdout, stderr and written files.
 
 Each invocation below runs the CLI in process on a fixed document: seeded
-`randgen` arrangements over ℚ, GF(2) and GF(7), factor models, the
+`randgen` arrangements over ℚ, GF(2) and GF(7), factor models up to
+six binary variables and two eight-valued ones, the
 three-lines counterexample, eight independent lines (256 lower sets), a
 chain whose canonical rows have pivots other than one, a poset listed
 against its order, seven lines whose only failing lower set
@@ -96,6 +97,10 @@ MODELS = {
                           {"label": "y", "cardinality": 3}]},
     "m222": {"variables": [{"label": f"x{i}", "cardinality": 2}
                            for i in range(3)]},
+    "m2x6": {"variables": [{"label": f"x{i}", "cardinality": 2}
+                           for i in range(6)]},
+    "m88": {"variables": [{"label": "x", "cardinality": 8},
+                          {"label": "y", "cardinality": 8}]},
 }
 
 
@@ -132,6 +137,16 @@ def invocations():
         runs.append((f"{model}-export-decompose", ["decompose", f"@{model}_export"]))
         runs.append((f"{model}-export-decompose-seed",
                      ["decompose", f"@{model}_export", "--seed", "3"]))
+    # larger factor models: 64 elements of dim up to 64, and 64-dim spaces
+    # on four elements
+    for name, model, field in (("m2x6", "m2x6", "rational"),
+                               ("m2x6_gf101", "m2x6", "mod:101"),
+                               ("m88", "m88", "rational")):
+        runs.append((f"{name}-interactions", [
+            "--field", field, "interactions", f"@{model}",
+            "--emit-bases", "--export-arrangement", f">{name}_export",
+        ]))
+    runs.append(("m88-export-decompose", ["decompose", "@m88_export"]))
     for prop in ("C", "I", "sI"):
         runs.append((f"three_lines-check-{prop}", ["check", "@three_lines", "--property", prop]))
     runs.append(("three_lines-decompose", ["decompose", "@three_lines"]))

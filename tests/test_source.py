@@ -148,6 +148,20 @@ def test_section_rule_has_one_home():
     }
 
 
+def test_rebuild_locator_has_one_caller():
+    # the certificate's verdict comes from counting; only
+    # verify_decomposition, after a failed count, rebuilds the sums below
+    # each element to locate its witness, so decompose never pays for them
+    def calls_rebuild_locator(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "_first_rebuild_failure"
+        )
+
+    assert scopes_where(calls_rebuild_locator) == {"arrangements.verify_decomposition"}
+
+
 def test_only_the_rational_field_names_fraction():
     # the kernel computes on integer rows; Fraction values are made only
     # where RationalField parses, renders or scales a row to pivot one
