@@ -1,21 +1,21 @@
 """Command-line front door: exit codes, documents, determinism, round trips."""
 
+import argparse
 import copy
 import json
 import random
 import tempfile
-import traceback
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interdec import interactions
+from interdec import cli, interactions
 from interdec.arrangements import Witness
-from interdec.cli import main
+
+from clirun import invoke
 
 THREE_LINES = {
     "field": "rational",
@@ -41,11 +41,6 @@ MODEL_23 = {"variables": [{"label": "x1", "cardinality": 2},
                           {"label": "x2", "cardinality": 3}]}
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
 def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -56,45 +51,45 @@ def write(tmp_path, name, doc):
 # check
 # ---------------------------------------------------------------------------
 
-def test_check_c_failing(runner, tmp_path):
+def test_check_c_failing(tmp_path):
     path = write(tmp_path, "tl.json", THREE_LINES)
-    result = runner.invoke(main, ["check", path, "--property", "C"])
+    result = invoke(["check", path, "--property", "C"])
     assert result.exit_code == 1
     doc = json.loads(result.output)
     assert doc["verdict"] is False
     assert doc["witness"] == {"location": "a1", "vector": [1, 0]}
 
 
-def test_check_i_and_si(runner, tmp_path):
+def test_check_i_and_si(tmp_path):
     tl = write(tmp_path, "tl.json", THREE_LINES)
     cc = write(tmp_path, "cc.json", CONSTANT_CHAIN)
     for prop in ("I", "sI"):
-        assert runner.invoke(main, ["check", tl, "--property", prop]).exit_code == 1
-        result = runner.invoke(main, ["check", cc, "--property", prop])
+        assert invoke(["check", tl, "--property", prop]).exit_code == 1
+        result = invoke(["check", cc, "--property", prop])
         assert result.exit_code == 0
         assert json.loads(result.output)["verdict"] is True
 
 
-def test_check_witness_pair(runner, tmp_path):
+def test_check_witness_pair(tmp_path):
     tl = write(tmp_path, "tl.json", THREE_LINES)
-    result = runner.invoke(main, ["check", tl, "--property", "I"])
+    result = invoke(["check", tl, "--property", "I"])
     doc = json.loads(result.output)
     assert doc["property"] == "I-bruteforce"
     assert doc["witness"]["location"] == [["a1"], ["a2", "a3"]]
 
 
-def test_check_input_errors(runner, tmp_path):
+def test_check_input_errors(tmp_path):
     missing = str(tmp_path / "nope.json")
-    result = runner.invoke(main, ["check", missing, "--property", "C"])
+    result = invoke(["check", missing, "--property", "C"])
     assert result.exit_code == 2
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert runner.invoke(main, ["check", str(bad), "--property", "C"]).exit_code == 2
+    assert invoke(["check", str(bad), "--property", "C"]).exit_code == 2
 
     broken = dict(THREE_LINES, poset={"elements": ["a1"], "relations": [["a1", "zz"]]})
     path = write(tmp_path, "broken.json", broken)
-    result = runner.invoke(main, ["check", path, "--property", "C"])
+    result = invoke(["check", path, "--property", "C"])
     assert result.exit_code == 2
 
     not_monotone = {
@@ -104,10 +99,10 @@ def test_check_input_errors(runner, tmp_path):
         "spaces": {"u": [[1, 0], [0, 1]], "v": [[1, 0]]},
     }
     path = write(tmp_path, "nm.json", not_monotone)
-    assert runner.invoke(main, ["check", path, "--property", "C"]).exit_code == 2
+    assert invoke(["check", path, "--property", "C"]).exit_code == 2
 
 
-def test_not_monotone_message_prints_document_vector(runner, tmp_path):
+def test_not_monotone_message_prints_document_vector(tmp_path):
     doc = {
         "field": "rational",
         "ambient_dim": 2,
@@ -115,7 +110,7 @@ def test_not_monotone_message_prints_document_vector(runner, tmp_path):
         "spaces": {"u": [[2, 1]], "v": [[1, 0]]},
     }
     path = write(tmp_path, "nm.json", doc)
-    result = runner.invoke(main, ["check", path, "--property", "C"])
+    result = invoke(["check", path, "--property", "C"])
     assert result.exit_code == 2
     assert result.stdout == ""
     (line,) = result.stderr.splitlines()
@@ -123,46 +118,77 @@ def test_not_monotone_message_prints_document_vector(runner, tmp_path):
     assert line.endswith('witness vector [1, "1/2"]')
 
 
-def test_unwritable_output_paths_are_input_errors(runner, tmp_path):
+def test_unwritable_output_paths_are_input_errors(tmp_path):
     cc = write(tmp_path, "cc.json", CONSTANT_CHAIN)
     m22 = write(tmp_path, "m22.json", MODEL_22)
     missing = str(tmp_path / "no" / "dir" / "out.json")
-    for args in (
-        ["--output", missing, "check", cc, "--property", "C"],
-        ["--output", missing, "interactions", m22],
-        ["interactions", m22, "--export-arrangement", missing],
+    directory = str(tmp_path)
+    for path, args in (
+        (missing, ["--output", missing, "check", cc, "--property", "C"]),
+        (missing, ["--output", missing, "interactions", m22]),
+        (missing, ["interactions", m22, "--export-arrangement", missing]),
+        (directory, ["--output", directory, "check", cc, "--property", "C"]),
+        (directory, ["interactions", m22, "--export-arrangement", directory]),
     ):
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 2, args
         assert result.stdout == ""
         (line,) = result.stderr.splitlines()
-        assert line.startswith(f"error: {missing}: cannot write"), line
+        assert line.startswith(f"error: {path}: cannot write"), line
 
 
-def test_rational_exponent_entry_is_input_error(runner, tmp_path):
+def test_existing_unwritable_output_is_refused_before_any_work(tmp_path, monkeypatch):
+    # the scan would exit 3 at the cap; an output path that exists but
+    # cannot be written is refused first, whatever the command would find
+    anti = {
+        "field": "rational",
+        "ambient_dim": 1,
+        "poset": {"elements": [f"a{i}" for i in range(8)], "relations": []},
+        "spaces": {f"a{i}": [] for i in range(8)},
+    }
+    path = write(tmp_path, "anti.json", anti)
+    capped = ["check", path, "--property", "I", "--cap", "2"]
+    assert invoke(capped).exit_code == 3
+    result = invoke(["--output", str(tmp_path)] + capped)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: {tmp_path}: cannot write (Is a directory)"]
+    # a file whose mode forbids writing; os.access is stubbed because the
+    # superuser may write any file
+    out = tmp_path / "out.json"
+    out.write_text("kept")
+    monkeypatch.setattr("os.access", lambda path, mode: False)
+    result = invoke(["--output", str(out)] + capped)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: {out}: cannot write (Permission denied)"]
+    assert out.read_text() == "kept"
+
+
+def test_rational_exponent_entry_is_input_error(tmp_path):
     doc = dict(THREE_LINES, spaces={"a1": [["1e1000000000", 0]], "a2": [[0, 1]],
                                     "a3": [[1, 1]]})
     path = write(tmp_path, "exp.json", doc)
-    result = runner.invoke(main, ["check", path, "--property", "C"])
+    result = invoke(["check", path, "--property", "C"])
     assert result.exit_code == 2
     assert result.stdout == ""
     (line,) = result.stderr.splitlines()
     assert line.startswith("error: ") and "not a rational entry" in line
 
 
-def test_overlong_integer_literal_is_input_error(runner, tmp_path):
+def test_overlong_integer_literal_is_input_error(tmp_path):
     # json.load refuses integer literals over the interpreter's 4,300-digit
     # conversion limit with a plain ValueError
     path = tmp_path / "long.json"
     path.write_text(json.dumps(THREE_LINES).replace("[[1, 0]]", "[[" + "7" * 5000 + ", 0]]"))
-    result = runner.invoke(main, ["check", str(path), "--property", "C"])
+    result = invoke(["check", str(path), "--property", "C"])
     assert result.exit_code == 2
     assert result.stdout == ""
     (line,) = result.stderr.splitlines()
     assert line.startswith(f"error: {path}: not valid JSON (")
 
 
-def test_overlong_output_entry_is_size_limit(runner, tmp_path):
+def test_overlong_output_entry_is_size_limit(tmp_path):
     # the canonical basis of a plane spanned by rows of 3,000-digit entries
     # has entries past the interpreter's 4,300-digit integer-to-text limit
     rng = random.Random(5)
@@ -174,32 +200,32 @@ def test_overlong_output_entry_is_size_limit(runner, tmp_path):
         "spaces": {"a": rows},
     }
     path = write(tmp_path, "plane.json", doc)
-    result = runner.invoke(main, ["decompose", path])
+    result = invoke(["decompose", path])
     assert result.exit_code == 3
     assert result.stdout == ""
     (line,) = result.stderr.splitlines()
     assert line.startswith("error: an output entry has more than ")
 
 
-def test_undecodable_bytes_are_input_error(runner, tmp_path):
+def test_undecodable_bytes_are_input_error(tmp_path):
     path = tmp_path / "bytes.json"
     path.write_bytes(b"\xff\xfe\x00\x00garbage")
-    result = runner.invoke(main, ["check", str(path), "--property", "C"])
+    result = invoke(["check", str(path), "--property", "C"])
     assert result.exit_code == 2
     assert result.stdout == ""
     (line,) = result.stderr.splitlines()
     assert line.startswith(f"error: {path}: not valid JSON (")
 
 
-def test_arrangement_unknown_top_level_key_is_input_error(runner, tmp_path):
+def test_arrangement_unknown_top_level_key_is_input_error(tmp_path):
     path = write(tmp_path, "extra.json", dict(CONSTANT_CHAIN, extra=1))
-    result = runner.invoke(main, ["check", path, "--property", "C"])
+    result = invoke(["check", path, "--property", "C"])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == [f"error: {path}: unknown keys ['extra']"]
 
 
-def test_check_cap(runner, tmp_path):
+def test_check_cap(tmp_path):
     # an 8-element antichain has 256 lower sets
     anti = {
         "field": "rational",
@@ -208,51 +234,45 @@ def test_check_cap(runner, tmp_path):
         "spaces": {f"a{i}": [] for i in range(8)},
     }
     path = write(tmp_path, "anti.json", anti)
-    result = runner.invoke(main, ["check", path, "--property", "I", "--cap", "100"])
+    result = invoke(["check", path, "--property", "I", "--cap", "100"])
     assert result.exit_code == 3
-    assert runner.invoke(
-        main, ["check", path, "--property", "I", "--cap", "256"]
-    ).exit_code == 0
-    assert runner.invoke(
-        main, ["check", path, "--property", "I", "--cap", "0"]
-    ).exit_code == 2
+    assert invoke(["check", path, "--property", "I", "--cap", "256"]).exit_code == 0
+    assert invoke(["check", path, "--property", "I", "--cap", "0"]).exit_code == 2
 
 
-def test_check_field_override(runner, tmp_path):
+def test_check_field_override(tmp_path):
     tl = write(tmp_path, "tl.json", THREE_LINES)
-    result = runner.invoke(main, ["--field", "mod:5", "check", tl, "--property", "C"])
+    result = invoke(["--field", "mod:5", "check", tl, "--property", "C"])
     assert result.exit_code == 1
-    assert runner.invoke(
-        main, ["--field", "mod:6", "check", tl, "--property", "C"]
-    ).exit_code == 2
+    assert invoke(["--field", "mod:6", "check", tl, "--property", "C"]).exit_code == 2
 
 
 # ---------------------------------------------------------------------------
 # decompose
 # ---------------------------------------------------------------------------
 
-def test_decompose_constant_chain(runner, tmp_path):
+def test_decompose_constant_chain(tmp_path):
     path = write(tmp_path, "cc.json", CONSTANT_CHAIN)
-    result = runner.invoke(main, ["decompose", path])
+    result = invoke(["decompose", path])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["certified"] is True
     assert doc["components"] == {"x": [[1, 0], [0, 1]], "y": [], "z": []}
 
 
-def test_decompose_three_lines(runner, tmp_path):
+def test_decompose_three_lines(tmp_path):
     path = write(tmp_path, "tl.json", THREE_LINES)
-    result = runner.invoke(main, ["decompose", path])
+    result = invoke(["decompose", path])
     assert result.exit_code == 1
     doc = json.loads(result.output)
     assert doc["certified"] is False
     assert doc["witness"]["location"] == "a1"
 
 
-def test_decompose_with_seed(runner, tmp_path):
+def test_decompose_with_seed(tmp_path):
     path = write(tmp_path, "cc.json", CONSTANT_CHAIN)
-    a = runner.invoke(main, ["decompose", path, "--seed", "5"])
-    b = runner.invoke(main, ["decompose", path, "--seed", "5"])
+    a = invoke(["decompose", path, "--seed", "5"])
+    b = invoke(["decompose", path, "--seed", "5"])
     assert a.exit_code == b.exit_code == 0
     assert a.output == b.output
     assert json.loads(a.output)["certified"] is True
@@ -262,9 +282,9 @@ def test_decompose_with_seed(runner, tmp_path):
 # interactions
 # ---------------------------------------------------------------------------
 
-def test_interactions_tables(runner, tmp_path):
+def test_interactions_tables(tmp_path):
     m22 = write(tmp_path, "m22.json", MODEL_22)
-    result = runner.invoke(main, ["interactions", m22])
+    result = invoke(["interactions", m22])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["total_points"] == 4
@@ -272,22 +292,20 @@ def test_interactions_tables(runner, tmp_path):
     assert list(doc["dimensions"]) == ["{}", "{x1}", "{x2}", "{x1,x2}"]
 
     m23 = write(tmp_path, "m23.json", MODEL_23)
-    doc = json.loads(runner.invoke(main, ["interactions", m23]).output)
+    doc = json.loads(invoke(["interactions", m23]).output)
     assert doc["dimensions"] == {"{}": 1, "{x1}": 1, "{x2}": 2, "{x1,x2}": 2}
 
 
-def test_interactions_emit_bases(runner, tmp_path):
+def test_interactions_emit_bases(tmp_path):
     m22 = write(tmp_path, "m22.json", MODEL_22)
-    doc = json.loads(
-        runner.invoke(main, ["interactions", m22, "--emit-bases"]).output
-    )
+    doc = json.loads(invoke(["interactions", m22, "--emit-bases"]).output)
     assert set(doc["components"]) == {"{}", "{x1}", "{x2}", "{x1,x2}"}
     assert doc["components"]["{}"] == [[1, 1, 1, 1]]
     for name, dim in doc["dimensions"].items():
         assert len(doc["components"][name]) == dim
 
 
-def test_interactions_emit_bases_decomposes_once(runner, tmp_path, monkeypatch):
+def test_interactions_emit_bases_decomposes_once(tmp_path, monkeypatch):
     calls = []
     original = interactions.decompose
 
@@ -298,13 +316,13 @@ def test_interactions_emit_bases_decomposes_once(runner, tmp_path, monkeypatch):
     monkeypatch.setattr(interactions, "decompose", counting)
     monkeypatch.setattr("interdec.cli.decompose", counting)
     m23 = write(tmp_path, "m23.json", MODEL_23)
-    result = runner.invoke(main, ["interactions", m23, "--emit-bases"])
+    result = invoke(["interactions", m23, "--emit-bases"])
     assert result.exit_code == 0
     assert calls == [None]
 
 
 def test_interactions_bug_prints_the_witness_in_document_format(
-    runner, tmp_path, monkeypatch
+    tmp_path, monkeypatch
 ):
     def failing(arrangement, seed=None):
         space = arrangement.spaces["{x1}"]
@@ -313,7 +331,7 @@ def test_interactions_bug_prints_the_witness_in_document_format(
 
     monkeypatch.setattr(interactions, "decompose", failing)
     m22 = write(tmp_path, "m22.json", MODEL_22)
-    result = runner.invoke(main, ["interactions", m22])
+    result = invoke(["interactions", m22])
     assert result.exit_code == 4
     [line] = result.stderr.splitlines()
     assert line.startswith("error: a factor arrangement failed to decompose")
@@ -321,11 +339,11 @@ def test_interactions_bug_prints_the_witness_in_document_format(
     assert "Fraction(" not in line
 
 
-def test_interactions_size_limit(runner, tmp_path):
+def test_interactions_size_limit(tmp_path):
     big = {"variables": [{"label": "a", "cardinality": 65},
                          {"label": "b", "cardinality": 64}]}
     path = write(tmp_path, "big.json", big)
-    assert runner.invoke(main, ["interactions", path]).exit_code == 3
+    assert invoke(["interactions", path]).exit_code == 3
 
     boundary = {"variables": [{"label": "a", "cardinality": 64},
                               {"label": "b", "cardinality": 64}]}
@@ -333,7 +351,7 @@ def test_interactions_size_limit(runner, tmp_path):
     # 4096 points exactly is allowed but the 4096-dim build is too slow to
     # run here, so only the refusal boundary is asserted
     bad_model = write(tmp_path, "badm.json", {"variables": "x"})
-    assert runner.invoke(main, ["interactions", bad_model]).exit_code == 2
+    assert invoke(["interactions", bad_model]).exit_code == 2
 
 
 @pytest.mark.parametrize(
@@ -344,88 +362,204 @@ def test_interactions_size_limit(runner, tmp_path):
         (["", "a"], [1, 1], "{}"),
     ],
 )
-def test_interactions_rejects_colliding_subset_names(runner, tmp_path, labels, cards, name):
+def test_interactions_rejects_colliding_subset_names(tmp_path, labels, cards, name):
     model = {"variables": [{"label": lab, "cardinality": c}
                            for lab, c in zip(labels, cards)]}
     path = write(tmp_path, "collide.json", model)
-    result = runner.invoke(main, ["interactions", path])
+    result = invoke(["interactions", path])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == [f"error: duplicate element '{name}'"]
 
 
-def test_interactions_unknown_model_key_is_input_error(runner, tmp_path):
+def test_interactions_unknown_model_key_is_input_error(tmp_path):
     path = write(tmp_path, "field.json", dict(MODEL_22, field={"mod": 3}))
-    result = runner.invoke(main, ["interactions", path])
+    result = invoke(["interactions", path])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == [f"error: {path}: unknown keys ['field']"]
 
 
-def test_interactions_round_trip(runner, tmp_path):
+def test_interactions_round_trip(tmp_path):
     m23 = write(tmp_path, "m23.json", MODEL_23)
     exported = str(tmp_path / "fa23.json")
     table = str(tmp_path / "table.json")
-    result = runner.invoke(
-        main,
-        ["--output", table, "interactions", m23, "--export-arrangement", exported],
+    result = invoke(
+        ["--output", table, "interactions", m23, "--export-arrangement", exported]
     )
     assert result.exit_code == 0
     dims = json.loads(open(table).read())["dimensions"]
 
-    check = runner.invoke(main, ["check", exported, "--property", "I"])
+    check = invoke(["check", exported, "--property", "I"])
     assert check.exit_code == 0
 
-    dec = runner.invoke(main, ["decompose", exported])
+    dec = invoke(["decompose", exported])
     assert dec.exit_code == 0
     components = json.loads(dec.output)["components"]
     assert {k: len(v) for k, v in components.items()} == dims
     assert sorted(dims.values()) == [1, 1, 2, 2]
 
 
-def test_interactions_field_option(runner, tmp_path):
+def test_interactions_field_option(tmp_path):
     m22 = write(tmp_path, "m22.json", MODEL_22)
-    result = runner.invoke(main, ["--field", "mod:3", "interactions", m22])
+    result = invoke(["--field", "mod:3", "interactions", m22])
     assert result.exit_code == 0
     assert json.loads(result.output)["dimensions"]["{x1,x2}"] == 1
 
 
-def test_interactions_over_a_large_prime_field(runner, tmp_path):
+def test_interactions_over_a_large_prime_field(tmp_path):
     m22 = write(tmp_path, "m22.json", MODEL_22)
-    result = runner.invoke(main, ["--field", "mod:2305843009213693951", "interactions", m22])
+    result = invoke(["--field", "mod:2305843009213693951", "interactions", m22])
     assert result.exit_code == 0
     assert json.loads(result.output)["dimensions"]["{x1,x2}"] == 1
     # 151 * 751 * 28351, a strong pseudoprime to the bases 2, 3, 5 and 7
-    result = runner.invoke(main, ["--field", "mod:3215031751", "interactions", m22])
+    result = invoke(["--field", "mod:3215031751", "interactions", m22])
     assert result.exit_code == 2
     assert result.stderr.splitlines() == ["error: modulus must be prime, got 3215031751"]
+
+
+# ---------------------------------------------------------------------------
+# the command line itself
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "@tl", "--property", "X"],
+        ["check", "@tl", "--property", "C", "--cap", "0"],
+        ["check", "@tl", "--property", "C", "--cap", "x"],
+        ["decompose", "@tl", "--seed", "x"],
+        ["verify", "@tl"],
+        ["check", "--property", "C"],
+        ["decompose"],
+        ["interactions"],
+        ["check", "@tl", "--property", "C", "--pretty"],
+        ["check", "@tl", "--prop", "C"],
+        ["--pre", "decompose", "@tl"],
+        ["-h"],
+        [],
+        ["--pretty"],
+        ["check", "@tl"],
+        ["check", "@tl", "@tl", "--property", "C"],
+        ["check", "@tl", "--property"],
+        ["decompose", "@tl", "--seed", "3", "--seed"],
+        ["check", "@tl", "--property", "C", "--", "--cap"],
+        ["interactions", "@m22", "--emit-bases=1"],
+        ["--", "--pretty", "decompose", "@tl"],
+        ["--", "-", "decompose", "@tl"],
+        # "-5" names a file here, but reads as an unknown option
+        ["check", "-5", "--property", "C"],
+        ["decompose", "-1.5"],
+    ],
+    ids=lambda args: " ".join(args) or "no-arguments",
+)
+def test_usage_errors_exit_2_with_a_message(tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    paths = {"@tl": write(tmp_path, "tl.json", THREE_LINES),
+             "@m22": write(tmp_path, "m22.json", MODEL_22)}
+    for name in ("-5", "-1.5"):
+        write(tmp_path, name, THREE_LINES)
+    result = invoke([paths.get(a, a) for a in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr != ""
+
+
+@pytest.mark.parametrize("args", [[], ["check"], ["decompose"], ["interactions"]])
+def test_help_exits_0(args):
+    result = invoke(args + ["--help"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith(" ".join(["usage: interdec"] + args))
+    assert result.stderr == ""
+
+
+def test_command_line_word_rules(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "tl.json", THREE_LINES)
+    expected = invoke(["check", "tl.json", "--property", "C"])
+    assert expected.exit_code == 1
+    for args in (
+        ["--", "check", "tl.json", "--property", "C"],
+        ["check", "tl.json", "--property", "C", "--"],
+        ["check", "--property", "C", "--", "tl.json"],
+        ["check", "tl.json", "--property=C"],
+        ["--field=rational", "check", "tl.json", "--property", "C"],
+        ["--field", "mod:2", "--field", "rational", "check", "tl.json", "--property", "C"],
+        # only the last value of a repeated option is checked
+        ["check", "tl.json", "--property", "X", "--property", "C"],
+        ["check", "tl.json", "--cap", "0", "--property", "C", "--cap", "5"],
+    ):
+        assert invoke(args) == expected, args
+    # an option takes the next word even when it starts with '-'
+    result = invoke(["--output", "-x.json", "check", "tl.json", "--property", "C"])
+    assert (result.exit_code, result.output) == (1, "")
+    assert (tmp_path / "-x.json").read_text() == expected.stdout
+    result = invoke(["--output", "--pretty", "check", "tl.json", "--property", "C"])
+    assert (result.exit_code, result.output) == (1, "")
+    assert (tmp_path / "--pretty").read_text() == expected.stdout
+    assert invoke(["decompose", "tl.json", "--seed", "-3"]).exit_code == 1
+
+
+def test_word_rules_know_every_option_that_takes_a_value():
+    # an option missing from _TAKES_VALUE would again refuse values that
+    # start with '-' and let argparse drop a value of '--'
+    def options(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from options(sub)
+            elif action.option_strings and action.nargs is None:
+                yield from action.option_strings
+
+    assert set(options(cli._PARSER)) == cli._TAKES_VALUE
+
+
+def test_an_option_value_of_a_lone_double_dash_is_refused(tmp_path, monkeypatch):
+    # argparse drops a value of exactly '--' and leaves an empty list, which
+    # would reach the commands as a path, a field or a count
+    monkeypatch.chdir(tmp_path)
+    tl = write(tmp_path, "tl.json", THREE_LINES)
+    m22 = write(tmp_path, "m22.json", MODEL_22)
+    for args in (
+        ["--output=--", "check", tl, "--property", "C"],
+        ["--output", "--", "check", tl, "--property", "C"],
+        ["--field", "--", "check", tl, "--property", "C"],
+        ["check", tl, "--property", "C", "--cap=--"],
+        ["decompose", tl, "--seed", "--"],
+        ["interactions", m22, "--export-arrangement", "--"],
+    ):
+        result = invoke(args)
+        assert result.exit_code == 2, args
+        assert result.stdout == ""
+        assert result.stderr != ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m22.json", "tl.json"]
 
 
 # ---------------------------------------------------------------------------
 # output discipline
 # ---------------------------------------------------------------------------
 
-def test_identical_invocations_are_byte_identical(runner, tmp_path):
+def test_identical_invocations_are_byte_identical(tmp_path):
     tl = write(tmp_path, "tl.json", THREE_LINES)
     outs = set()
     for _ in range(3):
-        result = runner.invoke(main, ["check", tl, "--property", "sI"])
+        result = invoke(["check", tl, "--property", "sI"])
         outs.add(result.output)
     assert len(outs) == 1
 
 
-def test_pretty_flag(runner, tmp_path):
+def test_pretty_flag(tmp_path):
     m22 = write(tmp_path, "m22.json", MODEL_22)
-    plain = runner.invoke(main, ["interactions", m22]).output
-    pretty = runner.invoke(main, ["--pretty", "interactions", m22]).output
+    plain = invoke(["interactions", m22]).output
+    pretty = invoke(["--pretty", "interactions", m22]).output
     assert json.loads(plain) == json.loads(pretty)
     assert "\n  " in pretty and "\n  " not in plain
 
 
-def test_output_file(runner, tmp_path):
+def test_output_file(tmp_path):
     cc = write(tmp_path, "cc.json", CONSTANT_CHAIN)
     out = tmp_path / "report.json"
-    result = runner.invoke(main, ["--output", str(out), "check", cc, "--property", "C"])
+    result = invoke(["--output", str(out), "check", cc, "--property", "C"])
     assert result.exit_code == 0
     assert result.output == ""
     assert json.loads(out.read_text())["verdict"] is True
@@ -536,11 +670,8 @@ def test_mangled_documents_exit_cleanly(invocation):
             args = flags + ["--pretty", tail[0], str(path)]
         else:
             args = flags + [tail[0], str(path)] + tail[1:]
-        result = CliRunner().invoke(main, args)
-    if result.exception is not None and not isinstance(result.exception, SystemExit):
-        raise AssertionError(
-            "".join(traceback.format_exception(*result.exc_info)) + f"\ninput: {text}"
-        )
+        # any exception but SystemExit leaves invoke and fails the example
+        result = invoke(args)
     assert result.exit_code in (0, 1, 2, 3), (result.exit_code, text)
     if result.exit_code in (0, 1):
         assert isinstance(json.loads(result.stdout), dict)

@@ -9,24 +9,27 @@ against its order, seven lines whose only failing lower set
 is the last one scanned, a non-monotone document and a cap overflow.
 `golden_cli.json` holds what each run printed, with the temporary directory
 replaced by `<tmp>`, so any change to a verdict, witness, work count or
-output byte fails here.  After an intended output change, re-record with
+output byte fails here.  Two checks also run as processes of their own,
+`python -m interdec.cli`, which must print the same bytes and exit with
+the same code.  After an intended output change, re-record with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
 import json
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from interdec.cli import main
+import interdec
 from interdec.fileio import arrangement_to_doc
 from interdec.linalg import GF, QQ
 
+from clirun import invoke
 from randgen import random_decomposable_arrangement, random_monotone_arrangement
 
 EXPECTED = Path(__file__).with_name("golden_cli.json")
@@ -165,7 +168,6 @@ def run_all(directory):
     for name, doc in documents().items():
         (directory / f"{name}.json").write_text(json.dumps(doc))
     tmp = str(directory)
-    runner = CliRunner()
     outcomes = {}
     for run_id, args in invocations():
         written = [a[1:] for a in args if a.startswith(">")]
@@ -173,7 +175,7 @@ def run_all(directory):
             str(directory / f"{a[1:]}.json") if a[0] in "@>" else a
             for a in args
         ]
-        result = runner.invoke(main, argv)
+        result = invoke(argv)
         outcomes[run_id] = {
             "exit": result.exit_code,
             "stdout": result.stdout.replace(tmp, "<tmp>"),
@@ -202,6 +204,22 @@ def test_cli_output_matches_golden(run_id, outcomes, expected):
 
 def test_golden_file_covers_exactly_the_invocations(expected):
     assert sorted(expected) == sorted(run_id for run_id, _ in invocations())
+
+
+@pytest.mark.parametrize("doc, prop", [("three_lines", "C"), ("independent_lines", "sI")])
+def test_console_process_matches_in_process_run(tmp_path, doc, prop):
+    # `python -m interdec.cli` ends through sys.exit in a process of its
+    # own, as the console script does
+    path = tmp_path / f"{doc}.json"
+    path.write_text(json.dumps(documents()[doc]))
+    argv = ["check", str(path), "--property", prop]
+    package = Path(interdec.__file__).parent
+    done = subprocess.run([sys.executable, "-m", "interdec.cli", *argv],
+                          cwd=package.parent, capture_output=True, timeout=60)
+    result = invoke(argv)
+    assert done.returncode == result.exit_code == (0 if prop == "sI" else 1)
+    assert done.stdout == result.stdout.encode()
+    assert done.stderr == result.stderr.encode() == b""
 
 
 if __name__ == "__main__":

@@ -6,6 +6,8 @@ import importlib.util
 import inspect
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import interdec
@@ -65,6 +67,41 @@ def test_names_the_benchmark_traces_exist():
         if not found:
             missing.append(span)
     assert missing == []
+
+
+def test_benchmark_entry_point_alias():
+    # bench/passrun.py calls interdec.cli.main.main(args=argv,
+    # prog_name="interdec") and reads the SystemExit code
+    cli = importlib.import_module("interdec.cli")
+    assert cli.main.main is cli.main
+    inspect.signature(cli.main.main).bind(args=[], prog_name="interdec")
+
+
+def test_package_imports_only_the_standard_library():
+    outside = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
+
+
+def test_importing_the_cli_loads_no_click():
+    # a fresh interpreter, so that no other test's imports count; `-c` puts
+    # its working directory, the package's parent, first on the path
+    code = "import sys, interdec.cli; print('click' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], cwd=PACKAGE.parent,
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "False\n"
 
 
 def test_every_export_is_used_or_kept():
