@@ -144,8 +144,10 @@ class Decomposition:
 class Arrangement:
     """Monotone map from a finite poset into the subspaces of F^d.
 
-    Built through new_arrangement, which validates monotonicity; instances
-    are immutable.  Monotonicity makes F(B) = Σ_{b ∈ max B} F(b) for every
+    Built through new_arrangement, which validates monotonicity, or by
+    interactions.FactorArrangement, whose factor spaces are monotone by
+    cylinder refinement and are not rechecked; instances are immutable.
+    Monotonicity makes F(B) = Σ_{b ∈ max B} F(b) for every
     subset B, so eval_mask and dim_of_mask sum the maximal members of B
     only.  Those sums are memoized, keyed by the subset bitmask.
     """

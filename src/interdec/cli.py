@@ -145,18 +145,18 @@ def interactions(opts):
     field = _field_override(opts) or QQ
     product = build_product_space(labels, cardinalities)
     factor = build_factor_arrangement(product, field)
-    dims = interaction_dimensions(factor)
+    # an export over the size cap is refused before any row is built
+    exported = factor.arrangement if opts.export_arrangement is not None else None
     doc = model_to_doc(labels, cardinalities)
     doc["total_points"] = product.total_points
-    doc["dimensions"] = dims
+    doc["dimensions"] = interaction_dimensions(factor)
     if opts.emit_bases:
         components = factor.decomposition().components
         doc["components"] = {
-            lab: subspace_rows(components[lab])
-            for lab in factor.arrangement.poset.labels
+            lab: subspace_rows(components[lab]) for lab in factor.poset.labels
         }
-    if opts.export_arrangement is not None:
-        text = dump_json(arrangement_to_doc(factor.arrangement), pretty=opts.pretty)
+    if exported is not None:
+        text = dump_json(arrangement_to_doc(exported), pretty=opts.pretty)
         _write(opts.export_arrangement, text)
     return doc, 0
 

@@ -169,7 +169,13 @@ def render_vector(field, vector):
 
 
 def subspace_rows(space):
-    return [render_vector(space.field, row) for row in space.basis]
+    """The canonical basis with pivots one, in document form, rendered from
+    the stored kernel rows."""
+    field = space.field
+    return [
+        field.format_row(row, row[pcol])
+        for row, pcol in zip(space.exact_rows(), space.pivots)
+    ]
 
 
 def arrangement_to_doc(arrangement):

@@ -58,18 +58,22 @@ class RationalField:
     def format(self, element):
         """Document form: an int or "p/q".  Parts longer than the
         interpreter's integer-to-text limit raise SizeLimitExceeded."""
-        limit = sys.get_int_max_str_digits()
-        for part in (element.numerator, element.denominator):
-            size = abs(part)
-            # 8**limit < 10**limit, so 3 * limit bits always fit
-            if limit and size.bit_length() > 3 * limit and size >= 10**limit:
-                raise SizeLimitExceeded(
-                    f"an output entry has more than {limit} digits, the "
-                    "interpreter's integer-to-text limit"
-                )
+        _check_digits(element.numerator)
+        _check_digits(element.denominator)
         if element.denominator == 1:
             return int(element)
         return f"{element.numerator}/{element.denominator}"
+
+    def format_row(self, row, pivot):
+        """Document form of the pivot-one row that the integer kernel row
+        spans, given its pivot entry.  A row with pivot one is its own
+        pivot-one row, so its integers are the entries and no Fraction is
+        made; the digit limit is checked on its largest entry, which
+        bounds every other."""
+        if pivot != 1:
+            return [self.format(x) for x in self.pivot_one(row)]
+        _check_digits(max(max(row), -min(row)))
+        return list(row)
 
     def exact_row(self, row):
         """Integer row for the kernel: denominators cleared, content divided out."""
@@ -77,7 +81,7 @@ class RationalField:
         for e in row:
             d = e.denominator
             scale = scale // gcd(scale, d) * d
-        ints = [int(e * scale) for e in row]
+        ints = [e.numerator * (scale // e.denominator) for e in row]
         return _primitive(ints)
 
     def pivot_one(self, row):
@@ -124,6 +128,11 @@ class PrimeField:
 
     def format(self, element):
         return element % self.p
+
+    def format_row(self, row, pivot):
+        # kernel rows mod p are residues with pivot one, so already their
+        # own document form
+        return list(row)
 
     def exact_row(self, row):
         return tuple(e % self.p for e in row)
@@ -191,6 +200,19 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+def _check_digits(n):
+    """Raise SizeLimitExceeded when the integer n has more digits than the
+    interpreter converts to text."""
+    limit = sys.get_int_max_str_digits()
+    size = abs(n)
+    # 8**limit < 10**limit, so 3 * limit bits always fit
+    if limit and size.bit_length() > 3 * limit and size >= 10**limit:
+        raise SizeLimitExceeded(
+            f"an output entry has more than {limit} digits, the "
+            "interpreter's integer-to-text limit"
+        )
 
 
 def _primitive(ints):
@@ -367,7 +389,8 @@ class Subspace:
 
     def __init__(self, ambient_dim, echelon):
         """Takes over echelon, which must be reduced and is never inserted
-        into again; IntEchelon.subspace is the way to build one."""
+        into again; IntEchelon.subspace and _indicator_subspace are the
+        ways to build one."""
         self.field = echelon.field
         self.ambient_dim = ambient_dim
         self._echelon = echelon
@@ -388,6 +411,11 @@ class Subspace:
     def exact_rows(self):
         """The stored integer echelon rows, as the kernel takes them."""
         return self._rows
+
+    @property
+    def pivots(self):
+        """The pivot column of each stored row, strictly increasing."""
+        return tuple(self._echelon.pivots)
 
     def echelon(self):
         """Fresh IntEchelon seeded with this subspace's rows."""
@@ -429,6 +457,40 @@ def subspace_from_generators(ambient_dim, gens, field=QQ):
             )
     parsed = ([field.parse(e) for e in r] for r in rows)
     return IntEchelon(field, map(field.exact_row, parsed)).subspace(ambient_dim)
+
+
+def _indicator_subspace(ambient_dim, supports, field):
+    """The Subspace spanned by the indicator rows of disjoint sets of
+    columns, each set given by its column indices in ascending order, the
+    sets in ascending order of their first columns.
+
+    Such 0/1 rows already are the kernel's canonical reduced rows over
+    every field: primitive with pivot one, pivots strictly increasing, and,
+    the sets being disjoint, zero above and below each pivot.  So nothing is
+    eliminated.  The form is checked in O(ambient_dim + Σ |set|) steps, and
+    an empty, unsorted, overlapping or misordered set, or a column out of
+    range, raises InternalContradiction.
+    """
+    used = bytearray(ambient_dim)
+    acc = IntEchelon(field)
+    for support in supports:
+        if not support or (acc.pivots and support[0] <= acc.pivots[-1]):
+            raise InternalContradiction(
+                "indicator rows must be nonempty and ordered by first column"
+            )
+        row = [0] * ambient_dim
+        last = -1
+        for c in support:
+            if c <= last or c >= ambient_dim or used[c]:
+                raise InternalContradiction(
+                    f"column {c} breaks the disjoint ascending indicator sets"
+                )
+            used[c] = 1
+            row[c] = 1
+            last = c
+        acc.rows.append(tuple(row))
+        acc.pivots.append(support[0])
+    return Subspace(ambient_dim, acc)
 
 
 def zero_subspace(ambient_dim, field=QQ):

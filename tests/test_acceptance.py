@@ -129,8 +129,8 @@ def test_criterion_3_interaction_decomposition(suite3):
         assert check_intersection_bruteforce(arr).verdict, sizes
         outcome = decompose(arr)
         assert isinstance(outcome, Decomposition) and outcome.certified, sizes
-        # interaction_dimensions decomposes again and cross-checks every
-        # component dimension against the closed form internally
+        # interaction_dimensions counts the structurally certified keys of
+        # the closed form, a route independent of decompose
         dims = interaction_dimensions(factor)
         assert dims == outcome.dims(), sizes
         assert sum(dims.values()) == expected_totals[sizes], sizes

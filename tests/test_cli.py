@@ -5,15 +5,13 @@ import copy
 import json
 import random
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interdec import cli, interactions
-from interdec.arrangements import Witness
+from interdec import cli, interactions, linalg
 
 from clirun import invoke
 
@@ -207,6 +205,24 @@ def test_overlong_output_entry_is_size_limit(tmp_path):
     assert line.startswith("error: an output entry has more than ")
 
 
+def test_overlong_entry_of_a_pivot_one_row_is_size_limit(tmp_path):
+    # the row (1/A, B, 0) is the kernel row (1, A·B, 0), whose pivot is one
+    # and whose middle entry has 6,000 digits
+    a, b = 10**2999 + 1, 7 * 10**2999
+    doc = {
+        "field": "rational",
+        "ambient_dim": 3,
+        "poset": {"elements": ["a"], "relations": []},
+        "spaces": {"a": [[f"1/{a}", b, 0]]},
+    }
+    path = write(tmp_path, "line.json", doc)
+    result = invoke(["decompose", path])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: an output entry has more than ")
+
+
 def test_undecodable_bytes_are_input_error(tmp_path):
     path = tmp_path / "bytes.json"
     path.write_bytes(b"\xff\xfe\x00\x00garbage")
@@ -305,38 +321,55 @@ def test_interactions_emit_bases(tmp_path):
         assert len(doc["components"][name]) == dim
 
 
-def test_interactions_emit_bases_decomposes_once(tmp_path, monkeypatch):
-    calls = []
-    original = interactions.decompose
+@pytest.mark.parametrize("flags", [[], ["--emit-bases", "--export-arrangement"]])
+def test_interactions_eliminate_nothing(tmp_path, monkeypatch, flags):
+    # the factor path is closed form: no row ever enters the kernel
+    inserts = []
+    original = linalg.IntEchelon.insert
 
-    def counting(arrangement, seed=None):
-        calls.append(seed)
-        return original(arrangement, seed=seed)
+    def counting(self, row):
+        inserts.append(row)
+        return original(self, row)
 
-    monkeypatch.setattr(interactions, "decompose", counting)
-    monkeypatch.setattr("interdec.cli.decompose", counting)
+    monkeypatch.setattr(linalg.IntEchelon, "insert", counting)
     m23 = write(tmp_path, "m23.json", MODEL_23)
-    result = invoke(["interactions", m23, "--emit-bases"])
-    assert result.exit_code == 0
-    assert calls == [None]
+    if flags:
+        flags = flags + [str(tmp_path / "export.json")]
+    for field in ("rational", "mod:101"):
+        result = invoke(["--field", field, "interactions", m23, *flags])
+        assert result.exit_code == 0
+    assert inserts == []
 
 
-def test_interactions_bug_prints_the_witness_in_document_format(
-    tmp_path, monkeypatch
-):
-    def failing(arrangement, seed=None):
-        space = arrangement.spaces["{x1}"]
-        half = (Fraction(1, 2),) + (Fraction(0),) * (arrangement.ambient_dim - 1)
-        return Witness("{x1}", half, space, space)
-
-    monkeypatch.setattr(interactions, "decompose", failing)
+def test_interactions_bug_exits_4_with_one_error_line(tmp_path, monkeypatch):
+    # a key rule that admits the last value of every variable
+    monkeypatch.setattr(
+        interactions, "_component_key", lambda point, tops: (tuple(range(len(point))), point)
+    )
     m22 = write(tmp_path, "m22.json", MODEL_22)
-    result = invoke(["interactions", m22])
+    result = invoke(["interactions", m22, "--emit-bases"])
     assert result.exit_code == 4
-    [line] = result.stderr.splitlines()
-    assert line.startswith("error: a factor arrangement failed to decompose")
-    assert "'{x1}'" in line and '["1/2", 0, 0, 0]' in line
-    assert "Fraction(" not in line
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: component dimension 0 at {} disagrees with the closed form 1"
+    ]
+
+
+def test_interactions_export_over_the_cell_cap_exits_3(tmp_path):
+    # 65 · 65 rows of 4,096 entries, and 4,097 rows of 4,096: both over
+    # POINT_LIMIT² = 16,777,216 entries
+    for cards in ([64, 64], [4096]):
+        model = {"variables": [{"label": f"x{i}", "cardinality": c}
+                               for i, c in enumerate(cards)]}
+        path = write(tmp_path, "big.json", model)
+        exported = tmp_path / "export.json"
+        result = invoke(["interactions", path, "--emit-bases",
+                         "--export-arrangement", str(exported)])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: the factor arrangement has ")
+        assert not exported.exists()
 
 
 def test_interactions_size_limit(tmp_path):

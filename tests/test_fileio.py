@@ -1,8 +1,11 @@
 """JSON document loaders and writers."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from interdec.arrangements import check_condition_C, decompose, new_arrangement
 from interdec.errors import InputError
@@ -19,8 +22,9 @@ from interdec.fileio import (
     poset_to_doc,
     render_vector,
     report_to_doc,
+    subspace_rows,
 )
-from interdec.linalg import GF, QQ
+from interdec.linalg import GF, QQ, subspace_from_generators
 from interdec.posets import build_poset
 
 
@@ -120,6 +124,20 @@ def test_arrangement_doc_validation():
 def test_render_vector():
     assert render_vector(QQ, (Fraction(1, 2), Fraction(3))) == ["1/2", 3]
     assert render_vector(GF(5), (7, 3)) == [2, 3]
+
+
+@given(st.sampled_from([QQ, GF(2), GF(101)]), st.integers(min_value=0, max_value=4), st.data())
+def test_subspace_rows_render_the_pivot_one_basis(field, ambient, data):
+    # rows are written from the kernel integers; the bytes are those of
+    # formatting each entry of the pivot-one basis
+    if field is QQ:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        entry = st.integers(min_value=-300, max_value=300)
+    rows = data.draw(st.lists(st.lists(entry, min_size=ambient, max_size=ambient), max_size=4))
+    space = subspace_from_generators(ambient, rows, field)
+    expected = [render_vector(field, row) for row in space.basis]
+    assert json.dumps(subspace_rows(space)) == json.dumps(expected)
 
 
 def test_report_and_decomposition_docs():

@@ -2,7 +2,7 @@
 
 Each invocation below runs the CLI in process on a fixed document: seeded
 `randgen` arrangements over ℚ, GF(2) and GF(7), factor models up to
-six binary variables and two eight-valued ones, the
+eight binary variables and two 64-valued ones, the
 three-lines counterexample, eight independent lines (256 lower sets), a
 chain whose canonical rows have pivots other than one, a poset listed
 against its order, seven lines whose only failing lower set
@@ -104,6 +104,10 @@ MODELS = {
                            for i in range(6)]},
     "m88": {"variables": [{"label": "x", "cardinality": 8},
                           {"label": "y", "cardinality": 8}]},
+    "m2x8": {"variables": [{"label": f"x{i}", "cardinality": 2}
+                           for i in range(8)]},
+    "m64x64": {"variables": [{"label": "x", "cardinality": 64},
+                             {"label": "y", "cardinality": 64}]},
 }
 
 
@@ -150,6 +154,10 @@ def invocations():
             "--emit-bases", "--export-arrangement", f">{name}_export",
         ]))
     runs.append(("m88-export-decompose", ["decompose", "@m88_export"]))
+    # dimension tables alone: 256 elements, and 4,096 points at POINT_LIMIT
+    runs.append(("m2x8-interactions-dims", ["interactions", "@m2x8"]))
+    runs.append(("m64x64_gf101-interactions-dims",
+                 ["--field", "mod:101", "interactions", "@m64x64"]))
     for prop in ("C", "I", "sI"):
         runs.append((f"three_lines-check-{prop}", ["check", "@three_lines", "--property", prop]))
     runs.append(("three_lines-decompose", ["decompose", "@three_lines"]))

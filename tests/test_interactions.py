@@ -1,11 +1,14 @@
 """Factor arrangements over finite product spaces and interaction terms."""
 
 from itertools import combinations
+from math import prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from interdec import interactions
 from interdec.arrangements import (
-    Decomposition,
     check_intersection_bruteforce,
     check_strong_intersection,
     decompose,
@@ -19,14 +22,15 @@ from interdec.errors import (
     UnknownVariable,
 )
 from interdec.interactions import (
-    FactorArrangement,
     build_factor_arrangement,
     build_product_space,
     factor_subspace,
     interaction_dimensions,
 )
-from interdec.linalg import GF, full_space, subspace_from_generators
+from interdec.linalg import GF, QQ, full_space, subspace_from_generators
 from interdec.posets import lower_set_label
+
+from factor_reference import reference_components, reference_factor_arrangement
 
 
 def fa(*cardinalities, field=None):
@@ -202,13 +206,78 @@ def test_interaction_dimensions_match_closed_form():
 
 
 def test_interaction_dimensions_reject_a_component_off_the_closed_form(monkeypatch):
-    factor = fa(2, 3)
-    components = dict(factor.decomposition().components)
-    components["{x2}"] = components["{x1}"]
-    bogus = Decomposition(components, certified=True)
-    monkeypatch.setattr(FactorArrangement, "decomposition", lambda self: bogus)
-    with pytest.raises(InternalContradiction, match="closed form 2"):
+    # a key rule that moves the point (1, 1) from s_{x2} to s_{x1,x2}
+    rule = interactions._component_key
+
+    def moved(point, tops):
+        return ((0, 1), point) if point == (1, 1) else rule(point, tops)
+
+    monkeypatch.setattr(interactions, "_component_key", moved)
+    with pytest.raises(InternalContradiction, match="dimension 1 at {x2} .* closed form 2"):
+        interaction_dimensions(fa(2, 3))
+
+
+def _admits_the_last_value(point, tops):
+    a = tuple(range(len(point)))
+    return a, tuple(point)
+
+
+def _shifts_the_values(point, tops):
+    # right counts, but the values 1..|E_i| − 1 instead of 0..|E_i| − 2
+    a = tuple(i for i, v in enumerate(point) if v > 0)
+    return a, tuple(point[i] for i in a)
+
+
+@pytest.mark.parametrize("rule, message", [
+    (_admits_the_last_value, "dimension 0 at {} .* closed form 1"),
+    (_shifts_the_values, "the keys at {x1} are not its values below"),
+])
+def test_a_corrupted_key_rule_is_internal_contradiction(monkeypatch, rule, message):
+    monkeypatch.setattr(interactions, "_component_key", rule)
+    factor = fa(3, 2)
+    with pytest.raises(InternalContradiction, match=message):
         interaction_dimensions(factor)
+    with pytest.raises(InternalContradiction, match=message):
+        factor.decomposition()
+
+
+@st.composite
+def cardinality_tuples(draw):
+    """Up to eight variables with at most 256 points in all."""
+    cards = []
+    while len(cards) < 8 and draw(st.booleans()):
+        cards.append(draw(st.integers(min_value=1, max_value=min(6, 256 // prod(cards)))))
+    return tuple(cards)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cardinality_tuples(), st.sampled_from([QQ, GF(2), GF(3), GF(101)]))
+@example((2,) * 8, QQ)
+@example((4, 4, 4, 4), GF(101))
+@example((1, 3, 1), GF(2))
+def test_closed_form_matches_the_elimination_reference(cards, field):
+    factor = fa(*cards, field=field)
+    reference = reference_factor_arrangement(factor.product, field)
+    assert factor.poset.labels == reference.poset.labels
+    assert factor.arrangement.spaces == reference.spaces
+    assert factor.decomposition().components == reference_components(reference)
+    assert interaction_dimensions(factor) == {
+        name: space.dim for name, space in reference_components(reference).items()
+    }
+
+
+def test_export_size_is_capped_before_any_row_is_built(monkeypatch):
+    # 65 · 65 rows of 4,096 entries exceed POINT_LIMIT² = 16,777,216
+    factor = fa(64, 64)
+    calls = []
+    monkeypatch.setattr(interactions, "factor_subspace", lambda *args: calls.append(args))
+    with pytest.raises(SizeLimitExceeded, match="4225 rows of 4096 entries"):
+        factor.arrangement
+    assert calls == []
+    assert interaction_dimensions(factor)["{x1,x2}"] == 63 * 63
+    # 4,097 rows of 4,096 entries: just over the cap
+    with pytest.raises(SizeLimitExceeded, match="4097 rows of 4096 entries"):
+        fa(4096).arrangement
 
 
 def _subsets(labels):

@@ -1,6 +1,7 @@
 """Exact linear algebra: canonical forms, set operations, certificates."""
 
 from fractions import Fraction
+from math import lcm
 from time import perf_counter
 
 import pytest
@@ -122,6 +123,51 @@ def test_prime_field_arithmetic():
     assert f.parse(7) == 2
     with pytest.raises(InputError):
         f.parse("2")
+
+
+@given(st.lists(
+    st.fractions(max_denominator=10**6) | st.integers(-(10**30), 10**30).map(Fraction),
+    max_size=6,
+))
+def test_exact_row_matches_the_fraction_product(row):
+    # the integers are those of the old expression int(e * scale)
+    scale = lcm(1, *(e.denominator for e in row))
+    assert QQ.exact_row(row) == linalg._primitive([int(e * scale) for e in row])
+
+
+# ---------------------------------------------------------------------------
+# indicator rows, which are canonical without elimination
+# ---------------------------------------------------------------------------
+
+@st.composite
+def indicator_sets(draw):
+    """Disjoint ascending column sets ordered by first column; some columns
+    lie in none."""
+    ambient = draw(st.integers(min_value=0, max_value=8))
+    owner = draw(st.lists(st.integers(min_value=-1, max_value=3),
+                          min_size=ambient, max_size=ambient))
+    sets = {}
+    for col, k in enumerate(owner):
+        if k >= 0:
+            sets.setdefault(k, []).append(col)
+    return ambient, sorted(sets.values())
+
+
+@given(indicator_sets(), st.sampled_from([QQ, GF(2), GF(7)]))
+def test_indicator_subspace_matches_elimination(case, field):
+    ambient, supports = case
+    rows = [[int(c in support) for c in range(ambient)] for support in supports]
+    space = linalg._indicator_subspace(ambient, supports, field)
+    assert space == sp(ambient, rows, field)
+    assert space.pivots == tuple(support[0] for support in supports)
+
+
+@pytest.mark.parametrize("supports", [
+    [[]], [[0, 0]], [[1, 0]], [[3]], [[-1]], [[0], [0, 1]], [[0, 2], [1, 2]], [[2], [1]],
+])
+def test_indicator_subspace_rejects_any_other_form(supports):
+    with pytest.raises(InternalContradiction):
+        linalg._indicator_subspace(3, supports, QQ)
 
 
 # ---------------------------------------------------------------------------

@@ -220,3 +220,20 @@ def test_nothing_in_the_package_calls_rref_or_matrix():
         return isinstance(node, ast.Name) and node.id in ("rref", "Matrix")
 
     assert scopes_where(names_rref_or_matrix) <= {"linalg.rref"}
+
+
+def test_the_factor_path_eliminates_nothing():
+    # interactions writes its spaces and components in closed form; the
+    # elimination route is the differential reference in tests/
+    def calls_elimination(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in ("decompose", "new_arrangement", "IntEchelon")
+        )
+
+    assert {
+        scope for scope in scopes_where(calls_elimination)
+        if scope.startswith("interactions")
+    } == set()
