@@ -23,6 +23,7 @@ has s_a ⊆ F(a) and Σ_{b≤a} dim s_b = dim F(a): monotonicity puts the sum
 inside F(a), directness gives it dimension Σ_{b≤a} dim s_b, and equal
 dimensions give equality.  Only verify_decomposition, once that count has
 failed, rebuilds the sums from the first element on, to locate the witness.
+The same certificate decides (I) and (sI).
 
 Everything is exact; verdicts carry re-verifiable witnesses on failure.
 """
@@ -56,7 +57,8 @@ from .linalg import (
 from .posets import (
     LOWER_SET_CAP,
     _bits,
-    enumerate_lower_sets,
+    _grow_lower_sets,
+    _in_lower_set_order,
     interval_elements,
     is_order_embedding,
     lower_set_lattice,
@@ -99,10 +101,9 @@ class CheckReport:
     work counts the check's effort: pairs_checked is the number of pairs
     (cover pairs, elements, pairs of lower sets) examined up to and
     including the failing one, and ranks_computed the ranks behind them.
-    (I) and (sI) take one rank per lower set, each from an echelon grown
-    from its parent's by a section, and succeed when every such step grew
-    by its whole section, which covers every pair at once; they then report
-    the full scan's counts, L(L + 1)/2 pairs and L ranks over L lower sets.
+    (I) and (sI) count one rank per lower set.  They hold exactly when the
+    decomposition certificate does, and then report the full scan's counts,
+    L(L + 1)/2 pairs and L ranks over L lower sets, whatever decided them.
     """
 
     __slots__ = ("property", "witness", "work")
@@ -144,12 +145,13 @@ class Decomposition:
 class Arrangement:
     """Monotone map from a finite poset into the subspaces of F^d.
 
-    Built through new_arrangement, which validates monotonicity, or by
+    Built through new_arrangement, which validates monotonicity, by
+    extend_to_lower_sets, whose walk certifies it, or by
     interactions.FactorArrangement, whose factor spaces are monotone by
     cylinder refinement and are not rechecked; instances are immutable.
-    Monotonicity makes F(B) = Σ_{b ∈ max B} F(b) for every
-    subset B, so eval_mask and dim_of_mask sum the maximal members of B
-    only.  Those sums are memoized, keyed by the subset bitmask.
+    Monotonicity makes F(B) = Σ_{b ∈ max B} F(b) for every subset B, so
+    eval_mask and dim_of_mask sum the maximal members of B only.  Those
+    sums are memoized, keyed by the subset bitmask.
     """
 
     __slots__ = ("poset", "ambient_dim", "field", "spaces", "_eval_memo", "_dim_memo")
@@ -316,53 +318,44 @@ def _pairwise_lower_set_scan(arrangement, cap, property_name):
     Larger families reduce to pairs: lower sets are closed under
     intersection, so the family identity follows by induction.
 
-    The pair identity says d(ℬ) = dim F(ℬ) is modular on the distributive
-    lattice of lower sets, and since d(∅) = 0 that holds exactly when
-        d(ℬ) = Σ_{x ∈ ℬ} w(x),   w(x) = dim F(x) − dim F(x̂*),
-    for every lower set ℬ (Birkhoff's valuations).  Modularity gives the
-    sum by induction: for x maximal in ℬ, ℬ = (ℬ ∖ {x}) ∪ x̂ and
-    (ℬ ∖ {x}) ∩ x̂ = x̂*.  Conversely, the sums over ℬ and 𝒞 add up to those
-    over ℬ ∪ 𝒞 and ℬ ∩ 𝒞.  _lower_set_echelons grows each ℬ from its parent
-    ℬ ∖ {x} by the w(x) rows of x's section, so the sum identity holds on
-    every lower set exactly when each step grew by all of them (by induction
-    along the parents one way, counting rows the other), and the walk alone
-    decides both properties.  Then the work counts are those of the full
-    scan this covers, L(L + 1)/2 pairs and L ranks for L lower sets.  Else
-    _first_failing_pair rescans the pairs in order on the walk's dimensions,
-    so the witness and the counts are the first failing pair's.
+    The decomposition certificate decides both: a certified decomposition
+    gives F(ℬ) = ⊕_{b∈ℬ} s_b on every lower set, so every pair holds, and a
+    failed one means (C) fails at some a, a failing pair (â, ǎ).  So only a
+    failing scan ranks lower sets, to locate its first failing pair.  The
+    cap is enforced first, before any linear algebra.
     """
-    masks = enumerate_lower_sets(arrangement.poset, cap)
-    dims, stalled = {}, False
-    for m, acc, grew in _lower_set_echelons(arrangement, masks):
-        dims[m] = acc.rank
-        stalled = stalled or not grew
-    if stalled:
-        return _first_failing_pair(arrangement, masks, dims, property_name)
-    count = len(masks)
-    return CheckReport(property_name, None, count * (count + 1) // 2, count)
+    masks = [m for m, _ in _grow_lower_sets(arrangement.poset, cap)]
+    comps = pre_decompose(arrangement).components
+    if _certificate_failure(arrangement, comps) is None:
+        count = len(masks)
+        return CheckReport(property_name, None, count * (count + 1) // 2, count)
+    return _first_failing_pair(arrangement, masks, property_name)
 
 
 def _section_rows(arrangement, i, rows):
     """The section rule: of rows spanning F(x), x = labels[i], keep greedily
     and in order those independent of F(x̂*) and of the rows kept before;
-    they span a complement of F(x̂*) in F(x), of dimension w(x)."""
-    strict = arrangement.poset._down[i] & ~(1 << i)
-    return complement_rows(arrangement.eval_mask(strict), rows)
+    they span a complement of F(x̂*) in F(x), of dimension w(x), which the
+    count dim F(x̂*) + w(x) = dim F(x) certifies."""
+    poset = arrangement.poset
+    strict = arrangement.eval_mask(poset._down[i] & ~(1 << i))
+    kept = complement_rows(strict, rows)
+    if strict.dim + len(kept) != arrangement.spaces[poset.labels[i]].dim:
+        raise InternalContradiction(f"the section at {poset.labels[i]!r} misses F(x)")
+    return kept
 
 
 def _lower_set_echelons(arrangement, masks):
-    """Yield (mask, kernel echelon of F(mask), grew) for the lower sets
-    masks, in enumerate_lower_sets order, each grown from its parent.
+    """Yield (mask, kernel echelon of F(mask)) for the lower sets masks, in
+    enumerate_lower_sets order, each grown from its parent.
 
-    For x maximal in a lower set L, F(L) = F(L ∖ {x}) + span s_x, where s_x
-    is x's section of _section_rows: F(x) = F(x̂*) + span s_x and
-    x̂* ⊆ L ∖ {x}.  So L's echelon is a copy of its parent's plus the
-    |s_x| = w(x) rows of s_x, and grew says each of them enlarged it (the
-    empty set grows trivially).  The element order need not be a linear
-    extension, so x comes from the maximal members, not the highest bit.
-    Sets come by size, so only the echelons of the current and the previous
-    size are kept.  A caller may reduce a yielded echelon in place: it stays
-    an echelon of the same span, and the children copy that.
+    For x maximal in a lower set L, L's echelon is a copy of its parent's
+    plus the rows of x's section s_x of _section_rows, since
+    F(x) = F(x̂*) + span s_x and x̂* ⊆ L ∖ {x}.  Element order need not be a
+    linear extension, so x is a maximal member, not the highest bit.  Sets
+    come by size, so only the echelons of the current and the previous size
+    are kept.  A caller may reduce a yielded echelon in place: it keeps its
+    span, which the children copy.
     """
     poset = arrangement.poset
     sections = [
@@ -373,34 +366,44 @@ def _lower_set_echelons(arrangement, masks):
     for m in masks:
         if m.bit_count() != size:
             previous, current, size = current, {}, m.bit_count()
-        grew = True
         if m:
             x = poset._maximal(m).bit_length() - 1
             acc = previous[m & ~(1 << x)].copy()
-            grew = all([acc.insert(row) for row in sections[x]])
+            for row in sections[x]:
+                acc.insert(row)
         else:
             acc = IntEchelon(arrangement.field)
         current[m] = acc
-        yield m, acc, grew
+        yield m, acc
 
 
-def _first_failing_pair(arrangement, masks, dims, property_name):
+def _first_failing_pair(arrangement, masks, property_name):
     """The report of the first pair of lower sets, in scan order, whose
-    dimensions break the pair identity; dims holds d of every lower set."""
+    dimensions break the pair identity.  Pairs with mi ⊆ mj hold trivially;
+    for the others the walk ranks lower sets lazily, in scan order."""
     poset = arrangement.poset
-    pairs = 0
+    masks = _in_lower_set_order(poset, masks)
+    walk, dims, pairs = _lower_set_echelons(arrangement, masks), {}, 0
     for i, mi in enumerate(masks):
-        di = dims[mi]
         for mj in masks[i:]:
             pairs += 1
-            if di + dims[mj] - dims[mi | mj] == dims[mi & mj]:
+            if mi & ~mj == 0:
+                continue
+            # masks come by size: once the union is ranked, so are the others
+            union = mi | mj
+            if union not in dims:
+                for m, acc in walk:
+                    dims[m] = acc.rank
+                    if m == union:
+                        break
+                else:
+                    raise InternalContradiction("the lower-set walk missed a union")
+            if dims[mi] + dims[mj] - dims[union] == dims[mi & mj]:
                 continue
             location = (poset._labels_of(mi), poset._labels_of(mj))
             witness = _pair_witness(arrangement, mi, mj, location)
             return CheckReport(property_name, witness, pairs, len(masks))
-    raise InternalContradiction(
-        "a lower set did not grow by its section but every pair passed"
-    )
+    raise InternalContradiction("the certificate failed but no pair of lower sets fails")
 
 
 def check_intersection_bruteforce(arrangement, cap=LOWER_SET_CAP):
@@ -488,8 +491,8 @@ def _certificate_failure(arrangement, comps):
     when it holds, "(i)" when their sum is not direct, and "(ii)" when
     some element a has s_a ⊄ F(a) or Σ_{b≤a} dim s_b ≠ dim F(a).
 
-    Given (i), that count is (ii): by monotonicity, which new_arrangement
-    certifies, Σ_{b≤a} s_b ⊆ Σ_{b≤a} F(b) = F(a); a subfamily of a direct
+    Given (i), that count is (ii): by monotonicity, which every Arrangement
+    has, Σ_{b≤a} s_b ⊆ Σ_{b≤a} F(b) = F(a); a subfamily of a direct
     family is direct, so that sum has dimension Σ_{b≤a} dim s_b; and equal
     dimensions give equality.  Conversely equality gives both tests.  So
     (ii) costs one containment test and one sum of integers per element,
@@ -553,14 +556,11 @@ def decompose(arrangement, seed=None):
     """Decomposition if one exists, else the witness refuting condition (C).
 
     On a finite poset decomposability is equivalent to (C), and any
-    pre-decomposition of a (C)-arrangement is a decomposition.  So the
-    verdict is the certificate of one pre-decomposition: a certified
-    candidate is returned as is, and only a failed one runs the (C) check,
-    whose witness is returned.  Only the certificate's verdict is read, and
-    _certificate_failure decides it by counting, so no certificate witness
-    is built and no sum below an element is rebuilt.  A failed certificate
-    on an arrangement with (C) can only mean a bug and raises
-    InternalContradiction.
+    pre-decomposition of a (C)-arrangement is a decomposition.  So a
+    certified candidate is returned as is, and only a failed one runs the
+    (C) check, whose witness is returned.  _certificate_failure decides by
+    counting, so no certificate witness is built and no sum is rebuilt.  A
+    failed certificate on an arrangement with (C) raises InternalContradiction.
     """
     comps = pre_decompose(arrangement, seed=seed).components
     if _certificate_failure(arrangement, comps) is None:
@@ -666,10 +666,10 @@ def pushforward(mapping, arrangement, target_poset):
 
 
 def extend_to_lower_sets(arrangement):
-    """Arrangement on the lattice of all lower sets, ℬ ↦ F(ℬ), each space
-    grown from its parent's by _lower_set_echelons."""
+    """Arrangement on the lattice of all lower sets, ℬ ↦ F(ℬ) = Σ_{b∈ℬ} F(b),
+    grown by _lower_set_echelons, whose section counts certify monotonicity."""
     lattice, masks = lower_set_lattice(arrangement.poset)
     n = arrangement.ambient_dim
     walk = _lower_set_echelons(arrangement, masks)
-    spaces = {lab: acc.subspace(n) for lab, (_, acc, _) in zip(lattice.labels, walk)}
-    return new_arrangement(lattice, n, arrangement.field, spaces)
+    spaces = {lab: acc.subspace(n) for lab, (_, acc) in zip(lattice.labels, walk)}
+    return Arrangement(lattice, n, arrangement.field, spaces)

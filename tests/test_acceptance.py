@@ -41,6 +41,7 @@ from randgen import (
     random_poset,
     random_rows,
 )
+from scan_reference import full_pair_scan, scan_outcome
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +88,14 @@ def test_criterion_1_equivalence_suite(suite1):
 
     decompose's verdict is the certificate of its pre-decomposition, reached
     independently of (C); it runs (C) only to explain a failed certificate.
+    check_intersection_bruteforce reads that same certificate, so (I) is
+    also decided by the full pair scan, from subset sums alone.
     """
     agreements = 0
     decomposable = 0
     for arr, verdict_c, verdict_i, decomposed in suite1["cases"]:
         assert verdict_c == verdict_i == (decomposed is not None), arr
+        assert full_pair_scan(arr)[0] == verdict_i, arr
         agreements += 1
         decomposable += decomposed is not None
     assert agreements == 200
@@ -126,7 +130,9 @@ def test_criterion_3_interaction_decomposition(suite3):
     expected_totals = {(2, 2): 4, (2, 3): 6, (3, 3): 9, (2, 2, 2): 8}
     for sizes, factor in suite3["factors"]:
         arr = factor.arrangement
-        assert check_intersection_bruteforce(arr).verdict, sizes
+        expected = full_pair_scan(arr)
+        assert expected[0], sizes
+        assert scan_outcome(check_intersection_bruteforce(arr)) == expected, sizes
         outcome = decompose(arr)
         assert isinstance(outcome, Decomposition) and outcome.certified, sizes
         # interaction_dimensions counts the structurally certified keys of
@@ -143,14 +149,15 @@ def test_criterion_3_interaction_decomposition(suite3):
 
 
 def test_criterion_4_decomposable_implies_strong_intersection(suite1, suite3):
-    """Everything certified in suites 1 and 3 passes (sI)."""
+    """Everything certified in suites 1 and 3 passes (sI), by the checker
+    and by the full pair scan, which reads no certificate."""
     checked = 0
-    for arr, _, _, decomposed in suite1["cases"]:
-        if decomposed is not None:
-            assert check_strong_intersection(arr).verdict
-            checked += 1
-    for sizes, factor in suite3["factors"]:
-        assert check_strong_intersection(factor.arrangement).verdict, sizes
+    certified = [arr for arr, _, _, decomposed in suite1["cases"] if decomposed is not None]
+    certified += [factor.arrangement for _, factor in suite3["factors"]]
+    for arr in certified:
+        expected = full_pair_scan(arr)
+        assert expected[0], arr
+        assert scan_outcome(check_strong_intersection(arr)) == expected, arr
         checked += 1
     print(
         f"\n[PASS] criterion 4: all {checked} certified arrangements "

@@ -28,6 +28,7 @@ from interdec.arrangements import (
     verify_decomposition,
 )
 from interdec.errors import (
+    CapExceeded,
     DuplicateLabel,
     InputError,
     InternalContradiction,
@@ -50,6 +51,7 @@ from interdec.linalg import (
 from interdec.posets import build_poset, downset, enumerate_lower_sets, lower_set_lattice
 
 from randgen import random_decomposable_arrangement, random_monotone_arrangement, random_poset
+from scan_reference import full_pair_scan, scan_outcome
 
 
 def sp(ambient, rows, field=QQ):
@@ -400,7 +402,9 @@ def test_pushforward_embedding_mismatch_is_internal_contradiction(monkeypatch):
         pushforward({"u": "p", "v": "p"}, arr, point)
 
 
-def test_extend_to_lower_sets(c3_constant):
+def test_extend_to_lower_sets(monkeypatch, c3_constant):
+    # the walk's section counts certify the lattice: no cover is rescanned
+    monkeypatch.setattr(arrangements, "check_monotonicity", None)
     ext = extend_to_lower_sets(c3_constant)
     assert ext.poset.labels == ("{}", "{x}", "{x,y}", "{x,y,z}")
     assert ext.spaces["{}"] == zero_subspace(2)
@@ -517,35 +521,6 @@ def test_subset_sum_inserts_only_non_seed_maximal_rows(monkeypatch):
 # (I) and (sI) against the full pair loop
 # ---------------------------------------------------------------------------
 
-def full_pair_scan(arrangement):
-    """Reference (I)/(sI) scan: rank every lower set, then test the pair
-    identity on every pair in scan order and convict the first failure.
-    Returns (verdict, witness location, witness vector, work)."""
-    poset = arrangement.poset
-    masks = enumerate_lower_sets(poset)
-    dims = {m: arrangement.dim_of_mask(m) for m in masks}
-    pairs = 0
-    for i, mi in enumerate(masks):
-        for mj in masks[i:]:
-            pairs += 1
-            if dims[mi] + dims[mj] - dims[mi | mj] == dims[mi & mj]:
-                continue
-            lhs = intersect(arrangement.eval_mask(mi), arrangement.eval_mask(mj))
-            rhs = arrangement.eval_mask(mi & mj)
-            vector = lhs.basis[first_outside(lhs, rhs)]
-            location = (poset._labels_of(mi), poset._labels_of(mj))
-            return False, location, vector, {"pairs_checked": pairs, "ranks_computed": len(masks)}
-    return True, None, None, {"pairs_checked": pairs, "ranks_computed": len(masks)}
-
-
-def scan_outcome(report):
-    witness = report.witness
-    if witness is None:
-        return report.verdict, None, None, report.work
-    assert witness.verify()
-    return report.verdict, witness.location, witness.vector, report.work
-
-
 SCAN_FIELDS = [QQ, GF(2), GF(7)]
 
 
@@ -591,6 +566,7 @@ def test_passing_scans_never_enter_the_pair_loop(monkeypatch, three_lines):
         return original(self, mask)
 
     monkeypatch.setattr(arrangements, "_first_failing_pair", refuse)
+    monkeypatch.setattr(arrangements, "_lower_set_echelons", refuse)
     monkeypatch.setattr(arrangements.Arrangement, "_sum_echelon", counting)
     # eight independent lines on an antichain: 2^8 lower sets
     labels = [f"l{i}" for i in range(8)]
@@ -609,12 +585,78 @@ def test_passing_scans_never_enter_the_pair_loop(monkeypatch, three_lines):
             report = check(arr)
             assert report.verdict
             assert report.work == {"pairs_checked": 256 * 257 // 2, "ranks_computed": 256}
-            # lower sets grow from their parents: at most one subset sum
-            # per element, F(x̂*) for the section each element adds
+            # the certificate ranks no lower set: at most one subset sum
+            # per element, F(x̂*) for the element's section
             assert len(sums) <= len(arr.poset.labels)
     # the patched loop is the one a failing scan runs
     with pytest.raises(EnteredPairLoop):
         check_intersection_bruteforce(three_lines)
+
+
+def test_failing_scan_walks_only_up_to_the_failing_union(monkeypatch):
+    # twelve lines in general position in ℚ^5 on an antichain: the first
+    # failing pair joins one line to five others
+    labels = [f"l{i:02d}" for i in range(12)]
+    lines = {lab: [[(i + 1) ** k for k in range(5)]] for i, lab in enumerate(labels)}
+    poset = build_poset(labels, [])
+    masks = enumerate_lower_sets(poset)
+    walked = []
+    original = arrangements._lower_set_echelons
+
+    def counting(arrangement, masks):
+        for step in original(arrangement, masks):
+            walked.append(step[0])
+            yield step
+
+    monkeypatch.setattr(arrangements, "_lower_set_echelons", counting)
+    expected = full_pair_scan(new_arrangement(poset, 5, QQ, lines))
+    left, right = expected[1]
+    union = poset._mask_of(left + right)
+    assert union.bit_count() == 6
+    for check in (check_intersection_bruteforce, check_strong_intersection):
+        walked.clear()
+        assert scan_outcome(check(new_arrangement(poset, 5, QQ, lines))) == expected
+        # the walk ranks the lower sets in scan order up to the union
+        assert walked == masks[: masks.index(union) + 1]
+        assert len(walked) < len(masks) // 2
+
+
+def test_a_failed_certificate_whose_pairs_all_pass_is_a_contradiction(
+    monkeypatch, c3_growing
+):
+    monkeypatch.setattr(arrangements, "_certificate_failure", lambda *args: "(ii)")
+    for check in (check_intersection_bruteforce, check_strong_intersection):
+        with pytest.raises(InternalContradiction, match="no pair of lower sets fails$"):
+            check(c3_growing)
+
+
+def test_over_cap_scans_stop_before_any_linear_algebra(monkeypatch, three_lines):
+    calls = []
+    original = arrangements.pre_decompose
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(arrangements, "pre_decompose", recording)
+    # three lines on an antichain have 8 lower sets
+    for check in (check_intersection_bruteforce, check_strong_intersection):
+        calls.clear()
+        with pytest.raises(CapExceeded):
+            check(three_lines, cap=7)
+        assert calls == []
+        assert not check(three_lines, cap=8).verdict
+        assert len(calls) == 1
+
+
+def test_a_short_section_is_a_contradiction(monkeypatch, c3_growing):
+    original = arrangements.complement_rows
+    monkeypatch.setattr(
+        arrangements, "complement_rows", lambda target, rows: original(target, rows)[:-1]
+    )
+    for call in (pre_decompose, extend_to_lower_sets, check_strong_intersection):
+        with pytest.raises(InternalContradiction, match=r"^the section at 'x' misses"):
+            call(c3_growing)
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +679,25 @@ def against_order_sample(seed, field):
     return random_monotone_arrangement(rng, field, max_dim=4, poset=shuffled_poset(rng))
 
 
+def grown_walk(arrangement, masks):
+    """(mask, rank, grew) along _lower_set_echelons, where grew says that
+    the lower set L gained w(x) = dim F(x) − dim F(x̂*) dimensions over its
+    parent L ∖ {x}, from subset sums rather than from the walk's sections."""
+    poset = arrangement.poset
+    ranks = {}
+    out = []
+    for m, acc in arrangements._lower_set_echelons(arrangement, masks):
+        ranks[m] = acc.rank
+        grew = True
+        if m:
+            x = poset._maximal(m).bit_length() - 1
+            strict = arrangement.dim_of_mask(poset._down[x] & ~(1 << x))
+            w = arrangement.spaces[poset.labels[x]].dim - strict
+            grew = ranks[m] == ranks[m & ~(1 << x)] + w
+        out.append((m, ranks[m], grew))
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -646,8 +707,7 @@ def test_lower_set_echelons_match_per_set_subset_sums(seed, field):
     arr = against_order_sample(seed, field)
     masks = enumerate_lower_sets(arr.poset)
     oracle = against_order_sample(seed, field)
-    walk = [(m, acc.rank, grew)
-            for m, acc, grew in arrangements._lower_set_echelons(arr, masks)]
+    walk = grown_walk(arr, masks)
     assert [m for m, rank, _ in walk if rank == oracle.dim_of_mask(m)] == masks
     lattice_masks = lower_set_lattice(arr.poset)[1]
     ext = extend_to_lower_sets(arr)
@@ -655,7 +715,8 @@ def test_lower_set_echelons_match_per_set_subset_sums(seed, field):
         oracle.eval_mask(m) for m in lattice_masks
     ]
     expected = full_pair_scan(oracle)
-    # every step grows by its whole section exactly when (I) and (sI) hold
+    # d(ℬ) = Σ_{x∈ℬ} w(x) on every lower set exactly when (I) and (sI)
+    # hold: the pair identity says d is a valuation (Birkhoff)
     assert all(grew for _, _, grew in walk) == expected[0]
     for check in (check_intersection_bruteforce, check_strong_intersection):
         assert scan_outcome(check(against_order_sample(seed, field))) == expected
@@ -665,7 +726,7 @@ def test_only_the_top_lower_set_of_three_lines_fails_to_grow(three_lines):
     # each line grows the empty set or one other line; the third line
     # adds nothing to the plane the other two span
     masks = enumerate_lower_sets(three_lines.poset)
-    walk = arrangements._lower_set_echelons(three_lines, masks)
+    walk = grown_walk(three_lines, masks)
     assert [m for m, _, grew in walk if not grew] == [0b111]
 
 

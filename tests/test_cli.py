@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interdec import cli, interactions, linalg
+from interdec import arrangements, cli, interactions, linalg
 
 from clirun import invoke
 
@@ -254,6 +254,19 @@ def test_check_cap(tmp_path):
     assert result.exit_code == 3
     assert invoke(["check", path, "--property", "I", "--cap", "256"]).exit_code == 0
     assert invoke(["check", path, "--property", "I", "--cap", "0"]).exit_code == 2
+
+
+def test_scan_bug_exits_4_with_one_error_line(tmp_path, monkeypatch):
+    # a certificate that fails on a decomposable arrangement
+    monkeypatch.setattr(arrangements, "_certificate_failure", lambda *args: "(ii)")
+    path = write(tmp_path, "cc.json", CONSTANT_CHAIN)
+    for prop in ("I", "sI"):
+        result = invoke(["check", path, "--property", prop])
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: the certificate failed but no pair of lower sets fails"
+        ]
 
 
 def test_check_field_override(tmp_path):

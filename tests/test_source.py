@@ -237,3 +237,32 @@ def test_the_factor_path_eliminates_nothing():
         scope for scope in scopes_where(calls_elimination)
         if scope.startswith("interactions")
     } == set()
+
+
+def test_acceptance_decides_the_scans_by_the_reference_pair_loop():
+    # (I), (sI) and decompose read one decomposition certificate, so the
+    # acceptance criteria that compare them also decide (I) and (sI) by
+    # the full pair scan of tests/scan_reference.py, from subset sums alone
+    root = PACKAGE.parents[1]
+    tree = ast.parse((root / "tests" / "test_acceptance.py").read_text())
+    imported = {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "scan_reference"
+        for alias in node.names
+    }
+    callers = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "full_pair_scan"
+    }
+    assert "full_pair_scan" in imported
+    assert callers >= {
+        "test_criterion_1_equivalence_suite",
+        "test_criterion_3_interaction_decomposition",
+        "test_criterion_4_decomposable_implies_strong_intersection",
+    }
