@@ -4,8 +4,8 @@ All documents are plain JSON.  Rational entries are integers or "p/q"
 strings; entries over GF(p) are integers reduced mod p.  A poset document
 lists elements and relation pairs [a, b] meaning a ≤ b; an arrangement
 document embeds its poset and declares its field once.  Loaders validate
-shape eagerly and raise InputError with the offending location in the
-message.
+shape eagerly, raise InputError with the offending location in the
+message, and parse each arrangement entry once, by exact_row.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 
 from .arrangements import new_arrangement
 from .errors import InputError
-from .linalg import GF, QQ
+from .linalg import GF, QQ, IntEchelon
 from .posets import build_poset
 
 
@@ -115,7 +115,7 @@ def poset_to_doc(poset):
 # arrangements
 # ---------------------------------------------------------------------------
 
-def _parse_rows(rows, ambient_dim, field, location):
+def _space_from_rows(rows, ambient_dim, field, location):
     if not isinstance(rows, list):
         raise InputError(f"{location}: expected a list of generator rows")
     parsed = []
@@ -125,10 +125,10 @@ def _parse_rows(rows, ambient_dim, field, location):
                 f"{location}[{k}]: expected a row of {ambient_dim} entries"
             )
         try:
-            parsed.append([field.parse(x) for x in row])
+            parsed.append(field.exact_row(row))
         except InputError as exc:
             raise InputError(f"{location}[{k}]: {exc}") from None
-    return parsed
+    return IntEchelon(field, parsed).subspace(ambient_dim)
 
 
 _ARRANGEMENT_KEYS = ("field", "ambient_dim", "poset", "spaces")
@@ -158,7 +158,7 @@ def arrangement_from_doc(doc, field_override=None, location="arrangement"):
         if lab not in poset:
             raise InputError(f"{location}.spaces: unknown element {lab!r}")
     spaces = {
-        lab: _parse_rows(rows, ambient, field, f"{location}.spaces.{lab}")
+        lab: _space_from_rows(rows, ambient, field, f"{location}.spaces.{lab}")
         for lab, rows in spaces_doc.items()
     }
     return new_arrangement(poset, ambient, field, spaces)

@@ -7,9 +7,9 @@ ever arises); over GF(p) they are residues mod p with pivot one.  A
 subspace of F^d is stored by the kernel's fully reduced echelon rows,
 which are canonical: two Subspace values describe the same set of vectors
 exactly when their stored rows are identical.  Field elements
-(`fractions.Fraction` over ℚ) appear only at the edges: parsed input,
-the pivot-one rows of `Subspace.basis`, and solve_exact's coefficients.
-No floating point appears anywhere.
+(`fractions.Fraction` over ℚ, never for an integer entry) appear only at
+the edges: input, which exact_row parses once, `Subspace.basis`, and
+solve_exact's coefficients.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -76,13 +76,14 @@ class RationalField:
         return list(row)
 
     def exact_row(self, row):
-        """Integer row for the kernel: denominators cleared, content divided out."""
-        scale = 1
-        for e in row:
-            d = e.denominator
-            scale = scale // gcd(scale, d) * d
-        ints = [e.numerator * (scale // e.denominator) for e in row]
-        return _primitive(ints)
+        """Integer row for the kernel from document entries or field
+        elements, denominators cleared and content divided out.  An int
+        (never a bool) or a Fraction is taken as is, anything else parsed."""
+        row = [e if type(e) is int or type(e) is Fraction else self.parse(e) for e in row]
+        if all(type(e) is int for e in row):
+            return _primitive(row)
+        scale = lcm(*(e.denominator for e in row))
+        return _primitive([e.numerator * (scale // e.denominator) for e in row])
 
     def pivot_one(self, row):
         """The rational row with pivot one that a nonzero kernel row spans."""
@@ -135,7 +136,10 @@ class PrimeField:
         return list(row)
 
     def exact_row(self, row):
-        return tuple(e % self.p for e in row)
+        """Residue row for the kernel from document entries or field
+        elements, each reduced once: ints (never bools) here, others by parse."""
+        p = self.p
+        return tuple([e % p if type(e) is int else self.parse(e) for e in row])
 
     def pivot_one(self, row):
         # kernel rows mod p already have pivot one
@@ -427,10 +431,7 @@ class Subspace:
             raise DimensionMismatch(
                 f"vector of length {len(vector)} in ambient dim {self.ambient_dim}"
             )
-        row = self.field.exact_row([self.field.parse(v) for v in vector])
-        if not any(row):
-            return True
-        return self._echelon.contains_row(row)
+        return self._echelon.contains_row(self.field.exact_row(vector))
 
     def __eq__(self, other):
         return (
@@ -448,15 +449,14 @@ class Subspace:
 
 
 def subspace_from_generators(ambient_dim, gens, field=QQ):
-    """Canonical subspace spanned by the given rows (any iterable of rows)."""
-    rows = [list(r) for r in gens]
+    """Canonical subspace spanned by rows, each a sequence of entries."""
+    rows = list(gens)
     for r in rows:
         if len(r) != ambient_dim:
             raise DimensionMismatch(
                 f"generator of length {len(r)}, ambient dim is {ambient_dim}"
             )
-    parsed = ([field.parse(e) for e in r] for r in rows)
-    return IntEchelon(field, map(field.exact_row, parsed)).subspace(ambient_dim)
+    return IntEchelon(field, map(field.exact_row, rows)).subspace(ambient_dim)
 
 
 def _indicator_subspace(ambient_dim, supports, field):

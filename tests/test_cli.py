@@ -8,12 +8,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from interdec import arrangements, cli, interactions, linalg
+from interdec import arrangements, cli, fileio, interactions, linalg
 
 from clirun import invoke
+from parse_reference import outcome, reference_arrangement_from_doc
 
 THREE_LINES = {
     "field": "rational",
@@ -684,6 +685,21 @@ def mangled(draw, bases):
     if draw(st.integers(min_value=0, max_value=9)) == 0:
         text = text[: draw(st.integers(min_value=0, max_value=len(text)))]
     return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mangled([THREE_LINES, CONSTANT_CHAIN, GF5_CHAIN]),
+       st.sampled_from([None, linalg.QQ, linalg.GF(2), linalg.GF(7)]))
+def test_mangled_documents_load_as_the_two_pass_reference(text, override):
+    # equal spaces, or the same error first, as parsing every entry to a
+    # field element before building any space
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        reject()
+    assert outcome(fileio.arrangement_from_doc, doc, override) == outcome(
+        reference_arrangement_from_doc, doc, override
+    )
 
 
 FIELD_FLAGS = st.sampled_from([[], ["--field", "rational"], ["--field", "mod:2"],

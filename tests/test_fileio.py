@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interdec.arrangements import check_condition_C, decompose, new_arrangement
@@ -26,6 +26,9 @@ from interdec.fileio import (
 )
 from interdec.linalg import GF, QQ, subspace_from_generators
 from interdec.posets import build_poset
+
+from parse_reference import outcome, reference_arrangement_from_doc
+from randgen import random_monotone_arrangement, random_rows
 
 
 def test_field_docs():
@@ -119,6 +122,46 @@ def test_arrangement_doc_validation():
         arrangement_from_doc({**base, "spaces": {"a": [[1, "x"]]}})
     with pytest.raises(InputError, match=r"^arrangement: unknown keys \['extra'\]$"):
         arrangement_from_doc({**base, "extra": 1})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(7), GF(101)]), st.randoms(use_true_random=False),
+       st.booleans())
+def test_loading_matches_the_two_pass_reference(field, rng, raw):
+    # randgen documents, as written or with random generator rows in place
+    # of each space: non-canonical, with "p/q" strings over ℚ and
+    # unreduced integers over GF(p), and often not monotone
+    doc = arrangement_to_doc(random_monotone_arrangement(rng, field))
+    if raw:
+        for lab in doc["spaces"]:
+            rows = random_rows(rng, doc["ambient_dim"], field, rng.randint(0, 3))
+            if field is QQ:
+                scale = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+                rows = [render_vector(field, [scale * e for e in r]) for r in rows]
+            else:
+                rows = [[e + field.p * rng.randint(-3, 3) for e in r] for r in rows]
+            doc["spaces"][lab] = rows
+    assert outcome(arrangement_from_doc, doc) == outcome(reference_arrangement_from_doc, doc)
+
+
+def test_the_first_bad_entry_in_document_order_is_reported():
+    poset = {"elements": ["a", "b"], "relations": []}
+    cases = [
+        ("rational", {"a": [[True, 0], [1]], "b": []}, "a[0]: not a rational entry: True"),
+        ("rational", {"a": [[1], [True, 0]], "b": []}, "a[0]: expected a row of 2 entries"),
+        ("rational", {"a": [[0, 1], [1, "1e3"]], "b": [[None, 0]]},
+         "a[1]: not a rational entry: '1e3'"),
+        # document order, not the poset's
+        ("rational", {"b": [[0, "x"]], "a": [[1.5, 0]]}, "b[0]: not a rational entry: 'x'"),
+        ("rational", {"b": [[0, 1]], "a": [[1, 0], ["1/2", [1]]]},
+         "a[1]: not a rational entry: [1]"),
+        ({"mod": 7}, {"b": [[8, "1/2"]], "a": [[1, 0]]}, "b[0]: not a mod-7 entry: '1/2'"),
+    ]
+    for field, spaces, message in cases:
+        doc = {"field": field, "ambient_dim": 2, "poset": poset, "spaces": spaces}
+        expected = ("InputError", f"arrangement.spaces.{message}")
+        assert outcome(arrangement_from_doc, doc) == expected
+        assert outcome(reference_arrangement_from_doc, doc) == expected
 
 
 def test_render_vector():

@@ -35,6 +35,8 @@ from interdec.linalg import (
     zero_subspace,
 )
 
+from parse_reference import reference_exact_row, reference_subspace
+
 
 def Q(x):
     return Fraction(x)
@@ -125,14 +127,63 @@ def test_prime_field_arithmetic():
         f.parse("2")
 
 
-@given(st.lists(
-    st.fractions(max_denominator=10**6) | st.integers(-(10**30), 10**30).map(Fraction),
-    max_size=6,
-))
-def test_exact_row_matches_the_fraction_product(row):
-    # the integers are those of the old expression int(e * scale)
-    scale = lcm(1, *(e.denominator for e in row))
-    assert QQ.exact_row(row) == linalg._primitive([int(e * scale) for e in row])
+FRACTION_ENTRIES = (
+    st.fractions(max_denominator=10**6) | st.integers(-(10**30), 10**30).map(Fraction)
+)
+
+DOCUMENT_ENTRIES = (
+    st.integers(-(10**30), 10**30)
+    | FRACTION_ENTRIES
+    | st.builds(
+        lambda sign, p, q: f"{sign}{p}/{q}",
+        st.sampled_from(["", "-"]),
+        st.integers(0, 10**20),
+        st.integers(1, 10**6),
+    )
+    | st.sampled_from(["0.5", "-7", True, False, 1.5, None, "1e3", "1/0", "nan", [1]])
+)
+
+
+def row_outcome(to_kernel, field, row):
+    """The kernel row, or the message of the InputError raised instead."""
+    try:
+        return to_kernel(field, row)
+    except InputError as exc:
+        return "InputError", str(exc)
+
+
+@given(
+    st.sampled_from([QQ, GF(2), GF(7), GF(101)]),
+    st.lists(FRACTION_ENTRIES, max_size=6) | st.lists(DOCUMENT_ENTRIES, max_size=6),
+)
+@example(QQ, [True])
+@example(GF(7), [-8, 15, 10**30])
+def test_exact_row_matches_the_fraction_product(field, row):
+    # one pass over document entries against the two-pass route it
+    # replaced: every entry parsed to a field element, then the kernel row
+    assert row_outcome(type(field).exact_row, field, row) == row_outcome(
+        reference_exact_row, field, row
+    )
+    if field is QQ and all(isinstance(e, Fraction) for e in row):
+        # the integers are those of the old expression int(e * scale)
+        scale = lcm(1, *(e.denominator for e in row))
+        assert QQ.exact_row(row) == linalg._primitive([int(e * scale) for e in row])
+
+
+@given(
+    st.sampled_from([QQ, GF(7)]),
+    st.lists(st.lists(DOCUMENT_ENTRIES, min_size=1, max_size=3), max_size=3),
+)
+@example(QQ, [[True, 0], [1]])
+def test_subspace_from_generators_matches_the_two_pass_route(field, rows):
+    # every length is checked before any entry is parsed
+    def build(route):
+        try:
+            return route(2, rows, field)
+        except (DimensionMismatch, InputError) as exc:
+            return type(exc).__name__, str(exc)
+
+    assert build(subspace_from_generators) == build(reference_subspace)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import interdec
@@ -183,6 +184,34 @@ def test_section_rule_has_one_home():
         "arrangements._section_rows",
         "linalg.complement_within",
     }
+
+
+def test_entry_parsing_has_one_home(monkeypatch):
+    # each document entry is parsed once, by the field's exact_row, on its
+    # way to a kernel row; decomposition_of parses its vector and the sums
+    # it hands back, and the loader leaves every entry to exact_row
+    def calls_parse(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "parse"
+        )
+
+    assert scopes_where(calls_parse) == {
+        "linalg.RationalField.exact_row",
+        "linalg.PrimeField.exact_row",
+        "arrangements.decomposition_of",
+    }
+
+    # over ℚ an int goes straight through, as its own numerator, and a
+    # field element is not parsed again
+    def refuse(self, value):
+        raise AssertionError(f"parsed {value!r}")
+
+    linalg = importlib.import_module("interdec.linalg")
+    monkeypatch.setattr(linalg.RationalField, "parse", refuse)
+    assert linalg.QQ.exact_row([2, -4, 6]) == (1, -2, 3)
+    assert linalg.QQ.exact_row([Fraction(-1, 2), 3]) == (1, -6)
 
 
 def test_rebuild_locator_has_one_caller():
