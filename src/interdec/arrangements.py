@@ -146,7 +146,7 @@ class Arrangement:
     """Monotone map from a finite poset into the subspaces of F^d.
 
     Built through new_arrangement, which validates monotonicity, by
-    extend_to_lower_sets, whose walk certifies it, or by
+    extend_to_lower_sets, whose spaces are lower-set sums, or by
     interactions.FactorArrangement, whose factor spaces are monotone by
     cylinder refinement and are not rechecked; instances are immutable.
     Monotonicity makes F(B) = Σ_{b ∈ max B} F(b) for every subset B, so
@@ -321,8 +321,8 @@ def _pairwise_lower_set_scan(arrangement, cap, property_name):
     The decomposition certificate decides both: a certified decomposition
     gives F(ℬ) = ⊕_{b∈ℬ} s_b on every lower set, so every pair holds, and a
     failed one means (C) fails at some a, a failing pair (â, ǎ).  So only a
-    failing scan ranks lower sets, to locate its first failing pair.  The
-    cap is enforced first, before any linear algebra.
+    failing scan ranks lower sets, through dim_of_mask, to locate its first
+    failing pair.  The cap is enforced first, before any linear algebra.
     """
     masks = [m for m, _ in _grow_lower_sets(arrangement.poset, cap)]
     comps = pre_decompose(arrangement).components
@@ -345,60 +345,20 @@ def _section_rows(arrangement, i, rows):
     return kept
 
 
-def _lower_set_echelons(arrangement, masks):
-    """Yield (mask, kernel echelon of F(mask)) for the lower sets masks, in
-    enumerate_lower_sets order, each grown from its parent.
-
-    For x maximal in a lower set L, L's echelon is a copy of its parent's
-    plus the rows of x's section s_x of _section_rows, since
-    F(x) = F(x̂*) + span s_x and x̂* ⊆ L ∖ {x}.  Element order need not be a
-    linear extension, so x is a maximal member, not the highest bit.  Sets
-    come by size, so only the echelons of the current and the previous size
-    are kept.  A caller may reduce a yielded echelon in place: it keeps its
-    span, which the children copy.
-    """
-    poset = arrangement.poset
-    sections = [
-        _section_rows(arrangement, i, arrangement.spaces[a].exact_rows())
-        for i, a in enumerate(poset.labels)
-    ]
-    previous, current, size = {}, {}, 0
-    for m in masks:
-        if m.bit_count() != size:
-            previous, current, size = current, {}, m.bit_count()
-        if m:
-            x = poset._maximal(m).bit_length() - 1
-            acc = previous[m & ~(1 << x)].copy()
-            for row in sections[x]:
-                acc.insert(row)
-        else:
-            acc = IntEchelon(arrangement.field)
-        current[m] = acc
-        yield m, acc
-
-
 def _first_failing_pair(arrangement, masks, property_name):
     """The report of the first pair of lower sets, in scan order, whose
     dimensions break the pair identity.  Pairs with mi ⊆ mj hold trivially;
-    for the others the walk ranks lower sets lazily, in scan order."""
+    the others rank the lower sets they name by dim_of_mask, so the scan
+    ranks nothing past the pairs it reaches."""
     poset = arrangement.poset
     masks = _in_lower_set_order(poset, masks)
-    walk, dims, pairs = _lower_set_echelons(arrangement, masks), {}, 0
+    dim, pairs = arrangement.dim_of_mask, 0
     for i, mi in enumerate(masks):
         for mj in masks[i:]:
             pairs += 1
             if mi & ~mj == 0:
                 continue
-            # masks come by size: once the union is ranked, so are the others
-            union = mi | mj
-            if union not in dims:
-                for m, acc in walk:
-                    dims[m] = acc.rank
-                    if m == union:
-                        break
-                else:
-                    raise InternalContradiction("the lower-set walk missed a union")
-            if dims[mi] + dims[mj] - dims[union] == dims[mi & mj]:
+            if dim(mi) + dim(mj) - dim(mi | mj) == dim(mi & mj):
                 continue
             location = (poset._labels_of(mi), poset._labels_of(mj))
             witness = _pair_witness(arrangement, mi, mj, location)
@@ -667,9 +627,15 @@ def pushforward(mapping, arrangement, target_poset):
 
 def extend_to_lower_sets(arrangement):
     """Arrangement on the lattice of all lower sets, ℬ ↦ F(ℬ) = Σ_{b∈ℬ} F(b),
-    grown by _lower_set_echelons, whose section counts certify monotonicity."""
-    lattice, masks = lower_set_lattice(arrangement.poset)
-    n = arrangement.ambient_dim
-    walk = _lower_set_echelons(arrangement, masks)
-    spaces = {lab: acc.subspace(n) for lab, (_, acc) in zip(lattice.labels, walk)}
-    return Arrangement(lattice, n, arrangement.field, spaces)
+    each summed from its parent: F(ℬ) = F(ℬ ∖ {x}) + F(x) for a maximal
+    member x, not the highest bit, as element order need not be a linear
+    extension.  Every space is a lower-set sum, so the lattice is monotone."""
+    poset, field, n = arrangement.poset, arrangement.field, arrangement.ambient_dim
+    lattice, masks = lower_set_lattice(poset)
+    # masks come by size, the empty lower set first
+    sums = {0: zero_subspace(n, field)}
+    for m in masks[1:]:
+        x = poset._maximal(m).bit_length() - 1
+        parts = [sums[m & ~(1 << x)], arrangement.spaces[poset.labels[x]]]
+        sums[m] = sum_echelon(parts, field).subspace(n)
+    return Arrangement(lattice, n, field, dict(zip(lattice.labels, sums.values())))

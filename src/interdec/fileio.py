@@ -28,6 +28,8 @@ def load_json(path):
         # JSONDecodeError, undecodable bytes, or an integer literal longer
         # than the interpreter converts (4,300 digits by default)
         raise InputError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise InputError(f"{path}: not valid JSON (nested too deeply)") from None
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from None
 

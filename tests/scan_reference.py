@@ -1,12 +1,14 @@
 """The full pair loop over lower sets, the reference for (I) and (sI).
 
 The checkers decide both properties by the decomposition certificate, the
-same one `decompose` reads.  This loop decides them by subset sums alone:
-every lower set is ranked by `dim_of_mask`, and the pair identity is
-tested on every pair in scan order.
+same one `decompose` reads, and a failing scan ranks lower sets through
+`dim_of_mask`.  This loop decides them by ranks alone, by its own route:
+every lower set is ranked by `rank_of_rows` over the stored rows of all
+its members, with no maximal-member shortcut and no memo, and the pair
+identity is tested on every pair in scan order.
 """
 
-from interdec.linalg import first_outside, intersect
+from interdec.linalg import first_outside, intersect, rank_of_rows
 from interdec.posets import enumerate_lower_sets
 
 
@@ -16,7 +18,14 @@ def full_pair_scan(arrangement):
     Returns (verdict, witness location, witness vector, work)."""
     poset = arrangement.poset
     masks = enumerate_lower_sets(poset)
-    dims = {m: arrangement.dim_of_mask(m) for m in masks}
+    rows = [arrangement.spaces[lab].exact_rows() for lab in poset.labels]
+    dims = {
+        m: rank_of_rows(
+            [row for i, own in enumerate(rows) if m >> i & 1 for row in own],
+            arrangement.field,
+        )
+        for m in masks
+    }
     pairs = 0
     for i, mi in enumerate(masks):
         for mj in masks[i:]:

@@ -89,7 +89,7 @@ def test_criterion_1_equivalence_suite(suite1):
     decompose's verdict is the certificate of its pre-decomposition, reached
     independently of (C); it runs (C) only to explain a failed certificate.
     check_intersection_bruteforce reads that same certificate, so (I) is
-    also decided by the full pair scan, from subset sums alone.
+    also decided by the full pair scan, from per-set ranks alone.
     """
     agreements = 0
     decomposable = 0

@@ -403,7 +403,8 @@ def test_pushforward_embedding_mismatch_is_internal_contradiction(monkeypatch):
 
 
 def test_extend_to_lower_sets(monkeypatch, c3_constant):
-    # the walk's section counts certify the lattice: no cover is rescanned
+    # every lattice space is a lower-set sum, monotone by definition: no
+    # cover is rescanned
     monkeypatch.setattr(arrangements, "check_monotonicity", None)
     ext = extend_to_lower_sets(c3_constant)
     assert ext.poset.labels == ("{}", "{x}", "{x,y}", "{x,y,z}")
@@ -566,7 +567,6 @@ def test_passing_scans_never_enter_the_pair_loop(monkeypatch, three_lines):
         return original(self, mask)
 
     monkeypatch.setattr(arrangements, "_first_failing_pair", refuse)
-    monkeypatch.setattr(arrangements, "_lower_set_echelons", refuse)
     monkeypatch.setattr(arrangements.Arrangement, "_sum_echelon", counting)
     # eight independent lines on an antichain: 2^8 lower sets
     labels = [f"l{i}" for i in range(8)]
@@ -600,25 +600,25 @@ def test_failing_scan_walks_only_up_to_the_failing_union(monkeypatch):
     lines = {lab: [[(i + 1) ** k for k in range(5)]] for i, lab in enumerate(labels)}
     poset = build_poset(labels, [])
     masks = enumerate_lower_sets(poset)
-    walked = []
-    original = arrangements._lower_set_echelons
+    ranked = set()
+    original = arrangements.Arrangement.dim_of_mask
 
-    def counting(arrangement, masks):
-        for step in original(arrangement, masks):
-            walked.append(step[0])
-            yield step
+    def recording(self, mask):
+        ranked.add(mask)
+        return original(self, mask)
 
-    monkeypatch.setattr(arrangements, "_lower_set_echelons", counting)
+    monkeypatch.setattr(arrangements.Arrangement, "dim_of_mask", recording)
     expected = full_pair_scan(new_arrangement(poset, 5, QQ, lines))
     left, right = expected[1]
     union = poset._mask_of(left + right)
     assert union.bit_count() == 6
     for check in (check_intersection_bruteforce, check_strong_intersection):
-        walked.clear()
+        ranked.clear()
         assert scan_outcome(check(new_arrangement(poset, 5, QQ, lines))) == expected
-        # the walk ranks the lower sets in scan order up to the union
-        assert walked == masks[: masks.index(union) + 1]
-        assert len(walked) < len(masks) // 2
+        # the failing scan ranks lower sets in scan order, none past the union
+        assert union in ranked
+        assert max(masks.index(m) for m in ranked) == masks.index(union)
+        assert len(ranked) < len(masks) // 2
 
 
 def test_a_failed_certificate_whose_pairs_all_pass_is_a_contradiction(
@@ -654,13 +654,13 @@ def test_a_short_section_is_a_contradiction(monkeypatch, c3_growing):
     monkeypatch.setattr(
         arrangements, "complement_rows", lambda target, rows: original(target, rows)[:-1]
     )
-    for call in (pre_decompose, extend_to_lower_sets, check_strong_intersection):
+    for call in (pre_decompose, check_strong_intersection):
         with pytest.raises(InternalContradiction, match=r"^the section at 'x' misses"):
             call(c3_growing)
 
 
 # ---------------------------------------------------------------------------
-# lower-set echelons grown from their parents, against per-set subset sums
+# lower-set sums grown from their parents, against per-set subset sums
 # ---------------------------------------------------------------------------
 
 def shuffled_poset(rng):
@@ -680,21 +680,19 @@ def against_order_sample(seed, field):
 
 
 def grown_walk(arrangement, masks):
-    """(mask, rank, grew) along _lower_set_echelons, where grew says that
-    the lower set L gained w(x) = dim F(x) − dim F(x̂*) dimensions over its
-    parent L ∖ {x}, from subset sums rather than from the walk's sections."""
+    """(mask, grew) over the lower sets masks, where grew says that the
+    lower set L gained w(x) = dim F(x) − dim F(x̂*) dimensions over its
+    parent L ∖ {x}, a maximal member x removed, all from dim_of_mask."""
     poset = arrangement.poset
-    ranks = {}
+    dim = arrangement.dim_of_mask
     out = []
-    for m, acc in arrangements._lower_set_echelons(arrangement, masks):
-        ranks[m] = acc.rank
+    for m in masks:
         grew = True
         if m:
             x = poset._maximal(m).bit_length() - 1
-            strict = arrangement.dim_of_mask(poset._down[x] & ~(1 << x))
-            w = arrangement.spaces[poset.labels[x]].dim - strict
-            grew = ranks[m] == ranks[m & ~(1 << x)] + w
-        out.append((m, ranks[m], grew))
+            w = arrangement.spaces[poset.labels[x]].dim - dim(poset._down[x] & ~(1 << x))
+            grew = dim(m) == dim(m & ~(1 << x)) + w
+        out.append((m, grew))
     return out
 
 
@@ -703,12 +701,11 @@ def grown_walk(arrangement, masks):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     field=st.sampled_from(SCAN_FIELDS),
 )
-def test_lower_set_echelons_match_per_set_subset_sums(seed, field):
+def test_lower_set_sums_match_per_set_subset_sums(seed, field):
     arr = against_order_sample(seed, field)
     masks = enumerate_lower_sets(arr.poset)
     oracle = against_order_sample(seed, field)
-    walk = grown_walk(arr, masks)
-    assert [m for m, rank, _ in walk if rank == oracle.dim_of_mask(m)] == masks
+    walk = grown_walk(oracle, masks)
     lattice_masks = lower_set_lattice(arr.poset)[1]
     ext = extend_to_lower_sets(arr)
     assert [ext.spaces[lab] for lab in ext.poset.labels] == [
@@ -717,17 +714,17 @@ def test_lower_set_echelons_match_per_set_subset_sums(seed, field):
     expected = full_pair_scan(oracle)
     # d(ℬ) = Σ_{x∈ℬ} w(x) on every lower set exactly when (I) and (sI)
     # hold: the pair identity says d is a valuation (Birkhoff)
-    assert all(grew for _, _, grew in walk) == expected[0]
+    assert all(grew for _, grew in walk) == expected[0]
     for check in (check_intersection_bruteforce, check_strong_intersection):
         assert scan_outcome(check(against_order_sample(seed, field))) == expected
 
 
-def test_only_the_top_lower_set_of_three_lines_fails_to_grow(three_lines):
+def test_three_lines_grow_short_only_at_their_top_lower_set(three_lines):
     # each line grows the empty set or one other line; the third line
     # adds nothing to the plane the other two span
     masks = enumerate_lower_sets(three_lines.poset)
     walk = grown_walk(three_lines, masks)
-    assert [m for m, _, grew in walk if not grew] == [0b111]
+    assert [m for m, grew in walk if not grew] == [0b111]
 
 
 @pytest.mark.parametrize("field", SCAN_FIELDS, ids=repr)

@@ -234,6 +234,26 @@ def test_undecodable_bytes_are_input_error(tmp_path):
     assert line.startswith(f"error: {path}: not valid JSON (")
 
 
+@pytest.mark.parametrize("depth", [990, 100_000])
+@pytest.mark.parametrize("command", ["check", "interactions"])
+def test_deeply_nested_json_is_input_error(tmp_path, command, depth):
+    # json.load raises RecursionError past the interpreter's recursion
+    # limit; nesting a row entry or a model's variable list 990 deep
+    # already reaches it
+    nested = "[" * depth + "1" + "]" * depth
+    path = tmp_path / "deep.json"
+    if command == "check":
+        path.write_text(json.dumps(THREE_LINES).replace("[[1, 0]]", f"[[{nested}, 0]]"))
+        argv = ["check", str(path), "--property", "C"]
+    else:
+        path.write_text('{"variables": ' + nested + "}")
+        argv = ["interactions", str(path)]
+    result = invoke(argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: {path}: not valid JSON (nested too deeply)"]
+
+
 def test_arrangement_unknown_top_level_key_is_input_error(tmp_path):
     path = write(tmp_path, "extra.json", dict(CONSTANT_CHAIN, extra=1))
     result = invoke(["check", path, "--property", "C"])

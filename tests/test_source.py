@@ -169,8 +169,8 @@ def test_lowest_bit_walk_has_one_home():
 
 
 def test_section_rule_has_one_home():
-    # pre_decompose and the lower-set walk both take their sections of
-    # F(x) ↠ F(x)/F(x̂*) from arrangements._section_rows; in linalg only
+    # pre_decompose takes its sections of F(x) ↠ F(x)/F(x̂*) from
+    # arrangements._section_rows, their one home; in linalg only
     # complement_within wraps the greedy rule, and it stays while the
     # benchmark traces its name
     def calls_complement_rows(node):
@@ -228,6 +228,37 @@ def test_rebuild_locator_has_one_caller():
     assert scopes_where(calls_rebuild_locator) == {"arrangements.verify_decomposition"}
 
 
+def test_sum_sites_in_arrangements_are_pinned():
+    # every lower-set dimension comes from the subset-sum memo behind
+    # eval_mask and dim_of_mask; extend_to_lower_sets sums each lower set
+    # from its parent, and only the certificate's failure locators sum
+    # components; no scope grows an echelon from a copy
+    def calls_sum_echelon(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "sum_echelon"
+        )
+
+    def calls_copy(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "copy"
+        )
+
+    def in_arrangements(scopes):
+        return {scope for scope in scopes if scope.split(".")[0] == "arrangements"}
+
+    assert in_arrangements(scopes_where(calls_sum_echelon)) == {
+        "arrangements.Arrangement._sum_echelon",
+        "arrangements.extend_to_lower_sets",
+        "arrangements._first_rebuild_failure",
+        "arrangements._direct_sum_witness",
+    }
+    assert in_arrangements(scopes_where(calls_copy)) == set()
+
+
 def test_only_the_rational_field_names_fraction():
     # the kernel computes on integer rows; Fraction values are made only
     # where RationalField parses, renders or scales a row to pivot one
@@ -271,7 +302,7 @@ def test_the_factor_path_eliminates_nothing():
 def test_acceptance_decides_the_scans_by_the_reference_pair_loop():
     # (I), (sI) and decompose read one decomposition certificate, so the
     # acceptance criteria that compare them also decide (I) and (sI) by
-    # the full pair scan of tests/scan_reference.py, from subset sums alone
+    # the full pair scan of tests/scan_reference.py, from ranks alone
     root = PACKAGE.parents[1]
     tree = ast.parse((root / "tests" / "test_acceptance.py").read_text())
     imported = {
