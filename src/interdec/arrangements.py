@@ -57,8 +57,8 @@ from .linalg import (
 from .posets import (
     LOWER_SET_CAP,
     _bits,
-    _grow_lower_sets,
-    _in_lower_set_order,
+    _count_lower_sets,
+    enumerate_lower_sets,
     interval_elements,
     is_order_embedding,
     lower_set_lattice,
@@ -103,7 +103,8 @@ class CheckReport:
     including the failing one, and ranks_computed the ranks behind them.
     (I) and (sI) count one rank per lower set.  They hold exactly when the
     decomposition certificate does, and then report the full scan's counts,
-    L(L + 1)/2 pairs and L ranks over L lower sets, whatever decided them.
+    L(L + 1)/2 pairs and L ranks over L lower sets, whatever decided them;
+    L is counted, and no lower set is listed or ranked.
     """
 
     __slots__ = ("property", "witness", "work")
@@ -320,15 +321,17 @@ def _pairwise_lower_set_scan(arrangement, cap, property_name):
 
     The decomposition certificate decides both: a certified decomposition
     gives F(ℬ) = ⊕_{b∈ℬ} s_b on every lower set, so every pair holds, and a
-    failed one means (C) fails at some a, a failing pair (â, ǎ).  So only a
-    failing scan ranks lower sets, through dim_of_mask, to locate its first
-    failing pair.  The cap is enforced first, before any linear algebra.
+    failed one means (C) fails at some a, a failing pair (â, ǎ).  So the
+    lower sets are counted, not listed, which enforces the cap before any
+    linear algebra and gives a holding scan its work counts; only a failing
+    scan lists them, and ranks them through dim_of_mask, to locate its
+    first failing pair.
     """
-    masks = [m for m, _ in _grow_lower_sets(arrangement.poset, cap)]
+    count = _count_lower_sets(arrangement.poset, cap)
     comps = pre_decompose(arrangement).components
     if _certificate_failure(arrangement, comps) is None:
-        count = len(masks)
         return CheckReport(property_name, None, count * (count + 1) // 2, count)
+    masks = enumerate_lower_sets(arrangement.poset, cap)
     return _first_failing_pair(arrangement, masks, property_name)
 
 
@@ -346,12 +349,11 @@ def _section_rows(arrangement, i, rows):
 
 
 def _first_failing_pair(arrangement, masks, property_name):
-    """The report of the first pair of lower sets, in scan order, whose
-    dimensions break the pair identity.  Pairs with mi ⊆ mj hold trivially;
-    the others rank the lower sets they name by dim_of_mask, so the scan
-    ranks nothing past the pairs it reaches."""
+    """The report of the first pair of lower sets, masks in scan order,
+    whose dimensions break the pair identity.  Pairs with mi ⊆ mj hold
+    trivially; the others rank the lower sets they name by dim_of_mask, so
+    the scan ranks nothing past the pairs it reaches."""
     poset = arrangement.poset
-    masks = _in_lower_set_order(poset, masks)
     dim, pairs = arrangement.dim_of_mask, 0
     for i, mi in enumerate(masks):
         for mj in masks[i:]:

@@ -14,6 +14,7 @@ solve_exact's coefficients.  No floating point appears anywhere.
 
 from __future__ import annotations
 
+import reprlib
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -53,7 +54,7 @@ class RationalField:
                 return Fraction(value)
             except (ValueError, ZeroDivisionError):
                 pass
-        raise InputError(f"not a rational entry: {value!r}")
+        raise InputError(f"not a rational entry: {_shown(value)}")
 
     def format(self, element):
         """Document form: an int or "p/q".  Parts longer than the
@@ -124,7 +125,7 @@ class PrimeField:
 
     def parse(self, value):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise InputError(f"not a mod-{self.p} entry: {value!r}")
+            raise InputError(f"not a mod-{self.p} entry: {_shown(value)}")
         return value % self.p
 
     def format(self, element):
@@ -204,6 +205,17 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+_SHOWN_LIMIT = 40
+
+
+def _shown(value):
+    """repr of a rejected document entry, cut to _SHOWN_LIMIT characters
+    and an ellipsis.  reprlib stops a few levels into nested lists and
+    shortens long strings, so a deep or long entry costs little to show."""
+    text = reprlib.repr(value)
+    return text if len(text) <= _SHOWN_LIMIT else text[:_SHOWN_LIMIT] + "..."
 
 
 def _check_digits(n):

@@ -15,6 +15,8 @@ containing B.  Lower sets are the subsets equal to their own completion.
 Derived subsets come back as frozensets of labels; functions that take a
 subset accept any iterable of labels.  enumerate_lower_sets returns member
 bitmasks instead (bit i is element i), the form the checkers work in.
+_count_lower_sets counts the lower sets without listing them, so a caller
+that needs only their number, or only the cap, pays for no listing.
 
 Every Poset has unique labels, the lattice's "{a,b}" names included: two
 lower sets with the same name (elements "a,b", "a" and "b", say) raise
@@ -214,25 +216,108 @@ def enumerate_lower_sets(poset, cap=LOWER_SET_CAP):
     return _in_lower_set_order(poset, (mask for mask, _ in _grow_lower_sets(poset, cap)))
 
 
-def _grow_lower_sets(poset, cap):
-    """Yield each lower set's mask L with its upper covers L ∪ {x}, one for
-    each x minimal outside L; raises CapExceeded past cap lower sets."""
+def _count_lower_sets(poset, cap):
+    """The number of lower sets, listing none; raises CapExceeded past cap.
+
+    The count is the product of the counts of the connected components of
+    the comparability graph.  Inside a component P, a lower set either
+    misses x, and is then a lower set of P ∖ ↑x, or holds x, and is then
+    ↓x with a lower set of P ∖ ↓x, so N(P) = N(P ∖ ↑x) + N(P ∖ ↓x),
+    memoized by mask.  Every partial count is checked against the cap as
+    it is made, so the work stays bounded by the cap, as the enumeration's
+    is: counting lower sets is #P-complete in general (Provan & Ball 1983).
+    An explicit stack stands in for recursion, whose depth can reach the
+    poset size.
+    """
+    _check_cap(cap)
+    total = 1
+    for component in _components(poset):
+        total *= _count_component(poset, component, cap)
+        if total > cap:
+            raise CapExceeded(f"poset has more than {cap} lower sets")
+    return total
+
+
+def _components(poset):
+    """Member masks of the connected components of the comparability
+    graph, made one at a time, so a caller that stops early pays only for
+    those it took."""
+    rest = (1 << len(poset.labels)) - 1
+    while rest:
+        component = 0
+        frontier = 1 << (rest.bit_length() - 1)
+        while frontier:
+            component |= frontier
+            reach = 0
+            for i in _bits(frontier):
+                reach |= poset._up[i] | poset._down[i]
+            frontier = reach & ~component
+        rest &= ~component
+        yield component
+
+
+def _count_component(poset, component, cap):
+    """N(component) by N(P) = N(P ∖ ↑x) + N(P ∖ ↓x), x the highest member;
+    raises CapExceeded as soon as a count passes cap."""
+    memo = {0: 1}
+    stack = [component]
+    while stack:
+        mask = stack[-1]
+        if mask in memo:
+            stack.pop()
+            continue
+        x = mask.bit_length() - 1
+        without = mask & ~poset._up[x]
+        holding = mask & ~poset._down[x]
+        if without not in memo:
+            stack.append(without)
+        elif holding not in memo:
+            stack.append(holding)
+        else:
+            count = memo[without] + memo[holding]
+            if count > cap:
+                raise CapExceeded(f"poset has more than {cap} lower sets")
+            memo[mask] = count
+            stack.pop()
+    return memo[component]
+
+
+def _check_cap(cap):
     if cap < 1:
         raise CapExceeded("cap must allow at least the empty lower set")
+
+
+def _grow_lower_sets(poset, cap):
+    """Yield each lower set's mask L with the mask of the elements minimal
+    outside it, whose additions give L's upper covers; raises CapExceeded
+    past cap lower sets.
+
+    Adding x to L can make minimal outside only elements above x, so each
+    cover's minimal mask comes from L's, with x dropped, and the strict
+    up-set of x, tested against the grown set."""
+    _check_cap(cap)
+    minimal = 0
+    for i, below in enumerate(poset._down):
+        if below == 1 << i:
+            minimal |= 1 << i
     seen = {0}
-    todo = [0]
+    todo = [(0, minimal)]
     while todo:
-        mask = todo.pop()
-        covers = [
-            mask | 1 << i for i, below in enumerate(poset._down) if below & ~mask == 1 << i
-        ]
-        yield mask, covers
-        for grown in covers:
-            if grown not in seen:
-                seen.add(grown)
-                if len(seen) > cap:
-                    raise CapExceeded(f"poset has more than {cap} lower sets")
-                todo.append(grown)
+        mask, minimal = todo.pop()
+        yield mask, minimal
+        for x in _bits(minimal):
+            bit = 1 << x
+            grown = mask | bit
+            if grown in seen:
+                continue
+            seen.add(grown)
+            if len(seen) > cap:
+                raise CapExceeded(f"poset has more than {cap} lower sets")
+            outside = minimal & ~bit
+            for y in _bits(poset._up[x] & ~bit):
+                if poset._down[y] & ~grown == 1 << y:
+                    outside |= 1 << y
+            todo.append((grown, outside))
 
 
 def _in_lower_set_order(poset, masks):
@@ -255,10 +340,10 @@ def lower_set_lattice(poset):
     so up(L) is L's own bit OR-ed with their up-masks, filled from the end,
     and each cover's down-mask takes in down(L), filled from the front.
     """
-    covers = dict(_grow_lower_sets(poset, LOWER_SET_CAP))
-    masks = _in_lower_set_order(poset, covers)
+    minimal = dict(_grow_lower_sets(poset, LOWER_SET_CAP))
+    masks = _in_lower_set_order(poset, minimal)
     position = {m: k for k, m in enumerate(masks)}
-    upper_covers = [[position[c] for c in covers[m]] for m in masks]
+    upper_covers = [[position[m | 1 << x] for x in _bits(minimal[m])] for m in masks]
     ups = [1 << k for k in range(len(masks))]
     for k in range(len(masks) - 1, -1, -1):
         for c in upper_covers[k]:

@@ -1,13 +1,14 @@
 """Arrangements: validation, property checkers, decomposition, functoriality."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interdec import arrangements
+from interdec import arrangements, posets
 from interdec.arrangements import (
     CheckReport,
     Decomposition,
@@ -48,7 +49,13 @@ from interdec.linalg import (
     subspace_from_generators,
     zero_subspace,
 )
-from interdec.posets import build_poset, downset, enumerate_lower_sets, lower_set_lattice
+from interdec.posets import (
+    Poset,
+    build_poset,
+    downset,
+    enumerate_lower_sets,
+    lower_set_lattice,
+)
 
 from randgen import random_decomposable_arrangement, random_monotone_arrangement, random_poset
 from scan_reference import full_pair_scan, scan_outcome
@@ -647,6 +654,68 @@ def test_over_cap_scans_stop_before_any_linear_algebra(monkeypatch, three_lines)
         assert calls == []
         assert not check(three_lines, cap=8).verdict
         assert len(calls) == 1
+
+
+class ListedLowerSets(Exception):
+    pass
+
+
+def independent_lines(count):
+    """count independent lines of ℚ^count on an antichain: 2^count lower
+    sets, and the certificate holds."""
+    labels = [f"l{i:02d}" for i in range(count)]
+    lines = {lab: [[int(j == i) for j in range(count)]] for i, lab in enumerate(labels)}
+    return new_arrangement(build_poset(labels, []), count, QQ, lines)
+
+
+def test_holding_and_over_cap_scans_list_no_lower_set(monkeypatch, three_lines):
+    def refuse(*args):
+        raise ListedLowerSets
+
+    # enumerate_lower_sets and lower_set_lattice list through this one walk
+    monkeypatch.setattr(posets, "_grow_lower_sets", refuse)
+    holding, over = independent_lines(12), independent_lines(13)
+    for check in (check_intersection_bruteforce, check_strong_intersection):
+        report = check(holding)
+        assert report.verdict
+        assert report.work == {"pairs_checked": 4096 * 4097 // 2, "ranks_computed": 4096}
+        with pytest.raises(CapExceeded, match="^poset has more than 4096 lower sets$"):
+            check(over)
+        with pytest.raises(CapExceeded, match="^poset has more than 7 lower sets$"):
+            check(three_lines, cap=7)
+        # only a failing certificate lists the lower sets
+        with pytest.raises(ListedLowerSets):
+            check(three_lines)
+
+
+def zero_spaces(poset):
+    """The zero arrangement on poset, in ℚ^1: its certificate holds."""
+    return new_arrangement(poset, 1, QQ, {lab: [] for lab in poset.labels})
+
+
+def test_a_long_chain_is_counted_without_recursion():
+    # 1,500 elements listed bottom first; each element's up-set is every
+    # element from it on
+    n = 1500
+    full = (1 << n) - 1
+    chain = Poset([f"c{i}" for i in range(n)], [full & ~((1 << i) - 1) for i in range(n)])
+    for check in (check_intersection_bruteforce, check_strong_intersection):
+        report = check(zero_spaces(chain))
+        assert report.verdict
+        assert report.work == {"pairs_checked": 1501 * 1502 // 2, "ranks_computed": 1501}
+
+
+def test_wide_posets_are_refused_after_a_few_components():
+    # 2,000 singletons, and 20 disjoint 3-chains of 4 lower sets each
+    antichain = Poset([f"a{i}" for i in range(2000)], [1 << i for i in range(2000)])
+    relations = [(f"c{c}_{k}", f"c{c}_{k + 1}") for c in range(20) for k in range(2)]
+    chains = build_poset([f"c{c}_{k}" for c in range(20) for k in range(3)], relations)
+    for poset in (antichain, chains):
+        arrangement = zero_spaces(poset)
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="^poset has more than 4096 lower sets$"):
+            check_strong_intersection(arrangement)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_a_short_section_is_a_contradiction(monkeypatch, c3_growing):

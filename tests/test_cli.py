@@ -175,6 +175,21 @@ def test_rational_exponent_entry_is_input_error(tmp_path):
     assert line.startswith("error: ") and "not a rational entry" in line
 
 
+@pytest.mark.parametrize(
+    "entry", ["[" * 900 + "1" + "]" * 900, json.dumps("7" * 10_000)], ids=["deep", "long"]
+)
+def test_a_deep_or_long_entry_is_shown_short(tmp_path, entry):
+    # the error quotes the entry cut to a fixed length, not in full
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(THREE_LINES).replace("[[1, 0]]", f"[[{entry}, 0]]"))
+    result = invoke(["check", str(path), "--property", "C"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"error: {path}.spaces.a1[0]: not a rational entry: ")
+    assert len(line) < len(str(path)) + 100
+
+
 def test_overlong_integer_literal_is_input_error(tmp_path):
     # json.load refuses integer literals over the interpreter's 4,300-digit
     # conversion limit with a plain ValueError

@@ -13,6 +13,7 @@ from interdec.errors import (
     UnknownLabel,
 )
 from interdec.posets import (
+    _count_lower_sets,
     build_poset,
     cheek,
     downset,
@@ -229,9 +230,9 @@ def test_removing_maximal_elements(p):
 
 
 @st.composite
-def permuted_posets(draw):
+def permuted_posets(draw, max_size=8):
     """Random posets whose element order need not be a linear extension."""
-    n = draw(st.integers(min_value=0, max_value=8))
+    n = draw(st.integers(min_value=0, max_value=max_size))
     ranked = [f"e{i}" for i in range(n)]
     pairs = [
         (ranked[i], ranked[j])
@@ -240,6 +241,26 @@ def permuted_posets(draw):
         if draw(st.booleans())
     ]
     return build_poset(draw(st.permutations(ranked)), pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(posets(), permuted_posets(max_size=10)))
+def test_lower_sets_match_the_brute_force_filter(p):
+    # the listing and the count against a filter of all 2^n masks, sorted
+    # by size and then by the sorted member indices
+    n = len(p.labels)
+    brute = sorted(
+        (m for m in range(1 << n) if is_lower_set(p, p._labels_of(m))),
+        key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1]),
+    )
+    count = len(brute)
+    assert enumerate_lower_sets(p, cap=count) == brute
+    assert _count_lower_sets(p, count) == count
+    with pytest.raises(CapExceeded) as listed:
+        enumerate_lower_sets(p, cap=count - 1)
+    with pytest.raises(CapExceeded) as counted:
+        _count_lower_sets(p, count - 1)
+    assert str(counted.value) == str(listed.value)
 
 
 def covers_by_definition(p):
