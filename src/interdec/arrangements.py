@@ -100,11 +100,13 @@ class CheckReport:
 
     work counts the check's effort: pairs_checked is the number of pairs
     (cover pairs, elements, pairs of lower sets) examined up to and
-    including the failing one, and ranks_computed the ranks behind them.
-    (I) and (sI) count one rank per lower set.  They hold exactly when the
-    decomposition certificate does, and then report the full scan's counts,
-    L(L + 1)/2 pairs and L ranks over L lower sets, whatever decided them;
-    L is counted, and no lower set is listed or ranked.
+    including the failing one, and ranks_computed the ranks behind them:
+    one per cover pair, three per element for (C), one per lower set for
+    (I) and (sI).  These two hold exactly when the decomposition
+    certificate does, and then report the full scan's counts, L(L + 1)/2
+    pairs and L ranks over L lower sets, whatever decided them; L is
+    counted, and no lower set is listed or ranked.  A failure of (C), (I)
+    or (sI) is found by _pair_fails, and every witness is built by _witness.
     """
 
     __slots__ = ("property", "witness", "work")
@@ -244,10 +246,8 @@ def check_monotonicity(poset, spaces):
     for ia, ib in poset.covers():
         pairs += 1
         a, b = poset.labels[ia], poset.labels[ib]
-        small, big = spaces[a], spaces[b]
-        k = first_outside(small, big)
-        if k is not None:
-            witness = Witness((a, b), small.basis[k], small, big)
+        if first_outside(spaces[a], spaces[b]) is not None:
+            witness = _witness((a, b), spaces[a], spaces[b])
             return CheckReport("monotonicity", witness, pairs, pairs)
     return CheckReport("monotonicity", None, pairs, pairs)
 
@@ -265,48 +265,44 @@ def eval_lower_set(arrangement, members):
 def check_condition_C(arrangement):
     """Per-element check F(a) ∩ F(ǎ) ⊆ F(â*).
 
-    Since every b < a satisfies a ≰ b, F(â*) sits inside F(a) ∩ F(ǎ)
-    already, so the containment holds exactly when the two dimensions
-    agree; that needs three subset-sum ranks per element.  A failure is
-    the pair witness of â and ǎ, since F(â) = F(a) and â ∩ ǎ = â*.
+    This is the pair test of _pair_fails on the lower sets â and ǎ, as
+    â ∪ ǎ = ǎ ∪ {a} and â ∩ ǎ = â*, and a failure is their pair witness.
+    F(â) = F(a) is a sum with one summand, which copies F(a)'s stored rows
+    and eliminates nothing, so element i counts as pair i + 1 and three
+    ranks.
     """
     poset = arrangement.poset
     n = len(poset.labels)
     full = (1 << n) - 1
-    pairs = 0
-    ranks = 0
     for i, a in enumerate(poset.labels):
-        pairs += 1
-        bit = 1 << i
-        cheek_mask = full & ~poset._up[i]
-        strict_mask = poset._down[i] & ~bit
-        dim_a = arrangement.spaces[a].dim
-        dim_cheek = arrangement.dim_of_mask(cheek_mask)
-        dim_join = arrangement.dim_of_mask(cheek_mask | bit)
-        dim_strict = arrangement.dim_of_mask(strict_mask)
-        ranks += 3
-        if dim_a + dim_cheek - dim_join == dim_strict:
-            continue
-        witness = _pair_witness(arrangement, poset._down[i], cheek_mask, a)
-        return CheckReport("C", witness, pairs, ranks)
-    return CheckReport("C", None, pairs, ranks)
+        cheek = full & ~poset._up[i]
+        if _pair_fails(arrangement, poset._down[i], cheek):
+            witness = _pair_witness(arrangement, poset._down[i], cheek, a)
+            return CheckReport("C", witness, i + 1, 3 * (i + 1))
+    return CheckReport("C", None, n, 3 * n)
 
 
-def _basis_vector_outside(source, target):
-    """First canonical basis vector of source that is not in target."""
-    k = first_outside(source, target)
+def _pair_fails(arrangement, mb, mc):
+    """Whether F(B) ∩ F(C) ⊄ F(B ∩ C) for bitmask subsets B and C; as
+    F(B ∩ C) ⊆ F(B) ∩ F(C) always, the memoized dimensions decide it."""
+    dim = arrangement.dim_of_mask
+    return dim(mb) + dim(mc) - dim(mb | mc) != dim(mb & mc)
+
+
+def _witness(location, lhs, rhs):
+    """The witness rule: the first canonical basis row of lhs outside rhs."""
+    k = first_outside(lhs, rhs)
     if k is None:
         raise InternalContradiction(
             "dimension count promised a violating vector but none was found"
         )
-    return source.basis[k]
+    return Witness(location, lhs.basis[k], lhs, rhs)
 
 
 def _pair_witness(arrangement, mb, mc, location):
     """Witness of F(B) ∩ F(C) ⊄ F(B ∩ C) for bitmask subsets B and C."""
     lhs = intersect(arrangement.eval_mask(mb), arrangement.eval_mask(mc))
-    rhs = arrangement.eval_mask(mb & mc)
-    return Witness(location, _basis_vector_outside(lhs, rhs), lhs, rhs)
+    return _witness(location, lhs, arrangement.eval_mask(mb & mc))
 
 
 def _pairwise_lower_set_scan(arrangement, cap, property_name):
@@ -350,17 +346,15 @@ def _section_rows(arrangement, i, rows):
 
 def _first_failing_pair(arrangement, masks, property_name):
     """The report of the first pair of lower sets, masks in scan order,
-    whose dimensions break the pair identity.  Pairs with mi ⊆ mj hold
-    trivially; the others rank the lower sets they name by dim_of_mask, so
-    the scan ranks nothing past the pairs it reaches."""
+    that fails the pair test.  Pairs with mi ⊆ mj hold trivially and rank
+    nothing; the others go to _pair_fails, so the scan ranks only the
+    lower sets of the pairs it reaches."""
     poset = arrangement.poset
-    dim, pairs = arrangement.dim_of_mask, 0
+    pairs = 0
     for i, mi in enumerate(masks):
         for mj in masks[i:]:
             pairs += 1
-            if mi & ~mj == 0:
-                continue
-            if dim(mi) + dim(mj) - dim(mi | mj) == dim(mi & mj):
+            if mi & ~mj == 0 or not _pair_fails(arrangement, mi, mj):
                 continue
             location = (poset._labels_of(mi), poset._labels_of(mj))
             witness = _pair_witness(arrangement, mi, mj, location)
@@ -441,10 +435,9 @@ def verify_decomposition(arrangement, decomposition):
     a = poset.labels[i]
     space = arrangement.spaces[a]
     if first_outside(rebuilt, space) is not None:
-        lhs, rhs = rebuilt, space
+        witness = _witness(a, rebuilt, space)
     else:
-        lhs, rhs = space, rebuilt
-    witness = Witness(a, _basis_vector_outside(lhs, rhs), lhs, rhs)
+        witness = _witness(a, space, rebuilt)
     return CheckReport("decomposition", witness, i + 1, i + 2), Decomposition(comps)
 
 
@@ -469,9 +462,11 @@ def _certificate_failure(arrangement, comps):
     # (ii) each component lies in its space, and the components below each
     # element have its dimension in total
     dims = [s.dim for s in parts]
+    # zero components add nothing to a count
+    nonzero = sum(1 << j for j, d in enumerate(dims) if d)
     for i, a in enumerate(poset.labels):
         space = arrangement.spaces[a]
-        below = sum(dims[j] for j in _bits(poset._down[i]))
+        below = sum(dims[j] for j in _bits(poset._down[i] & nonzero))
         if below != space.dim or first_outside(parts[i], space) is not None:
             return "(ii)"
     return None
@@ -503,12 +498,8 @@ def _direct_sum_witness(arrangement, comps):
         others = sum_echelon([comps[y] for y in labels if y != x], arrangement.field)
         meet = intersect(comps[x], others.subspace(arrangement.ambient_dim))
         if meet.dim:
-            return Witness(
-                x,
-                meet.basis[0],
-                meet,
-                zero_subspace(arrangement.ambient_dim, arrangement.field),
-            )
+            zero = zero_subspace(arrangement.ambient_dim, arrangement.field)
+            return _witness(x, meet, zero)
     raise InternalContradiction(
         "rank deficit promised an overlapping component but none was found"
     )

@@ -107,7 +107,7 @@ def _exit_codes():
 
 
 def _field_override(opts):
-    return field_from_flag(opts.field) if opts.field else None
+    return field_from_flag(opts.field) if opts.field is not None else None
 
 
 def _load_arrangement(opts):

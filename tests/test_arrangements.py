@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interdec import arrangements, posets
+from interdec import arrangements, interactions, posets
 from interdec.arrangements import (
     CheckReport,
     Decomposition,
@@ -38,7 +38,11 @@ from interdec.errors import (
     NotMonotoneMap,
     VectorOutsideArrangement,
 )
-from interdec.interactions import build_factor_arrangement, build_product_space
+from interdec.interactions import (
+    build_factor_arrangement,
+    build_product_space,
+    interaction_dimensions,
+)
 from interdec.linalg import (
     GF,
     QQ,
@@ -58,7 +62,7 @@ from interdec.posets import (
 )
 
 from randgen import random_decomposable_arrangement, random_monotone_arrangement, random_poset
-from scan_reference import full_pair_scan, scan_outcome
+from scan_reference import full_c_scan, full_pair_scan, scan_outcome
 
 
 def sp(ambient, rows, field=QQ):
@@ -705,6 +709,38 @@ def test_a_long_chain_is_counted_without_recursion():
         assert report.work == {"pairs_checked": 1501 * 1502 // 2, "ranks_computed": 1501}
 
 
+def counted_bits(monkeypatch, module):
+    """A one-entry list that counts the indices module._bits yields."""
+    original, count = module._bits, [0]
+
+    def counting(mask):
+        for i in original(mask):
+            count[0] += 1
+            yield i
+
+    monkeypatch.setattr(module, "_bits", counting)
+    return count
+
+
+def test_the_certificate_counts_skip_zero_components(monkeypatch):
+    # the components below each element are summed over the nonzero ones
+    # only: Σ|downset| = 1,127,250 indices on the zero chain otherwise
+    n = 1500
+    full = (1 << n) - 1
+    chain = Poset([f"c{i}" for i in range(n)], [full & ~((1 << i) - 1) for i in range(n)])
+    count = counted_bits(monkeypatch, arrangements)
+    assert check_intersection_bruteforce(zero_spaces(chain)).verdict
+    assert decompose(zero_spaces(chain)).certified
+    assert count == [0]
+    # twelve one-valued variables: only the empty set's count is nonzero,
+    # so each of the 4,096 subsets adds one count, not 3^12 in all
+    count = counted_bits(monkeypatch, interactions)
+    factor = build_factor_arrangement(build_product_space(list("abcdefghijkl"), [1] * 12))
+    dims = interaction_dimensions(factor)
+    assert dims["{}"] == 1 and sum(dims.values()) == 1
+    assert count == [4096]
+
+
 def test_wide_posets_are_refused_after_a_few_components():
     # 2,000 singletons, and 20 disjoint 3-chains of 4 lower sets each
     antichain = Poset([f"a{i}" for i in range(2000)], [1 << i for i in range(2000)])
@@ -809,6 +845,41 @@ def test_against_order_sample_has_unsorted_posets_and_both_verdicts(field):
     assert unsorted >= 10
     assert verdicts == {True, False}
 
+
+
+# ---------------------------------------------------------------------------
+# condition (C) against the reference (C) scan
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    field=st.sampled_from(SCAN_FIELDS),
+    sample=st.sampled_from([scan_sample, against_order_sample]),
+)
+def test_condition_C_matches_the_reference_scan(seed, field, sample):
+    # every verdict, witness and work count; a failing decompose returns
+    # the same witness, on a fresh arrangement so no memo is shared
+    expected = full_c_scan(sample(seed, field))
+    assert scan_outcome(check_condition_C(sample(seed, field))) == expected
+    outcome = decompose(sample(seed, field))
+    if expected[0]:
+        assert outcome.certified
+    else:
+        assert outcome.verify()
+        assert (outcome.location, outcome.vector) == expected[1:3]
+
+
+@pytest.mark.parametrize("field", SCAN_FIELDS, ids=repr)
+def test_the_reference_C_samples_fail_past_the_first_element(field):
+    failures = []
+    for seed in range(30):
+        for sample in (scan_sample, against_order_sample):
+            verdict, _, _, work = full_c_scan(sample(seed, field))
+            if not verdict:
+                failures.append(work["pairs_checked"])
+    assert len(failures) >= 5
+    assert max(failures) > 1
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,19 @@ def test_check_field_override(tmp_path):
     assert invoke(["--field", "mod:6", "check", tl, "--property", "C"]).exit_code == 2
 
 
+@pytest.mark.parametrize("spelling", [["--field", ""], ["--field="]])
+def test_an_empty_field_is_refused_not_ignored(tmp_path, spelling):
+    tl = write(tmp_path, "tl.json", THREE_LINES)
+    m22 = write(tmp_path, "m22.json", MODEL_22)
+    for command in (["check", tl, "--property", "C"], ["interactions", m22]):
+        result = invoke([*spelling, *command])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: --field: expected 'rational' or 'mod:p', got ''"
+        ]
+
+
 # ---------------------------------------------------------------------------
 # decompose
 # ---------------------------------------------------------------------------

@@ -228,6 +228,25 @@ def test_rebuild_locator_has_one_caller():
     assert scopes_where(calls_rebuild_locator) == {"arrangements.verify_decomposition"}
 
 
+def test_pair_test_and_witness_rule_have_one_home_each():
+    # (C), (I) and (sI) all test the pair identity on lower sets, through
+    # _pair_fails, the one reader of the dimension memo; every check builds
+    # its witness by one rule, the first canonical basis row of lhs
+    # outside rhs, in _witness
+    def names_dim_of_mask(node):
+        return isinstance(node, ast.Attribute) and node.attr == "dim_of_mask"
+
+    def constructs_witness(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "Witness"
+        )
+
+    assert scopes_where(names_dim_of_mask) == {"arrangements._pair_fails"}
+    assert scopes_where(constructs_witness) == {"arrangements._witness"}
+
+
 def test_sum_sites_in_arrangements_are_pinned():
     # every lower-set dimension comes from the subset-sum memo behind
     # eval_mask and dim_of_mask; extend_to_lower_sets sums each lower set
