@@ -77,13 +77,9 @@ from .posets import (
     cheek,
     downset,
     enumerate_lower_sets,
-    height,
     interval_elements,
     is_lower_set,
     is_order_embedding,
-    lower_completion,
-    maximal_elements,
-    strict_downset,
 )
 
 __version__ = "0.1.0"

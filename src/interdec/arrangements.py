@@ -15,15 +15,17 @@ and which rebuilds every F(a) as the sum of s_b over b ≤ a.  On a finite
 poset an arrangement is decomposable exactly when (C) holds, and then any
 pre-decomposition (images of sections of F(a) ↠ F(a)/F(â*)) already works.
 So decompose() builds one pre-decomposition and certifies it; only a failed
-certificate runs the (C) check, whose witness then explains the failure.
+certificate runs the (C) scan, whose witness then explains the failure.
+(C), (I) and (sI) read the same certificate first.
 
-The certificate is checked by counting.  (i) the global sum is direct, one
-rank.  Given (i), (ii) Σ_{b≤a} s_b = F(a) holds exactly when every element
-has s_a ⊆ F(a) and Σ_{b≤a} dim s_b = dim F(a): monotonicity puts the sum
-inside F(a), directness gives it dimension Σ_{b≤a} dim s_b, and equal
-dimensions give equality.  Only verify_decomposition, once that count has
-failed, rebuilds the sums from the first element on, to locate the witness.
-The same certificate decides (I) and (sI).
+The certificate is checked by counting.  (i) the global sum is direct: each
+section's rows go into one running echelon as it is built, and the first
+dependent row fails (i) and stops the building.  Given (i), (ii)
+Σ_{b≤a} s_b = F(a) holds exactly when every element has s_a ⊆ F(a) and
+Σ_{b≤a} dim s_b = dim F(a): monotonicity puts the sum inside F(a),
+directness gives it dimension Σ_{b≤a} dim s_b, and equal dimensions give
+equality.  Only verify_decomposition, once that count has failed, rebuilds
+the sums from the first element on, to locate the witness.
 
 Everything is exact; verdicts carry re-verifiable witnesses on failure.
 """
@@ -46,7 +48,6 @@ from .linalg import (
     complement_rows,
     first_outside,
     intersect,
-    is_direct_sum,
     mix_rows,
     random_invertible,
     solve_exact,
@@ -102,11 +103,12 @@ class CheckReport:
     (cover pairs, elements, pairs of lower sets) examined up to and
     including the failing one, and ranks_computed the ranks behind them:
     one per cover pair, three per element for (C), one per lower set for
-    (I) and (sI).  These two hold exactly when the decomposition
-    certificate does, and then report the full scan's counts, L(L + 1)/2
-    pairs and L ranks over L lower sets, whatever decided them; L is
-    counted, and no lower set is listed or ranked.  A failure of (C), (I)
-    or (sI) is found by _pair_fails, and every witness is built by _witness.
+    (I) and (sI).  These three hold exactly when the decomposition
+    certificate does, and then report the full scan's counts, whatever
+    decided them: (n, 3n) over n elements for (C), and L(L + 1)/2 pairs
+    and L ranks over L lower sets, counted, not listed, for (I) and (sI).
+    A failure of (C), (I) or (sI) is found by _pair_fails, and every
+    witness is built by _witness.
     """
 
     __slots__ = ("property", "witness", "work")
@@ -265,21 +267,33 @@ def eval_lower_set(arrangement, members):
 def check_condition_C(arrangement):
     """Per-element check F(a) ∩ F(ǎ) ⊆ F(â*).
 
+    On a finite poset (C) holds exactly when the decomposition certificate
+    does, so that is read first; only a failed one runs the element scan,
+    _first_failing_element, for the first failing element and its witness.
+    """
+    n = len(arrangement.poset.labels)
+    if _certificate(arrangement, _sections(arrangement))[0] is None:
+        return CheckReport("C", None, n, 3 * n)
+    return _first_failing_element(arrangement)
+
+
+def _first_failing_element(arrangement):
+    """The report of the first element a, in element order, that fails (C).
+
     This is the pair test of _pair_fails on the lower sets â and ǎ, as
     â ∪ ǎ = ǎ ∪ {a} and â ∩ ǎ = â*, and a failure is their pair witness.
     F(â) = F(a) is a sum with one summand, which copies F(a)'s stored rows
     and eliminates nothing, so element i counts as pair i + 1 and three
-    ranks.
+    ranks.  Called after a failed certificate, which promises a failure.
     """
     poset = arrangement.poset
-    n = len(poset.labels)
-    full = (1 << n) - 1
+    full = (1 << len(poset.labels)) - 1
     for i, a in enumerate(poset.labels):
         cheek = full & ~poset._up[i]
         if _pair_fails(arrangement, poset._down[i], cheek):
             witness = _pair_witness(arrangement, poset._down[i], cheek, a)
             return CheckReport("C", witness, i + 1, 3 * (i + 1))
-    return CheckReport("C", None, n, 3 * n)
+    raise InternalContradiction("the certificate failed but every element satisfies (C)")
 
 
 def _pair_fails(arrangement, mb, mc):
@@ -324,8 +338,7 @@ def _pairwise_lower_set_scan(arrangement, cap, property_name):
     first failing pair.
     """
     count = _count_lower_sets(arrangement.poset, cap)
-    comps = pre_decompose(arrangement).components
-    if _certificate_failure(arrangement, comps) is None:
+    if _certificate(arrangement, _sections(arrangement))[0] is None:
         return CheckReport(property_name, None, count * (count + 1) // 2, count)
     masks = enumerate_lower_sets(arrangement.poset, cap)
     return _first_failing_pair(arrangement, masks, property_name)
@@ -335,11 +348,14 @@ def _section_rows(arrangement, i, rows):
     """The section rule: of rows spanning F(x), x = labels[i], keep greedily
     and in order those independent of F(x̂*) and of the rows kept before;
     they span a complement of F(x̂*) in F(x), of dimension w(x), which the
-    count dim F(x̂*) + w(x) = dim F(x) certifies."""
+    count dim F(x̂*) + w(x) = dim F(x) certifies.  F(x̂*) is summed as a
+    kernel echelon, never canonicalized, and its rank goes to the dim memo."""
     poset = arrangement.poset
-    strict = arrangement.eval_mask(poset._down[i] & ~(1 << i))
-    kept = complement_rows(strict, rows)
-    if strict.dim + len(kept) != arrangement.spaces[poset.labels[i]].dim:
+    strict = poset._down[i] & ~(1 << i)
+    acc = arrangement._sum_echelon(strict)
+    base = arrangement._dim_memo[strict] = acc.rank
+    kept = complement_rows(acc, rows)
+    if base + len(kept) != arrangement.spaces[poset.labels[i]].dim:
         raise InternalContradiction(f"the section at {poset.labels[i]!r} misses F(x)")
     return kept
 
@@ -384,30 +400,39 @@ def pre_decompose(arrangement, seed=None):
     that basis by a random invertible matrix first, yielding a different
     but equally valid section.
     """
-    poset = arrangement.poset
+    return Decomposition(_components(arrangement, _sections(arrangement, seed)))
+
+
+def _sections(arrangement, seed=None):
+    """The section rows of pre_decompose, element by element in element
+    order, each built only when asked for."""
     field = arrangement.field
     rng = random.Random(seed) if seed is not None else None
-    components = {}
-    for i, a in enumerate(poset.labels):
+    for i, a in enumerate(arrangement.poset.labels):
         space = arrangement.spaces[a]
         rows = space.exact_rows()
         if rng is not None:
             rows = mix_rows(random_invertible(field, space.dim, rng), rows, field)
-        kept = _section_rows(arrangement, i, rows)
-        components[a] = IntEchelon(field, kept).subspace(arrangement.ambient_dim)
-    return Decomposition(components, certified=False)
+        yield _section_rows(arrangement, i, rows)
+
+
+def _components(arrangement, rows):
+    """The canonical components spanned by each element's rows, in element order."""
+    field, n = arrangement.field, arrangement.ambient_dim
+    labels = arrangement.poset.labels
+    return {a: IntEchelon(field, own).subspace(n) for a, own in zip(labels, rows)}
 
 
 def verify_decomposition(arrangement, decomposition):
     """Certificate check: global direct sum, and Σ_{b≤a} s_b = F(a) per element.
 
     Returns the report together with a copy of the decomposition whose
-    certified flag records the verdict, which _certificate_failure decides
-    by counting.  When (ii) fails there, _first_rebuild_failure rebuilds the
-    sums from the first element on, so the witness and the work counts are
-    those of the first element, in element order, whose components below
-    do not sum to its space; when element order is not a linear extension,
-    the count can first fail at another element.
+    certified flag records the verdict, which _certificate decides on the
+    components' stored rows.  When (ii) fails there, _first_rebuild_failure
+    rebuilds the sums from the first element on, so the witness and the
+    work counts are those of the first element, in element order, whose
+    components below do not sum to its space; when element order is not a
+    linear extension, the count can first fail at another element.
     """
     poset = arrangement.poset
     comps = decomposition.components
@@ -422,7 +447,7 @@ def verify_decomposition(arrangement, decomposition):
         if comps[lab].ambient_dim != n or comps[lab].field != field:
             raise DimensionMismatch(f"component at {lab!r} does not fit the arrangement")
 
-    failure = _certificate_failure(arrangement, comps)
+    failure, _ = _certificate(arrangement, (comps[lab].exact_rows() for lab in poset.labels))
     if failure is None:
         count = len(poset.labels)
         report = CheckReport("decomposition", None, count, count + 1)
@@ -441,42 +466,47 @@ def verify_decomposition(arrangement, decomposition):
     return CheckReport("decomposition", witness, i + 1, i + 2), Decomposition(comps)
 
 
-def _certificate_failure(arrangement, comps):
-    """Which part of the certificate of the components comps fails: None
-    when it holds, "(i)" when their sum is not direct, and "(ii)" when
-    some element a has s_a ⊄ F(a) or Σ_{b≤a} dim s_b ≠ dim F(a).
+def _certificate(arrangement, sections):
+    """The decomposition certificate of the components whose kernel rows,
+    independent within each component, sections yields in element order.
+    Returns (failure, rows): failure is None when it holds, "(i)" when the
+    sum of the components is not direct, and "(ii)" when some element a
+    has s_a ⊄ F(a) or Σ_{b≤a} dim s_b ≠ dim F(a); rows holds each
+    component's rows once (i) has held.
 
-    Given (i), that count is (ii): by monotonicity, which every Arrangement
-    has, Σ_{b≤a} s_b ⊆ Σ_{b≤a} F(b) = F(a); a subfamily of a direct
-    family is direct, so that sum has dimension Σ_{b≤a} dim s_b; and equal
-    dimensions give equality.  Conversely equality gives both tests.  So
-    (ii) costs one containment test and one sum of integers per element,
-    and no subset sum.  The count does not say where the rebuilt sums
-    first differ; verify_decomposition asks _first_rebuild_failure.
+    (i) inserts every row into one running echelon; the first dependent
+    row fails it, and no later component is asked for.  Given (i), that
+    count is (ii): by monotonicity Σ_{b≤a} s_b ⊆ F(a); a subfamily of a
+    direct family is direct, so that sum has dimension Σ_{b≤a} dim s_b;
+    and equal dimensions give equality, which conversely gives both
+    tests.  So (ii) takes no subset sum.  The count does not say where
+    the rebuilt sums first differ; verify_decomposition asks
+    _first_rebuild_failure.
     """
     poset = arrangement.poset
-    parts = [comps[lab] for lab in poset.labels]
-    # (i) the sum of all components is direct
-    if not is_direct_sum(parts):
-        return "(i)"
-    # (ii) each component lies in its space, and the components below each
-    # element have its dimension in total
-    dims = [s.dim for s in parts]
+    acc = IntEchelon(arrangement.field)
+    rows = []
+    for own in sections:
+        for row in own:
+            if not acc.insert(row):
+                return "(i)", rows
+        rows.append(own)
+    dims = [len(own) for own in rows]
     # zero components add nothing to a count
     nonzero = sum(1 << j for j, d in enumerate(dims) if d)
     for i, a in enumerate(poset.labels):
         space = arrangement.spaces[a]
         below = sum(dims[j] for j in _bits(poset._down[i] & nonzero))
-        if below != space.dim or first_outside(parts[i], space) is not None:
-            return "(ii)"
-    return None
+        if below != space.dim or not all(map(space.contains_row, rows[i])):
+            return "(ii)", rows
+    return None, rows
 
 
 def _first_rebuild_failure(arrangement, comps):
     """(i, rebuilt) for the first element i, in element order, whose
     components below sum to rebuilt ≠ F(i); called only once the count
-    route of _certificate_failure failed on a direct sum, which promises
-    such an element."""
+    of _certificate failed on a direct sum, which promises such an
+    element."""
     poset = arrangement.poset
     field, n = arrangement.field, arrangement.ambient_dim
     parts = [comps[lab] for lab in poset.labels]
@@ -509,21 +539,16 @@ def decompose(arrangement, seed=None):
     """Decomposition if one exists, else the witness refuting condition (C).
 
     On a finite poset decomposability is equivalent to (C), and any
-    pre-decomposition of a (C)-arrangement is a decomposition.  So a
-    certified candidate is returned as is, and only a failed one runs the
-    (C) check, whose witness is returned.  _certificate_failure decides by
-    counting, so no certificate witness is built and no sum is rebuilt.  A
-    failed certificate on an arrangement with (C) raises InternalContradiction.
+    pre-decomposition of a (C)-arrangement is a decomposition.  So the
+    certificate is checked as the sections are built, (i) stopping at the
+    first dependent row.  A certified candidate is canonicalized and
+    returned; a failed one runs _first_failing_element, whose witness is
+    returned, and which raises InternalContradiction when (C) holds.
     """
-    comps = pre_decompose(arrangement, seed=seed).components
-    if _certificate_failure(arrangement, comps) is None:
-        return Decomposition(comps, certified=True)
-    report = check_condition_C(arrangement)
-    if report.verdict:
-        raise InternalContradiction(
-            "condition (C) holds but a pre-decomposition failed verification"
-        )
-    return report.witness
+    failure, rows = _certificate(arrangement, _sections(arrangement, seed))
+    if failure is None:
+        return Decomposition(_components(arrangement, rows), certified=True)
+    return _first_failing_element(arrangement).witness
 
 
 def decomposition_of(arrangement, decomposition, vector):
@@ -622,13 +647,19 @@ def extend_to_lower_sets(arrangement):
     """Arrangement on the lattice of all lower sets, ℬ ↦ F(ℬ) = Σ_{b∈ℬ} F(b),
     each summed from its parent: F(ℬ) = F(ℬ ∖ {x}) + F(x) for a maximal
     member x, not the highest bit, as element order need not be a linear
-    extension.  Every space is a lower-set sum, so the lattice is monotone."""
+    extension.  As x̂* ⊆ ℬ ∖ {x}, only the w(x) section rows of F(x) over
+    F(x̂*) are inserted.  Every space is a lower-set sum, so the lattice
+    is monotone."""
     poset, field, n = arrangement.poset, arrangement.field, arrangement.ambient_dim
     lattice, masks = lower_set_lattice(poset)
+    # every element x is the one maximal member of its downset x̂
+    sections = list(_sections(arrangement))
     # masks come by size, the empty lower set first
     sums = {0: zero_subspace(n, field)}
     for m in masks[1:]:
         x = poset._maximal(m).bit_length() - 1
-        parts = [sums[m & ~(1 << x)], arrangement.spaces[poset.labels[x]]]
-        sums[m] = sum_echelon(parts, field).subspace(n)
+        acc = sums[m & ~(1 << x)].echelon()
+        for row in sections[x]:
+            acc.insert(row)
+        sums[m] = acc.subspace(n)
     return Arrangement(lattice, n, field, dict(zip(lattice.labels, sums.values())))

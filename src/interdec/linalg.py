@@ -437,6 +437,10 @@ class Subspace:
         """Fresh IntEchelon seeded with this subspace's rows."""
         return self._echelon.copy()
 
+    def contains_row(self, row):
+        """Exact membership test for a kernel row."""
+        return self._echelon.contains_row(row)
+
     def contains_vector(self, vector):
         """Exact membership test for a single coordinate vector."""
         if len(vector) != self.ambient_dim:
@@ -599,13 +603,13 @@ def complement_within(w, u):
     _check_compatible(w, u)
     if not contains(u, w):
         raise NotContained(f"{w!r} is not contained in {u!r}")
-    kept = complement_rows(w, u.exact_rows())
+    kept = complement_rows(w.echelon(), u.exact_rows())
     return IntEchelon(u.field, kept).subspace(u.ambient_dim)
 
 
-def complement_rows(w, rows):
-    """Greedy left-to-right choice of integer rows independent from W and each other."""
-    acc = w.echelon()
+def complement_rows(acc, rows):
+    """Greedy left-to-right choice of integer rows independent of the span
+    of the echelon acc and of each other; acc takes in the rows kept."""
     return [row for row in rows if acc.insert(row)]
 
 

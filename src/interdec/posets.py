@@ -6,11 +6,10 @@ Cover pairs come from Poset.covers(); lower_set_lattice builds the
 inclusion lattice of the lower sets and owns their "{a,b}" labels.
 
 For an element a the derived subsets are
-    downset(a)        = {b | b ≤ a}
-    strict_downset(a) = {b | b < a}
-    cheek(a)          = {b | a ≰ b}
-and for a subset B, lower_completion(B) is the smallest lower set
-containing B.  Lower sets are the subsets equal to their own completion.
+    downset(a) = {b | b ≤ a}
+    cheek(a)   = {b | a ≰ b}
+and a subset B is a lower set when it holds every element below a member
+of B.
 
 Derived subsets come back as frozensets of labels; functions that take a
 subset accept any iterable of labels.  enumerate_lower_sets returns member
@@ -177,12 +176,6 @@ def downset(poset, a):
     return frozenset(poset._labels_of(poset._down[poset.index(a)]))
 
 
-def strict_downset(poset, a):
-    """â* = {b | b < a}."""
-    i = poset.index(a)
-    return frozenset(poset._labels_of(poset._down[i] & ~(1 << i)))
-
-
 def cheek(poset, a):
     """ǎ = {b | a ≰ b}; always a lower set."""
     i = poset.index(a)
@@ -190,21 +183,9 @@ def cheek(poset, a):
     return frozenset(poset._labels_of(full & ~poset._up[i]))
 
 
-def lower_completion(poset, members):
-    """B̂ = {a | a ≤ b for some b in B}: the smallest lower set containing B."""
-    return frozenset(poset._labels_of(_completion(poset, poset._mask_of(members))))
-
-
 def is_lower_set(poset, members):
     mask = poset._mask_of(members)
-    return _completion(poset, mask) == mask
-
-
-def _completion(poset, mask):
-    out = 0
-    for i in _bits(mask):
-        out |= poset._down[i]
-    return out
+    return all(poset._down[i] & ~mask == 0 for i in _bits(mask))
 
 
 def enumerate_lower_sets(poset, cap=LOWER_SET_CAP):
@@ -354,24 +335,6 @@ def lower_set_lattice(poset):
             downs[c] |= downs[k]
     labels = [lower_set_label(poset._labels_of(m)) for m in masks]
     return Poset(labels, ups, downs), masks
-
-
-def maximal_elements(poset, members):
-    """Elements of B with nothing of B strictly above them."""
-    return frozenset(poset._labels_of(poset._maximal(poset._mask_of(members))))
-
-
-def height(poset):
-    """Cardinality of a longest chain; 0 for the empty poset."""
-    n = len(poset.labels)
-    if n == 0:
-        return 0
-    depth = [0] * n
-    order = sorted(range(n), key=lambda i: poset._down[i].bit_count())
-    for i in order:
-        below = _bits(poset._down[i] & ~(1 << i))
-        depth[i] = 1 + max((depth[j] for j in below), default=0)
-    return max(depth)
 
 
 def interval_elements(poset, a, b):

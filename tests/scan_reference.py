@@ -1,7 +1,7 @@
 """Reference scans for (I), (sI) and (C), by ranks alone.
 
-The checkers decide (I) and (sI) by the decomposition certificate, the
-same one `decompose` reads, and (C) and a failing (I)/(sI) scan rank
+The checkers decide (C), (I) and (sI) by the decomposition certificate,
+the same one `decompose` reads, and a failing (C), (I) or (sI) scan ranks
 subset sums through `dim_of_mask`.  These loops take their own route:
 every set is ranked by `rank_of_rows` over the stored rows of all its
 members, with no maximal-member shortcut and no memo.  The full pair

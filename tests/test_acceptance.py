@@ -41,7 +41,7 @@ from randgen import (
     random_poset,
     random_rows,
 )
-from scan_reference import full_pair_scan, scan_outcome
+from scan_reference import full_c_scan, full_pair_scan, scan_outcome
 
 
 # ---------------------------------------------------------------------------
@@ -86,16 +86,18 @@ def suite3():
 def test_criterion_1_equivalence_suite(suite1):
     """decompose ⇔ (C) ⇔ (I) on 200 random arrangements, < 30 s.
 
-    decompose's verdict is the certificate of its pre-decomposition, reached
-    independently of (C); it runs (C) only to explain a failed certificate.
-    check_intersection_bruteforce reads that same certificate, so (I) is
-    also decided by the full pair scan, from per-set ranks alone.
+    decompose's verdict is the certificate of its pre-decomposition; it
+    scans (C) only to explain a failed certificate.  check_condition_C and
+    check_intersection_bruteforce read that same certificate, so (C) is
+    also decided by the reference (C) scan and (I) by the full pair scan,
+    from per-set ranks alone.
     """
     agreements = 0
     decomposable = 0
     for arr, verdict_c, verdict_i, decomposed in suite1["cases"]:
         assert verdict_c == verdict_i == (decomposed is not None), arr
         assert full_pair_scan(arr)[0] == verdict_i, arr
+        assert full_c_scan(arr)[0] == verdict_c, arr
         agreements += 1
         decomposable += decomposed is not None
     assert agreements == 200

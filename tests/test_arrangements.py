@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from interdec import arrangements, interactions, posets
 from interdec.arrangements import (
-    CheckReport,
     Decomposition,
     Witness,
     check_condition_C,
@@ -274,7 +273,7 @@ def test_decompose_certifies_without_condition_C(monkeypatch, c3_constant, c3_gr
     def refuse(arrangement):
         pytest.fail("decompose ran (C) on a decomposable arrangement")
 
-    monkeypatch.setattr(arrangements, "check_condition_C", refuse)
+    monkeypatch.setattr(arrangements, "_first_failing_element", refuse)
     planted, _ = random_decomposable_arrangement(random.Random(0), GF(7), 6, 6)
     for arr in (c3_constant, c3_growing, planted):
         for seed in (None, 3):
@@ -282,7 +281,20 @@ def test_decompose_certifies_without_condition_C(monkeypatch, c3_constant, c3_gr
             assert isinstance(out, Decomposition) and out.certified
 
 
-def test_decompose_failure_returns_the_condition_C_witness(monkeypatch, three_lines):
+def test_holding_condition_C_reads_only_the_certificate(monkeypatch, c3_constant, c3_growing):
+    def refuse(arrangement):
+        pytest.fail("check_condition_C scanned the elements of a decomposable arrangement")
+
+    monkeypatch.setattr(arrangements, "_first_failing_element", refuse)
+    planted, _ = random_decomposable_arrangement(random.Random(0), GF(7), 6, 6)
+    for arr in (c3_constant, c3_growing, planted):
+        n = len(arr.poset.labels)
+        report = check_condition_C(arr)
+        assert report.verdict
+        assert report.work == {"pairs_checked": n, "ranks_computed": 3 * n}
+
+
+def test_decompose_failure_returns_the_condition_C_witness(monkeypatch, three_lines, c3_growing):
     expected = check_condition_C(three_lines).witness
     # the certificate fails at (i) here; decompose reads only that verdict
     # and builds no direct-sum witness of its own
@@ -295,11 +307,9 @@ def test_decompose_failure_returns_the_condition_C_witness(monkeypatch, three_li
         expected.location, expected.vector, expected.lhs_space, expected.rhs_space
     )
     # a failed certificate while (C) holds contradicts the theory
-    monkeypatch.setattr(
-        arrangements, "check_condition_C", lambda arr: CheckReport("C", None, 3, 9)
-    )
+    monkeypatch.setattr(arrangements, "_certificate", lambda *args: ("(ii)", []))
     with pytest.raises(InternalContradiction):
-        decompose(three_lines)
+        decompose(c3_growing)
 
 
 def test_seeded_sections_also_verify(c3_growing):
@@ -425,6 +435,25 @@ def test_extend_to_lower_sets(monkeypatch, c3_constant):
     assert ext.poset.leq("{}", "{x,y,z}")
     out = decompose(ext)
     assert isinstance(out, Decomposition)
+
+
+def test_a_failing_certificate_builds_no_section_past_the_first_dependent_row(
+    monkeypatch, three_lines
+):
+    lattice = extend_to_lower_sets(three_lines)
+    built = []
+    original = arrangements._section_rows
+
+    def counting(arrangement, i, rows):
+        built.append(arrangement.poset.labels[i])
+        return original(arrangement, i, rows)
+
+    monkeypatch.setattr(arrangements, "_section_rows", counting)
+    report = check_condition_C(lattice)
+    assert not report.verdict and report.witness.location == "{a1}"
+    # the third line lies in the plane of the first two: of the 8 lower
+    # sets, the certificate stops at the section of the fourth
+    assert built == ["{}", "{a1}", "{a2}", "{a3}"]
 
 
 def test_extend_rejects_colliding_lower_set_names():
@@ -635,7 +664,7 @@ def test_failing_scan_walks_only_up_to_the_failing_union(monkeypatch):
 def test_a_failed_certificate_whose_pairs_all_pass_is_a_contradiction(
     monkeypatch, c3_growing
 ):
-    monkeypatch.setattr(arrangements, "_certificate_failure", lambda *args: "(ii)")
+    monkeypatch.setattr(arrangements, "_certificate", lambda *args: ("(ii)", []))
     for check in (check_intersection_bruteforce, check_strong_intersection):
         with pytest.raises(InternalContradiction, match="no pair of lower sets fails$"):
             check(c3_growing)
@@ -643,13 +672,13 @@ def test_a_failed_certificate_whose_pairs_all_pass_is_a_contradiction(
 
 def test_over_cap_scans_stop_before_any_linear_algebra(monkeypatch, three_lines):
     calls = []
-    original = arrangements.pre_decompose
+    original = arrangements._certificate
 
-    def recording(*args, **kwargs):
+    def recording(*args):
         calls.append(args)
-        return original(*args, **kwargs)
+        return original(*args)
 
-    monkeypatch.setattr(arrangements, "pre_decompose", recording)
+    monkeypatch.setattr(arrangements, "_certificate", recording)
     # three lines on an antichain have 8 lower sets
     for check in (check_intersection_bruteforce, check_strong_intersection):
         calls.clear()
@@ -1101,7 +1130,7 @@ def test_verify_decomposition_rebuilds_only_after_a_count_failure(
     assert calls == [c3_growing]
     assert report.witness.location == "x"
     # a failed count on which every sum rebuilds contradicts the proof
-    monkeypatch.setattr(arrangements, "_certificate_failure", lambda *args: "(ii)")
+    monkeypatch.setattr(arrangements, "_certificate", lambda *args: ("(ii)", []))
     with pytest.raises(InternalContradiction):
         verify_decomposition(c3_growing, pre_decompose(c3_growing))
 

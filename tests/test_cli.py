@@ -294,15 +294,18 @@ def test_check_cap(tmp_path):
 
 def test_scan_bug_exits_4_with_one_error_line(tmp_path, monkeypatch):
     # a certificate that fails on a decomposable arrangement
-    monkeypatch.setattr(arrangements, "_certificate_failure", lambda *args: "(ii)")
+    monkeypatch.setattr(arrangements, "_certificate", lambda *args: ("(ii)", []))
     path = write(tmp_path, "cc.json", CONSTANT_CHAIN)
-    for prop in ("I", "sI"):
+    messages = {
+        "C": "the certificate failed but every element satisfies (C)",
+        "I": "the certificate failed but no pair of lower sets fails",
+        "sI": "the certificate failed but no pair of lower sets fails",
+    }
+    for prop, message in messages.items():
         result = invoke(["check", path, "--property", prop])
         assert result.exit_code == 4
         assert result.stdout == ""
-        assert result.stderr.splitlines() == [
-            "error: the certificate failed but no pair of lower sets fails"
-        ]
+        assert result.stderr.splitlines() == [f"error: {message}"]
 
 
 def test_check_field_override(tmp_path):

@@ -18,15 +18,11 @@ from interdec.posets import (
     cheek,
     downset,
     enumerate_lower_sets,
-    height,
     interval_elements,
     is_lower_set,
     is_order_embedding,
-    lower_completion,
     lower_set_label,
     lower_set_lattice,
-    maximal_elements,
-    strict_downset,
 )
 
 
@@ -98,22 +94,10 @@ def test_downsets(c3, a3, d2):
     assert set(downset(d2, "t")) == {"e", "p", "q", "t"}
 
 
-def test_strict_downsets(c3, d2):
-    assert set(strict_downset(c3, "x")) == set()
-    assert set(strict_downset(c3, "z")) == {"x", "y"}
-    assert set(strict_downset(d2, "t")) == {"e", "p", "q"}
-
-
 def test_cheeks(c3, a3):
     assert set(cheek(c3, "y")) == {"x"}
     assert set(cheek(c3, "x")) == set()
     assert set(cheek(a3, "a1")) == {"a2", "a3"}
-
-
-def test_lower_completion(d2):
-    assert set(lower_completion(d2, ["t"])) == {"e", "p", "q", "t"}
-    assert set(lower_completion(d2, ["p"])) == {"e", "p"}
-    assert set(lower_completion(d2, [])) == set()
 
 
 def test_is_lower_set(c3, d2):
@@ -136,15 +120,12 @@ def test_enumerate_lower_sets_cap(a3):
 
 
 def test_maximal_elements(a3, d2):
-    assert set(maximal_elements(d2, d2.labels)) == {"t"}
-    assert set(maximal_elements(d2, ["e", "p", "q"])) == {"p", "q"}
-    assert set(maximal_elements(a3, a3.labels)) == {"a1", "a2", "a3"}
+    def maximal(p, members):
+        return set(p._labels_of(p._maximal(p._mask_of(members))))
 
-
-def test_height(c3, a3):
-    assert height(build_poset([], [])) == 0
-    assert height(c3) == 3
-    assert height(a3) == 1
+    assert maximal(d2, d2.labels) == {"t"}
+    assert maximal(d2, ["e", "p", "q"]) == {"p", "q"}
+    assert maximal(a3, a3.labels) == {"a1", "a2", "a3"}
 
 
 def test_interval_elements(c3, a3, d2):
@@ -168,7 +149,8 @@ def test_induced_subposet(d2):
     sub = d2.induced(["e", "p", "t"])
     assert sub.leq("e", "t")
     assert sub.leq("p", "t")
-    assert height(sub) == 3
+    # a 3-chain
+    assert sub.leq("e", "p")
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +175,7 @@ def test_downset_cheek_strict_downset_relation(p):
         down = downset(p, a)
         assert is_lower_set(p, down)
         assert is_lower_set(p, cheek(p, a))
-        assert down.intersection(cheek(p, a)) == strict_downset(p, a)
-
-
-@given(posets(), st.data())
-def test_lower_completion_idempotent_and_monotone(p, data):
-    n = len(p.labels)
-    small = data.draw(st.sets(st.sampled_from(p.labels)) if n else st.just(set()))
-    large = small | (
-        data.draw(st.sets(st.sampled_from(p.labels))) if n else set()
-    )
-    comp = lower_completion(p, small)
-    assert lower_completion(p, comp) == comp
-    assert comp.issubset(lower_completion(p, large))
+        assert down.intersection(cheek(p, a)) == down - {a}
 
 
 @settings(max_examples=50)
@@ -221,12 +191,17 @@ def test_lower_sets_closed_under_meet_and_join(p):
 
 @given(posets())
 def test_removing_maximal_elements(p):
-    full = frozenset(p.labels)
-    h = height(p)
-    rest = full.difference(maximal_elements(p, full))
-    assert is_lower_set(p, rest)
-    if len(p.labels) > 0:
-        assert height(p.induced(rest)) <= h - 1
+    # what is left is a lower set, and is everything strictly below a
+    # maximal element
+    full = (1 << len(p.labels)) - 1
+    top = p._maximal(full)
+    rest = full & ~top
+    assert is_lower_set(p, p._labels_of(rest))
+    below = 0
+    for i in range(len(p.labels)):
+        if top >> i & 1:
+            below |= p._down[i] & ~(1 << i)
+    assert rest == below
 
 
 @st.composite

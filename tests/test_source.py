@@ -249,9 +249,9 @@ def test_pair_test_and_witness_rule_have_one_home_each():
 
 def test_sum_sites_in_arrangements_are_pinned():
     # every lower-set dimension comes from the subset-sum memo behind
-    # eval_mask and dim_of_mask; extend_to_lower_sets sums each lower set
-    # from its parent, and only the certificate's failure locators sum
-    # components; no scope grows an echelon from a copy
+    # eval_mask and dim_of_mask, and only the certificate's failure
+    # locators sum components; extend_to_lower_sets grows each lower set
+    # from its parent by section rows, and no scope copies an echelon
     def calls_sum_echelon(node):
         return (
             isinstance(node, ast.Call)
@@ -271,7 +271,6 @@ def test_sum_sites_in_arrangements_are_pinned():
 
     assert in_arrangements(scopes_where(calls_sum_echelon)) == {
         "arrangements.Arrangement._sum_echelon",
-        "arrangements.extend_to_lower_sets",
         "arrangements._first_rebuild_failure",
         "arrangements._direct_sum_witness",
     }
@@ -319,9 +318,10 @@ def test_the_factor_path_eliminates_nothing():
 
 
 def test_acceptance_decides_the_scans_by_the_reference_pair_loop():
-    # (I), (sI) and decompose read one decomposition certificate, so the
-    # acceptance criteria that compare them also decide (I) and (sI) by
-    # the full pair scan of tests/scan_reference.py, from ranks alone
+    # (C), (I), (sI) and decompose read one decomposition certificate, so
+    # the acceptance criteria that compare them also decide (I) and (sI)
+    # by the full pair scan of tests/scan_reference.py, and criterion 1
+    # (C) by its reference (C) scan, from ranks alone
     root = PACKAGE.parents[1]
     tree = ast.parse((root / "tests" / "test_acceptance.py").read_text())
     imported = {
@@ -330,18 +330,22 @@ def test_acceptance_decides_the_scans_by_the_reference_pair_loop():
         if isinstance(node, ast.ImportFrom) and node.module == "scan_reference"
         for alias in node.names
     }
-    callers = {
-        node.name
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        for call in ast.walk(node)
-        if isinstance(call, ast.Call)
-        and isinstance(call.func, ast.Name)
-        and call.func.id == "full_pair_scan"
-    }
-    assert "full_pair_scan" in imported
-    assert callers >= {
+
+    def callers(reference):
+        return {
+            node.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == reference
+        }
+
+    assert {"full_pair_scan", "full_c_scan"} <= imported
+    assert callers("full_pair_scan") >= {
         "test_criterion_1_equivalence_suite",
         "test_criterion_3_interaction_decomposition",
         "test_criterion_4_decomposable_implies_strong_intersection",
     }
+    assert "test_criterion_1_equivalence_suite" in callers("full_c_scan")
