@@ -20,13 +20,10 @@ from .arrangements import (
     check_strong_intersection,
     decompose,
     decomposition_of,
-    eval_lower_set,
     extend_to_lower_sets,
-    interval_restrict,
     new_arrangement,
     pre_decompose,
     pushforward,
-    restrict,
     verify_decomposition,
 )
 from .errors import (

@@ -14,18 +14,19 @@ A decomposition is a family of subspaces {s_a} whose overall sum is direct
 and which rebuilds every F(a) as the sum of s_b over b ≤ a.  On a finite
 poset an arrangement is decomposable exactly when (C) holds, and then any
 pre-decomposition (images of sections of F(a) ↠ F(a)/F(â*)) already works.
-So decompose() builds one pre-decomposition and certifies it; only a failed
-certificate runs the (C) scan, whose witness then explains the failure.
-(C), (I) and (sI) read the same certificate first.
+So decompose() certifies one pre-decomposition, and (C), (I) and (sI) read
+the same certificate first; only a failed one runs a scan, whose witness
+explains the failure.
 
-The certificate is checked by counting.  (i) the global sum is direct: each
-section's rows go into one running echelon as it is built, and the first
-dependent row fails (i) and stops the building.  Given (i), (ii)
-Σ_{b≤a} s_b = F(a) holds exactly when every element has s_a ⊆ F(a) and
-Σ_{b≤a} dim s_b = dim F(a): monotonicity puts the sum inside F(a),
-directness gives it dimension Σ_{b≤a} dim s_b, and equal dimensions give
-equality.  Only verify_decomposition, once that count has failed, rebuilds
-the sums from the first element on, to locate the witness.
+The certificate is one walk, a generalised Gram–Schmidt process: along a
+linear extension, one running echelon takes in the rows of each F(x) until
+w(x) = dim F(x) − Σ_{c<x} dim s_c are kept, as s_x.  Kept rows are
+independent and lie in F(x), so every x reaching w(x) is (i) a direct sum
+and (ii) Σ_{b≤x} s_b = F(x), by dimension.  Under (C) the echelon at x
+spans F(B), B the lower set walked, and F(B) ∩ F(x) = F(x̂*); so by the
+modular law the walk keeps the rows pre_decompose keeps, summing no F(x̂*).
+verify_decomposition counts on components it did not build, and rebuilds
+sums only after a failed count, to locate the witness.
 
 Everything is exact; verdicts carry re-verifiable witnesses on failure.
 """
@@ -60,7 +61,6 @@ from .posets import (
     _bits,
     _count_lower_sets,
     enumerate_lower_sets,
-    interval_elements,
     is_order_embedding,
     lower_set_lattice,
 )
@@ -254,12 +254,6 @@ def check_monotonicity(poset, spaces):
     return CheckReport("monotonicity", None, pairs, pairs)
 
 
-def eval_lower_set(arrangement, members):
-    """Σ_{b in members} F(b); only the maximal members are summed, the
-    others lie inside them by monotonicity."""
-    return arrangement.eval_mask(arrangement.poset._mask_of(members))
-
-
 # ---------------------------------------------------------------------------
 # property checkers
 # ---------------------------------------------------------------------------
@@ -267,12 +261,13 @@ def eval_lower_set(arrangement, members):
 def check_condition_C(arrangement):
     """Per-element check F(a) ∩ F(ǎ) ⊆ F(â*).
 
-    On a finite poset (C) holds exactly when the decomposition certificate
-    does, so that is read first; only a failed one runs the element scan,
-    _first_failing_element, for the first failing element and its witness.
+    On a finite poset (C) holds exactly when the certificate walk,
+    _certified_sections, does, so that is read first; only a failed walk
+    runs _first_failing_element for the first failing element and its
+    witness.
     """
     n = len(arrangement.poset.labels)
-    if _certificate(arrangement, _sections(arrangement))[0] is None:
+    if _certified_sections(arrangement) is not None:
         return CheckReport("C", None, n, 3 * n)
     return _first_failing_element(arrangement)
 
@@ -329,16 +324,16 @@ def _pairwise_lower_set_scan(arrangement, cap, property_name):
     Larger families reduce to pairs: lower sets are closed under
     intersection, so the family identity follows by induction.
 
-    The decomposition certificate decides both: a certified decomposition
-    gives F(ℬ) = ⊕_{b∈ℬ} s_b on every lower set, so every pair holds, and a
-    failed one means (C) fails at some a, a failing pair (â, ǎ).  So the
-    lower sets are counted, not listed, which enforces the cap before any
-    linear algebra and gives a holding scan its work counts; only a failing
-    scan lists them, and ranks them through dim_of_mask, to locate its
-    first failing pair.
+    The certificate walk, _certified_sections, decides both: a certified
+    decomposition gives F(ℬ) = ⊕_{b∈ℬ} s_b on every lower set, so every
+    pair holds, and a failed walk means (C) fails at some a, a failing pair
+    (â, ǎ).  So the lower sets are counted, not listed, which enforces the
+    cap before any linear algebra and gives a holding scan its work counts;
+    only a failing scan lists them, and ranks them through dim_of_mask, to
+    locate its first failing pair.
     """
     count = _count_lower_sets(arrangement.poset, cap)
-    if _certificate(arrangement, _sections(arrangement))[0] is None:
+    if _certified_sections(arrangement) is not None:
         return CheckReport(property_name, None, count * (count + 1) // 2, count)
     masks = enumerate_lower_sets(arrangement.poset, cap)
     return _first_failing_pair(arrangement, masks, property_name)
@@ -346,16 +341,17 @@ def _pairwise_lower_set_scan(arrangement, cap, property_name):
 
 def _section_rows(arrangement, i, rows):
     """The section rule: of rows spanning F(x), x = labels[i], keep greedily
-    and in order those independent of F(x̂*) and of the rows kept before;
-    they span a complement of F(x̂*) in F(x), of dimension w(x), which the
-    count dim F(x̂*) + w(x) = dim F(x) certifies.  F(x̂*) is summed as a
-    kernel echelon, never canonicalized, and its rank goes to the dim memo."""
+    and in order up to w(x) = dim F(x) − dim F(x̂*) rows independent of
+    F(x̂*) and of those kept before; w(x) kept rows span a complement of
+    F(x̂*) in F(x).  F(x̂*) is summed as a kernel echelon, never
+    canonicalized, and its rank goes to the dim memo."""
     poset = arrangement.poset
     strict = poset._down[i] & ~(1 << i)
     acc = arrangement._sum_echelon(strict)
     base = arrangement._dim_memo[strict] = acc.rank
-    kept = complement_rows(acc, rows)
-    if base + len(kept) != arrangement.spaces[poset.labels[i]].dim:
+    width = arrangement.spaces[poset.labels[i]].dim - base
+    kept = complement_rows(acc, rows, width)
+    if len(kept) != width:
         raise InternalContradiction(f"the section at {poset.labels[i]!r} misses F(x)")
     return kept
 
@@ -404,16 +400,43 @@ def pre_decompose(arrangement, seed=None):
 
 
 def _sections(arrangement, seed=None):
-    """The section rows of pre_decompose, element by element in element
-    order, each built only when asked for."""
-    field = arrangement.field
-    rng = random.Random(seed) if seed is not None else None
-    for i, a in enumerate(arrangement.poset.labels):
-        space = arrangement.spaces[a]
-        rows = space.exact_rows()
-        if rng is not None:
-            rows = mix_rows(random_invertible(field, space.dim, rng), rows, field)
-        yield _section_rows(arrangement, i, rows)
+    """The section rows of pre_decompose, in element order."""
+    sources = enumerate(_section_sources(arrangement, seed))
+    return [_section_rows(arrangement, i, rows) for i, rows in sources]
+
+
+def _section_sources(arrangement, seed):
+    """The rows each section is chosen from, in element order: F(x)'s
+    stored rows or, for an integer seed, their mix by a random invertible
+    matrix, drawn in element order; a mixed row is made when read."""
+    spaces = [arrangement.spaces[a] for a in arrangement.poset.labels]
+    if seed is None:
+        return [space.exact_rows() for space in spaces]
+    field, rng = arrangement.field, random.Random(seed)
+    return [mix_rows(random_invertible(field, s.dim, rng), s.exact_rows(), field)
+            for s in spaces]
+
+
+def _certified_sections(arrangement, seed=None):
+    """The certificate walk of the module docstring on the rows of
+    _section_sources: each element's kept rows, in element order, when it
+    holds, and None when some x misses w(x) or keeps a row outside F(x).
+    Elements go by the size of their downsets, a linear extension whatever
+    the element order, so a holding walk returns pre_decompose's rows."""
+    down = arrangement.poset._down
+    spaces = [arrangement.spaces[a] for a in arrangement.poset.labels]
+    sources = _section_sources(arrangement, seed)
+    acc = IntEchelon(arrangement.field)
+    kept = [()] * len(spaces)
+    # zero sections add nothing to a count
+    nonzero = 0
+    for i in sorted(range(len(spaces)), key=lambda i: down[i].bit_count()):
+        width = spaces[i].dim - sum(len(kept[j]) for j in _bits(down[i] & nonzero))
+        own = kept[i] = complement_rows(acc, sources[i], width)
+        if len(own) != width or not all(map(spaces[i].contains_row, own)):
+            return None
+        nonzero |= bool(own) << i
+    return kept
 
 
 def _components(arrangement, rows):
@@ -447,7 +470,7 @@ def verify_decomposition(arrangement, decomposition):
         if comps[lab].ambient_dim != n or comps[lab].field != field:
             raise DimensionMismatch(f"component at {lab!r} does not fit the arrangement")
 
-    failure, _ = _certificate(arrangement, (comps[lab].exact_rows() for lab in poset.labels))
+    failure = _certificate(arrangement, comps)
     if failure is None:
         count = len(poset.labels)
         report = CheckReport("decomposition", None, count, count + 1)
@@ -466,40 +489,34 @@ def verify_decomposition(arrangement, decomposition):
     return CheckReport("decomposition", witness, i + 1, i + 2), Decomposition(comps)
 
 
-def _certificate(arrangement, sections):
-    """The decomposition certificate of the components whose kernel rows,
-    independent within each component, sections yields in element order.
-    Returns (failure, rows): failure is None when it holds, "(i)" when the
-    sum of the components is not direct, and "(ii)" when some element a
-    has s_a ⊄ F(a) or Σ_{b≤a} dim s_b ≠ dim F(a); rows holds each
-    component's rows once (i) has held.
+def _certificate(arrangement, comps):
+    """The decomposition certificate of given components: None when it
+    holds, "(i)" when their sum is not direct, and "(ii)" when some
+    element a has s_a ⊄ F(a) or Σ_{b≤a} dim s_b ≠ dim F(a).
 
-    (i) inserts every row into one running echelon; the first dependent
-    row fails it, and no later component is asked for.  Given (i), that
-    count is (ii): by monotonicity Σ_{b≤a} s_b ⊆ F(a); a subfamily of a
-    direct family is direct, so that sum has dimension Σ_{b≤a} dim s_b;
-    and equal dimensions give equality, which conversely gives both
-    tests.  So (ii) takes no subset sum.  The count does not say where
-    the rebuilt sums first differ; verify_decomposition asks
-    _first_rebuild_failure.
+    (i) inserts every stored row into one running echelon and stops at
+    the first dependent one.  Given (i), that count is (ii): by
+    monotonicity Σ_{b≤a} s_b ⊆ F(a); a subfamily of a direct family is
+    direct, so that sum has dimension Σ_{b≤a} dim s_b; and equal
+    dimensions give equality, which conversely gives both tests.  The
+    count does not say where the rebuilt sums first differ;
+    verify_decomposition asks _first_rebuild_failure.
     """
     poset = arrangement.poset
+    rows = [comps[lab].exact_rows() for lab in poset.labels]
     acc = IntEchelon(arrangement.field)
-    rows = []
-    for own in sections:
+    for own in rows:
         for row in own:
             if not acc.insert(row):
-                return "(i)", rows
-        rows.append(own)
-    dims = [len(own) for own in rows]
+                return "(i)"
     # zero components add nothing to a count
-    nonzero = sum(1 << j for j, d in enumerate(dims) if d)
+    nonzero = sum(1 << j for j, own in enumerate(rows) if own)
     for i, a in enumerate(poset.labels):
         space = arrangement.spaces[a]
-        below = sum(dims[j] for j in _bits(poset._down[i] & nonzero))
+        below = sum(len(rows[j]) for j in _bits(poset._down[i] & nonzero))
         if below != space.dim or not all(map(space.contains_row, rows[i])):
-            return "(ii)", rows
-    return None, rows
+            return "(ii)"
+    return None
 
 
 def _first_rebuild_failure(arrangement, comps):
@@ -540,13 +557,13 @@ def decompose(arrangement, seed=None):
 
     On a finite poset decomposability is equivalent to (C), and any
     pre-decomposition of a (C)-arrangement is a decomposition.  So the
-    certificate is checked as the sections are built, (i) stopping at the
-    first dependent row.  A certified candidate is canonicalized and
+    certificate walk builds the candidate and stops at the first element
+    that misses its w(x).  A certified candidate is canonicalized and
     returned; a failed one runs _first_failing_element, whose witness is
     returned, and which raises InternalContradiction when (C) holds.
     """
-    failure, rows = _certificate(arrangement, _sections(arrangement, seed))
-    if failure is None:
+    rows = _certified_sections(arrangement, seed)
+    if rows is not None:
         return Decomposition(_components(arrangement, rows), certified=True)
     return _first_failing_element(arrangement).witness
 
@@ -588,22 +605,6 @@ def decomposition_of(arrangement, decomposition, vector):
 # ---------------------------------------------------------------------------
 # functorial operations
 # ---------------------------------------------------------------------------
-
-def restrict(arrangement, members):
-    """Arrangement on the induced subposet, spaces copied."""
-    induced = arrangement.poset.induced(members)
-    spaces = {lab: arrangement.spaces[lab] for lab in induced.labels}
-    return new_arrangement(induced, arrangement.ambient_dim, arrangement.field, spaces)
-
-
-def interval_restrict(arrangement, a, b):
-    """Arrangement on the interval [a, b], spaces copied.
-
-    The bottom keeps F(a), which by monotonicity is F(â), the sum over
-    the downset of a in the parent.
-    """
-    return restrict(arrangement, interval_elements(arrangement.poset, a, b))
-
 
 def pushforward(mapping, arrangement, target_poset):
     """f_* F on the target poset: (f_*F)(b) = Σ over {a | f(a) ≤ b} of F(a).

@@ -19,6 +19,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 from .errors import (
@@ -603,14 +604,15 @@ def complement_within(w, u):
     _check_compatible(w, u)
     if not contains(u, w):
         raise NotContained(f"{w!r} is not contained in {u!r}")
-    kept = complement_rows(w.echelon(), u.exact_rows())
+    kept = complement_rows(w.echelon(), u.exact_rows(), u.dim - w.dim)
     return IntEchelon(u.field, kept).subspace(u.ambient_dim)
 
 
-def complement_rows(acc, rows):
+def complement_rows(acc, rows, count):
     """Greedy left-to-right choice of integer rows independent of the span
-    of the echelon acc and of each other; acc takes in the rows kept."""
-    return [row for row in rows if acc.insert(row)]
+    of the echelon acc and of each other, stopping once count are kept, so
+    no later row is reduced; acc takes in the rows kept."""
+    return list(islice(filter(acc.insert, rows), count))
 
 
 def is_direct_sum(parts):
@@ -639,17 +641,17 @@ def random_invertible(field, k, rng):
 
 
 def mix_rows(mix, rows, field):
-    """Kernel rows of the combinations, by each row of coefficients in mix,
+    """Kernel rows, made as read, of the combinations by each row of mix
     of the pivot-one rows r_k / p_k of kernel rows r_k with pivots p_k:
     Σ c_k r_k / p_k is a positive multiple of Σ c_k (L / p_k) r_k, L the
     lcm of the pivots (1 over GF(p)), which exact_row normalizes away."""
     pivots = [next(x for x in r if x) for r in rows]
     scale = lcm(*pivots)
     scaled = [[scale // pivot * x for x in r] for r, pivot in zip(rows, pivots)]
-    return [
+    return (
         field.exact_row([sum(c * x for c, x in zip(coeffs, col)) for col in zip(*scaled)])
         for coeffs in mix
-    ]
+    )
 
 
 def solve_exact(columns, target, field):

@@ -18,13 +18,10 @@ from interdec.arrangements import (
     check_strong_intersection,
     decompose,
     decomposition_of,
-    eval_lower_set,
     extend_to_lower_sets,
-    interval_restrict,
     new_arrangement,
     pre_decompose,
     pushforward,
-    restrict,
     verify_decomposition,
 )
 from interdec.errors import (
@@ -32,7 +29,6 @@ from interdec.errors import (
     DuplicateLabel,
     InputError,
     InternalContradiction,
-    NotComparable,
     NotMonotone,
     NotMonotoneMap,
     VectorOutsideArrangement,
@@ -124,12 +120,6 @@ def test_missing_space_rejected():
         new_arrangement(c2, 2, QQ, {"u": [[1, 0]]})
     with pytest.raises(InputError):
         new_arrangement(c2, 2, QQ, {"u": [], "v": [], "w": []})
-
-
-def test_eval_lower_set(three_lines, c3_constant):
-    assert eval_lower_set(three_lines, ["a1", "a2"]) == full_space(2)
-    assert eval_lower_set(three_lines, []) == zero_subspace(2)
-    assert eval_lower_set(c3_constant, ["x"]) == full_space(2)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +286,9 @@ def test_holding_condition_C_reads_only_the_certificate(monkeypatch, c3_constant
 
 def test_decompose_failure_returns_the_condition_C_witness(monkeypatch, three_lines, c3_growing):
     expected = check_condition_C(three_lines).witness
-    # the certificate fails at (i) here; decompose reads only that verdict
-    # and builds no direct-sum witness of its own
+    # the third line lies in the plane of the first two, so the certificate
+    # fails; decompose reads only that verdict and builds no direct-sum
+    # witness of its own
     monkeypatch.setattr(
         arrangements, "_direct_sum_witness",
         lambda *args: pytest.fail("decompose built a direct-sum witness"),
@@ -307,7 +298,7 @@ def test_decompose_failure_returns_the_condition_C_witness(monkeypatch, three_li
         expected.location, expected.vector, expected.lhs_space, expected.rhs_space
     )
     # a failed certificate while (C) holds contradicts the theory
-    monkeypatch.setattr(arrangements, "_certificate", lambda *args: ("(ii)", []))
+    monkeypatch.setattr(arrangements, "_certified_sections", lambda *args: None)
     with pytest.raises(InternalContradiction):
         decompose(c3_growing)
 
@@ -354,32 +345,6 @@ def test_decomposition_of_round_trip(c3_growing):
 # ---------------------------------------------------------------------------
 # functorial operations
 # ---------------------------------------------------------------------------
-
-def test_restrict(three_lines, c3_constant):
-    single = restrict(three_lines, ["a1"])
-    assert isinstance(decompose(single), Decomposition)
-
-    tail = restrict(c3_constant, ["y", "z"])
-    assert tail.poset.labels == ("y", "z")
-    assert tail.poset.leq("y", "z")
-    assert tail.spaces["y"] == full_space(2)
-
-
-def test_interval_restrict(c3_constant, c3_growing, three_lines):
-    head = interval_restrict(c3_constant, "x", "y")
-    assert head.poset.labels == ("x", "y")
-    assert head.spaces["x"] == full_space(2)
-
-    tail = interval_restrict(c3_growing, "y", "z")
-    # bottom carries the downset sum from the parent
-    assert tail.spaces["y"] == eval_lower_set(
-        c3_growing, downset(c3_growing.poset, "y")
-    )
-    assert tail.spaces["y"] == sp(2, [[1, 0]])
-
-    with pytest.raises(NotComparable):
-        interval_restrict(three_lines, "a1", "a2")
-
 
 def test_pushforward_chain_into_chain():
     c2 = build_poset(["u", "v"], [("u", "v")])
@@ -441,19 +406,21 @@ def test_a_failing_certificate_builds_no_section_past_the_first_dependent_row(
     monkeypatch, three_lines
 ):
     lattice = extend_to_lower_sets(three_lines)
-    built = []
-    original = arrangements._section_rows
-
-    def counting(arrangement, i, rows):
-        built.append(arrangement.poset.labels[i])
-        return original(arrangement, i, rows)
-
-    monkeypatch.setattr(arrangements, "_section_rows", counting)
     report = check_condition_C(lattice)
     assert not report.verdict and report.witness.location == "{a1}"
-    # the third line lies in the plane of the first two: of the 8 lower
-    # sets, the certificate stops at the section of the fourth
-    assert built == ["{}", "{a1}", "{a2}", "{a3}"]
+    inserted = []
+    original = IntEchelon.insert
+
+    def recording(self, row):
+        inserted.append(row)
+        return original(self, row)
+
+    monkeypatch.setattr(IntEchelon, "insert", recording)
+    assert arrangements._certified_sections(lattice) is None
+    # the walk takes {} (w = 0, no row), then {a1}, {a2} and {a3}; the third
+    # line lies in the plane of the first two, so {a3} misses its w = 1, and
+    # no row of the four larger lower sets is inserted
+    assert inserted == [(1, 0), (0, 1), (1, 1)]
 
 
 def test_extend_rejects_colliding_lower_set_names():
@@ -625,9 +592,8 @@ def test_passing_scans_never_enter_the_pair_loop(monkeypatch, three_lines):
             report = check(arr)
             assert report.verdict
             assert report.work == {"pairs_checked": 256 * 257 // 2, "ranks_computed": 256}
-            # the certificate ranks no lower set: at most one subset sum
-            # per element, F(x̂*) for the element's section
-            assert len(sums) <= len(arr.poset.labels)
+            # the certificate ranks no lower set and sums no F(x̂*)
+            assert sums == []
     # the patched loop is the one a failing scan runs
     with pytest.raises(EnteredPairLoop):
         check_intersection_bruteforce(three_lines)
@@ -664,7 +630,7 @@ def test_failing_scan_walks_only_up_to_the_failing_union(monkeypatch):
 def test_a_failed_certificate_whose_pairs_all_pass_is_a_contradiction(
     monkeypatch, c3_growing
 ):
-    monkeypatch.setattr(arrangements, "_certificate", lambda *args: ("(ii)", []))
+    monkeypatch.setattr(arrangements, "_certified_sections", lambda *args: None)
     for check in (check_intersection_bruteforce, check_strong_intersection):
         with pytest.raises(InternalContradiction, match="no pair of lower sets fails$"):
             check(c3_growing)
@@ -672,13 +638,13 @@ def test_a_failed_certificate_whose_pairs_all_pass_is_a_contradiction(
 
 def test_over_cap_scans_stop_before_any_linear_algebra(monkeypatch, three_lines):
     calls = []
-    original = arrangements._certificate
+    original = arrangements._certified_sections
 
     def recording(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(arrangements, "_certificate", recording)
+    monkeypatch.setattr(arrangements, "_certified_sections", recording)
     # three lines on an antichain have 8 lower sets
     for check in (check_intersection_bruteforce, check_strong_intersection):
         calls.clear()
@@ -786,11 +752,16 @@ def test_wide_posets_are_refused_after_a_few_components():
 def test_a_short_section_is_a_contradiction(monkeypatch, c3_growing):
     original = arrangements.complement_rows
     monkeypatch.setattr(
-        arrangements, "complement_rows", lambda target, rows: original(target, rows)[:-1]
+        arrangements, "complement_rows",
+        lambda target, rows, count: original(target, rows, count)[:-1],
     )
-    for call in (pre_decompose, check_strong_intersection):
+    for call in (pre_decompose, extend_to_lower_sets):
         with pytest.raises(InternalContradiction, match=r"^the section at 'x' misses"):
             call(c3_growing)
+    # the certificate's walk reads a short section as a failed certificate,
+    # which contradicts the holding pair scan
+    with pytest.raises(InternalContradiction, match="no pair of lower sets fails$"):
+        check_strong_intersection(c3_growing)
 
 
 # ---------------------------------------------------------------------------
@@ -1076,30 +1047,109 @@ def refuse_rebuild(*args):
 
 
 def test_certified_decompose_takes_no_subset_sum(monkeypatch, c3_growing):
-    sums = []
-    original = arrangements.sum_echelon
-
-    def counting(spaces, field):
-        sums.append(spaces)
-        return original(spaces, field)
+    # holding checks and a certified decompose sum no F(x̂*) and no other
+    # subset: neither sum_echelon nor Arrangement._sum_echelon runs
+    def refuse(*args):
+        pytest.fail("a holding certificate took a subset sum")
 
     monkeypatch.setattr(arrangements, "_first_rebuild_failure", refuse_rebuild)
-    monkeypatch.setattr(arrangements, "sum_echelon", counting)
+    monkeypatch.setattr(arrangements, "sum_echelon", refuse)
+    monkeypatch.setattr(arrangements.Arrangement, "_sum_echelon", refuse)
     product = build_product_space(["x0", "x1", "x2"], (2, 2, 2))
     factor = build_factor_arrangement(product, GF(7)).arrangement
-    for arr in (factor, c3_growing):
+    planted, _ = random_decomposable_arrangement(random.Random(0), QQ, 6, 6)
+    for arr in (factor, c3_growing, planted):
         for seed in (None, 3):
-            # fresh copies, so neither run sees the other's memos
-            fresh = [new_arrangement(arr.poset, arr.ambient_dim, arr.field, arr.spaces)
-                     for _ in range(2)]
-            sums.clear()
-            pre_decompose(fresh[0], seed=seed)
-            sections = len(sums)
-            sums.clear()
-            out = decompose(fresh[1], seed=seed)
+            out = decompose(arr, seed=seed)
             assert isinstance(out, Decomposition) and out.certified
-            # certifying adds no subset sum to those of the sections
-            assert len(sums) == sections
+        assert check_condition_C(arr).verdict
+        assert check_intersection_bruteforce(arr).verdict
+
+
+WALK_SOURCES = ["monotone", "planted", "against order"]
+
+
+def walk_sample(sample, field, source):
+    """A randgen arrangement, or an against_order_sample one, whose element
+    order is rarely a linear extension."""
+    if source == "against order":
+        return against_order_sample(sample, field)
+    rng = random.Random(sample)
+    if source == "planted":
+        return random_decomposable_arrangement(rng, field)[0]
+    return random_monotone_arrangement(rng, field)
+
+
+def walk_outcome(arr, seed):
+    """decompose's verdict and, when certified, its components."""
+    out = decompose(arr, seed=seed)
+    if isinstance(out, Decomposition):
+        assert out.certified
+        return True, out.components
+    assert out.verify()
+    return False, None
+
+
+def section_route(arr, seed):
+    """The same by another route: (C) from full_c_scan's ranks, and the
+    components that pre_decompose keeps against each F(x̂*)."""
+    if full_c_scan(arr)[0]:
+        return True, pre_decompose(arr, seed=seed).components
+    return False, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sample=st.integers(min_value=0, max_value=2**32 - 1),
+    field=st.sampled_from(SCAN_FIELDS),
+    source=st.sampled_from(WALK_SOURCES),
+    seed=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+)
+def test_the_certificate_walk_matches_the_section_route(sample, field, source, seed):
+    arr = walk_sample(sample, field, source)
+    assert walk_outcome(arr, seed) == section_route(arr, seed)
+
+
+def is_linear_extension(poset):
+    return all(poset._down[i] >> (i + 1) == 0 for i in range(len(poset.labels)))
+
+
+def test_walk_samples_cover_both_verdicts_against_the_element_order():
+    # seeded certified decompositions on element orders that are not linear
+    # extensions are where drawing the mixes in walk order would show
+    seen = set()
+    for sample in range(30):
+        for field in SCAN_FIELDS:
+            for source in WALK_SOURCES:
+                arr = walk_sample(sample, field, source)
+                for seed in (None, 1):
+                    outcome = walk_outcome(arr, seed)
+                    assert outcome == section_route(arr, seed)
+                    seen.add((outcome[0], seed is None, is_linear_extension(arr.poset)))
+    assert (True, False, False) in seen and (False, False, False) in seen
+    assert (True, True, True) in seen and (False, True, True) in seen
+
+
+def test_a_holding_check_C_inserts_one_row_per_element(monkeypatch):
+    # every interaction space of binary variables is a line: each element
+    # keeps w(x) = 1 row, and the walk stops at it
+    inserted = []
+    original = IntEchelon.insert
+
+    def counting(self, row):
+        inserted.append(row)
+        return original(self, row)
+
+    monkeypatch.setattr(IntEchelon, "insert", counting)
+    product = build_product_space([f"x{i}" for i in range(5)], (2,) * 5)
+    for field in (QQ, GF(101)):
+        factor = build_factor_arrangement(product, field).arrangement
+        arr = new_arrangement(factor.poset, factor.ambient_dim, field, factor.spaces)
+        inserted.clear()
+        report = check_condition_C(arr)
+        assert report.verdict
+        assert report.work == {"pairs_checked": 32, "ranks_computed": 96}
+        assert len(inserted) == 32
 
 
 def test_failing_decompose_never_rebuilds(monkeypatch, three_lines):
@@ -1130,7 +1180,7 @@ def test_verify_decomposition_rebuilds_only_after_a_count_failure(
     assert calls == [c3_growing]
     assert report.witness.location == "x"
     # a failed count on which every sum rebuilds contradicts the proof
-    monkeypatch.setattr(arrangements, "_certificate", lambda *args: ("(ii)", []))
+    monkeypatch.setattr(arrangements, "_certificate", lambda *args: "(ii)")
     with pytest.raises(InternalContradiction):
         verify_decomposition(c3_growing, pre_decompose(c3_growing))
 

@@ -294,7 +294,7 @@ def test_check_cap(tmp_path):
 
 def test_scan_bug_exits_4_with_one_error_line(tmp_path, monkeypatch):
     # a certificate that fails on a decomposable arrangement
-    monkeypatch.setattr(arrangements, "_certificate", lambda *args: ("(ii)", []))
+    monkeypatch.setattr(arrangements, "_certified_sections", lambda *args: None)
     path = write(tmp_path, "cc.json", CONSTANT_CHAIN)
     messages = {
         "C": "the certificate failed but every element satisfies (C)",

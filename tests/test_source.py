@@ -169,10 +169,11 @@ def test_lowest_bit_walk_has_one_home():
 
 
 def test_section_rule_has_one_home():
-    # pre_decompose takes its sections of F(x) ↠ F(x)/F(x̂*) from
-    # arrangements._section_rows, their one home; in linalg only
-    # complement_within wraps the greedy rule, and it stays while the
-    # benchmark traces its name
+    # linalg.complement_rows is the one greedy rule.  pre_decompose takes
+    # its sections of F(x) ↠ F(x)/F(x̂*) from arrangements._section_rows,
+    # and the certificate's walk keeps w(x) rows of each F(x) against its
+    # running echelon; in linalg only complement_within wraps the rule,
+    # and it stays while the benchmark traces its name
     def calls_complement_rows(node):
         return (
             isinstance(node, ast.Call)
@@ -182,6 +183,7 @@ def test_section_rule_has_one_home():
 
     assert scopes_where(calls_complement_rows) == {
         "arrangements._section_rows",
+        "arrangements._certified_sections",
         "linalg.complement_within",
     }
 
