@@ -25,8 +25,9 @@ independent and lie in F(x), so every x reaching w(x) is (i) a direct sum
 and (ii) Σ_{b≤x} s_b = F(x), by dimension.  Under (C) the echelon at x
 spans F(B), B the lower set walked, and F(B) ∩ F(x) = F(x̂*); so by the
 modular law the walk keeps the rows pre_decompose keeps, summing no F(x̂*).
-verify_decomposition counts on components it did not build, and rebuilds
-sums only after a failed count, to locate the witness.
+verify_decomposition walks the stored rows of components it did not build,
+which certify exactly when every one is kept, and rebuilds sums only after
+a failed walk on a direct sum, to locate the witness.
 
 Everything is exact; verdicts carry re-verifiable witnesses on failure.
 """
@@ -49,6 +50,7 @@ from .linalg import (
     complement_rows,
     first_outside,
     intersect,
+    is_direct_sum,
     mix_rows,
     random_invertible,
     solve_exact,
@@ -267,7 +269,7 @@ def check_condition_C(arrangement):
     witness.
     """
     n = len(arrangement.poset.labels)
-    if _certified_sections(arrangement) is not None:
+    if _certified_sections(arrangement, _section_sources(arrangement, None)) is not None:
         return CheckReport("C", None, n, 3 * n)
     return _first_failing_element(arrangement)
 
@@ -333,7 +335,7 @@ def _pairwise_lower_set_scan(arrangement, cap, property_name):
     locate its first failing pair.
     """
     count = _count_lower_sets(arrangement.poset, cap)
-    if _certified_sections(arrangement) is not None:
+    if _certified_sections(arrangement, _section_sources(arrangement, None)) is not None:
         return CheckReport(property_name, None, count * (count + 1) // 2, count)
     masks = enumerate_lower_sets(arrangement.poset, cap)
     return _first_failing_pair(arrangement, masks, property_name)
@@ -344,12 +346,10 @@ def _section_rows(arrangement, i, rows):
     and in order up to w(x) = dim F(x) − dim F(x̂*) rows independent of
     F(x̂*) and of those kept before; w(x) kept rows span a complement of
     F(x̂*) in F(x).  F(x̂*) is summed as a kernel echelon, never
-    canonicalized, and its rank goes to the dim memo."""
+    canonicalized."""
     poset = arrangement.poset
-    strict = poset._down[i] & ~(1 << i)
-    acc = arrangement._sum_echelon(strict)
-    base = arrangement._dim_memo[strict] = acc.rank
-    width = arrangement.spaces[poset.labels[i]].dim - base
+    acc = arrangement._sum_echelon(poset._down[i] & ~(1 << i))
+    width = arrangement.spaces[poset.labels[i]].dim - acc.rank
     kept = complement_rows(acc, rows, width)
     if len(kept) != width:
         raise InternalContradiction(f"the section at {poset.labels[i]!r} misses F(x)")
@@ -417,15 +417,16 @@ def _section_sources(arrangement, seed):
             for s in spaces]
 
 
-def _certified_sections(arrangement, seed=None):
-    """The certificate walk of the module docstring on the rows of
-    _section_sources: each element's kept rows, in element order, when it
-    holds, and None when some x misses w(x) or keeps a row outside F(x).
-    Elements go by the size of their downsets, a linear extension whatever
-    the element order, so a holding walk returns pre_decompose's rows."""
+def _certified_sections(arrangement, sources):
+    """The certificate walk of the module docstring on sources, the rows
+    of each element in element order: each element's kept rows, in element
+    order, when it holds, and None when some x misses w(x) or keeps a row
+    outside F(x).  Elements go by the size of their downsets, a linear
+    extension whatever the element order, so a holding walk on the rows of
+    _section_sources returns pre_decompose's rows.  Every row kept below x
+    is independent and lies in F(x), so w(x) ≥ 0."""
     down = arrangement.poset._down
     spaces = [arrangement.spaces[a] for a in arrangement.poset.labels]
-    sources = _section_sources(arrangement, seed)
     acc = IntEchelon(arrangement.field)
     kept = [()] * len(spaces)
     # zero sections add nothing to a count
@@ -450,12 +451,13 @@ def verify_decomposition(arrangement, decomposition):
     """Certificate check: global direct sum, and Σ_{b≤a} s_b = F(a) per element.
 
     Returns the report together with a copy of the decomposition whose
-    certified flag records the verdict, which _certificate decides on the
-    components' stored rows.  When (ii) fails there, _first_rebuild_failure
+    certified flag records the verdict: (i) and (ii) hold exactly when the
+    certificate walk keeps every stored row of the components.  A failed
+    walk does not say where they fail: a sum that is not direct gets the
+    witness of _direct_sum_witness, and otherwise _first_rebuild_failure
     rebuilds the sums from the first element on, so the witness and the
     work counts are those of the first element, in element order, whose
-    components below do not sum to its space; when element order is not a
-    linear extension, the count can first fail at another element.
+    components below do not sum to its space.
     """
     poset = arrangement.poset
     comps = decomposition.components
@@ -470,12 +472,13 @@ def verify_decomposition(arrangement, decomposition):
         if comps[lab].ambient_dim != n or comps[lab].field != field:
             raise DimensionMismatch(f"component at {lab!r} does not fit the arrangement")
 
-    failure = _certificate(arrangement, comps)
-    if failure is None:
+    rows = [comps[lab].exact_rows() for lab in poset.labels]
+    kept = _certified_sections(arrangement, rows)
+    if kept is not None and list(map(len, kept)) == list(map(len, rows)):
         count = len(poset.labels)
         report = CheckReport("decomposition", None, count, count + 1)
         return report, Decomposition(comps, certified=True)
-    if failure == "(i)":
+    if not is_direct_sum(comps.values()):
         witness = _direct_sum_witness(arrangement, comps)
         return CheckReport("decomposition", witness, 0, 1), Decomposition(comps)
     i, rebuilt = _first_rebuild_failure(arrangement, comps)
@@ -489,40 +492,10 @@ def verify_decomposition(arrangement, decomposition):
     return CheckReport("decomposition", witness, i + 1, i + 2), Decomposition(comps)
 
 
-def _certificate(arrangement, comps):
-    """The decomposition certificate of given components: None when it
-    holds, "(i)" when their sum is not direct, and "(ii)" when some
-    element a has s_a ⊄ F(a) or Σ_{b≤a} dim s_b ≠ dim F(a).
-
-    (i) inserts every stored row into one running echelon and stops at
-    the first dependent one.  Given (i), that count is (ii): by
-    monotonicity Σ_{b≤a} s_b ⊆ F(a); a subfamily of a direct family is
-    direct, so that sum has dimension Σ_{b≤a} dim s_b; and equal
-    dimensions give equality, which conversely gives both tests.  The
-    count does not say where the rebuilt sums first differ;
-    verify_decomposition asks _first_rebuild_failure.
-    """
-    poset = arrangement.poset
-    rows = [comps[lab].exact_rows() for lab in poset.labels]
-    acc = IntEchelon(arrangement.field)
-    for own in rows:
-        for row in own:
-            if not acc.insert(row):
-                return "(i)"
-    # zero components add nothing to a count
-    nonzero = sum(1 << j for j, own in enumerate(rows) if own)
-    for i, a in enumerate(poset.labels):
-        space = arrangement.spaces[a]
-        below = sum(len(rows[j]) for j in _bits(poset._down[i] & nonzero))
-        if below != space.dim or not all(map(space.contains_row, rows[i])):
-            return "(ii)"
-    return None
-
-
 def _first_rebuild_failure(arrangement, comps):
     """(i, rebuilt) for the first element i, in element order, whose
-    components below sum to rebuilt ≠ F(i); called only once the count
-    of _certificate failed on a direct sum, which promises such an
+    components below sum to rebuilt ≠ F(i); called only once the
+    certificate walk failed on a direct sum, which promises such an
     element."""
     poset = arrangement.poset
     field, n = arrangement.field, arrangement.ambient_dim
@@ -562,7 +535,7 @@ def decompose(arrangement, seed=None):
     returned; a failed one runs _first_failing_element, whose witness is
     returned, and which raises InternalContradiction when (C) holds.
     """
-    rows = _certified_sections(arrangement, seed)
+    rows = _certified_sections(arrangement, _section_sources(arrangement, seed))
     if rows is not None:
         return Decomposition(_components(arrangement, rows), certified=True)
     return _first_failing_element(arrangement).witness

@@ -218,8 +218,9 @@ def _certify_keys(factor):
     and the tensor with a non-constant factor exactly at a is the row a_y.
     So the rows of all the keys K are independent, which is (i): the sum of
     the s_a is direct.  Each a_y with a ⊆ b depends on x_b only, so s_a ⊆
-    F(b); with the counts, the count argument of arrangements._certificate
-    gives (ii), Σ_{b⊆a} s_b = F(a); F is monotone by cylinder refinement.
+    F(b); with the counts, the count argument of
+    arrangements.verify_decomposition gives (ii), Σ_{b⊆a} s_b = F(a); F is
+    monotone by cylinder refinement.
     """
     product = factor.product
     cards = product.cardinalities

@@ -14,8 +14,9 @@ of B.
 Derived subsets come back as frozensets of labels; functions that take a
 subset accept any iterable of labels.  enumerate_lower_sets returns member
 bitmasks instead (bit i is element i), the form the checkers work in.
-_count_lower_sets counts the lower sets without listing them, so a caller
-that needs only their number, or only the cap, pays for no listing.
+Listing and counting share one split: a lower set misses ↑x or holds ↓x.
+_lower_sets unrolls it and _count_lower_sets counts by it, so a caller that
+needs only their number, or only the cap, pays for no listing.
 
 Every Poset has unique labels, the lattice's "{a,b}" names included: two
 lower sets with the same name (elements "a,b", "a" and "b", say) raise
@@ -194,7 +195,7 @@ def enumerate_lower_sets(poset, cap=LOWER_SET_CAP):
     Raises CapExceeded when more than cap exist; the count can be
     exponential in the poset size, so brute-force callers stay desk-scale.
     """
-    return _in_lower_set_order(poset, (mask for mask, _ in _grow_lower_sets(poset, cap)))
+    return _in_lower_set_order(poset, _lower_sets(poset, cap))
 
 
 def _count_lower_sets(poset, cap):
@@ -238,8 +239,9 @@ def _components(poset):
 
 
 def _count_component(poset, component, cap):
-    """N(component) by N(P) = N(P ∖ ↑x) + N(P ∖ ↓x), x the highest member;
-    raises CapExceeded as soon as a count passes cap."""
+    """N(component) by N(P) = N(P ∖ ↑x) + N(P ∖ ↓x), x the highest member,
+    the split _lower_sets unrolls; raises CapExceeded as soon as a count
+    passes cap."""
     memo = {0: 1}
     stack = [component]
     while stack:
@@ -268,37 +270,29 @@ def _check_cap(cap):
         raise CapExceeded("cap must allow at least the empty lower set")
 
 
-def _grow_lower_sets(poset, cap):
-    """Yield each lower set's mask L with the mask of the elements minimal
-    outside it, whose additions give L's upper covers; raises CapExceeded
-    past cap lower sets.
+def _lower_sets(poset, cap):
+    """Member masks of all lower sets, unsorted; raises CapExceeded at the
+    (cap + 1)-th.
 
-    Adding x to L can make minimal outside only elements above x, so each
-    cover's minimal mask comes from L's, with x dropped, and the strict
-    up-set of x, tested against the grown set."""
+    This unrolls the split _count_component counts by: with x the highest
+    undecided element, a lower set either misses ↑x or holds ↓x.  Taken
+    elements stay a lower set and dropped ones an upper set, so every
+    branch ends in a lower set, and L lower sets take 2L − 1 steps.
+    """
     _check_cap(cap)
-    minimal = 0
-    for i, below in enumerate(poset._down):
-        if below == 1 << i:
-            minimal |= 1 << i
-    seen = {0}
-    todo = [(0, minimal)]
-    while todo:
-        mask, minimal = todo.pop()
-        yield mask, minimal
-        for x in _bits(minimal):
-            bit = 1 << x
-            grown = mask | bit
-            if grown in seen:
-                continue
-            seen.add(grown)
-            if len(seen) > cap:
+    out = []
+    stack = [(0, (1 << len(poset.labels)) - 1)]
+    while stack:
+        taken, rest = stack.pop()
+        if not rest:
+            if len(out) == cap:
                 raise CapExceeded(f"poset has more than {cap} lower sets")
-            outside = minimal & ~bit
-            for y in _bits(poset._up[x] & ~bit):
-                if poset._down[y] & ~grown == 1 << y:
-                    outside |= 1 << y
-            todo.append((grown, outside))
+            out.append(taken)
+            continue
+        x = rest.bit_length() - 1
+        stack.append((taken, rest & ~poset._up[x]))
+        stack.append((taken | poset._down[x], rest & ~poset._down[x]))
+    return out
 
 
 def _in_lower_set_order(poset, masks):
@@ -317,22 +311,22 @@ def lower_set_lattice(poset):
     their member masks, both in enumerate_lower_sets order (at most
     LOWER_SET_CAP of them).
 
-    L's covers are L ∪ {x} for the minimal x outside L, which sort after L,
-    so up(L) is L's own bit OR-ed with their up-masks, filled from the end,
-    and each cover's down-mask takes in down(L), filled from the front.
+    L's lower covers are L ∖ {x} for the maximal x of L, which sort before
+    L, so down(L) is L's own bit OR-ed with their down-masks, filled from
+    the front, and each cover's up-mask takes in up(L), filled from the end.
     """
-    minimal = dict(_grow_lower_sets(poset, LOWER_SET_CAP))
-    masks = _in_lower_set_order(poset, minimal)
+    masks = _in_lower_set_order(poset, _lower_sets(poset, LOWER_SET_CAP))
     position = {m: k for k, m in enumerate(masks)}
-    upper_covers = [[position[m | 1 << x] for x in _bits(minimal[m])] for m in masks]
+    lower_covers = [[position[m & ~(1 << x)] for x in _bits(poset._maximal(m))]
+                    for m in masks]
+    downs = [1 << k for k in range(len(masks))]
+    for k, below in enumerate(lower_covers):
+        for c in below:
+            downs[k] |= downs[c]
     ups = [1 << k for k in range(len(masks))]
     for k in range(len(masks) - 1, -1, -1):
-        for c in upper_covers[k]:
-            ups[k] |= ups[c]
-    downs = [1 << k for k in range(len(masks))]
-    for k, above in enumerate(upper_covers):
-        for c in above:
-            downs[c] |= downs[k]
+        for c in lower_covers[k]:
+            ups[c] |= ups[k]
     labels = [lower_set_label(poset._labels_of(m)) for m in masks]
     return Poset(labels, ups, downs), masks
 

@@ -416,7 +416,8 @@ def test_a_failing_certificate_builds_no_section_past_the_first_dependent_row(
         return original(self, row)
 
     monkeypatch.setattr(IntEchelon, "insert", recording)
-    assert arrangements._certified_sections(lattice) is None
+    sources = arrangements._section_sources(lattice, None)
+    assert arrangements._certified_sections(lattice, sources) is None
     # the walk takes {} (w = 0, no row), then {a1}, {a2} and {a3}; the third
     # line lies in the plane of the first two, so {a3} misses its w = 1, and
     # no row of the four larger lower sets is inserted
@@ -671,8 +672,8 @@ def test_holding_and_over_cap_scans_list_no_lower_set(monkeypatch, three_lines):
     def refuse(*args):
         raise ListedLowerSets
 
-    # enumerate_lower_sets and lower_set_lattice list through this one walk
-    monkeypatch.setattr(posets, "_grow_lower_sets", refuse)
+    # enumerate_lower_sets and lower_set_lattice list through this one split
+    monkeypatch.setattr(posets, "_lower_sets", refuse)
     holding, over = independent_lines(12), independent_lines(13)
     for check in (check_intersection_bruteforce, check_strong_intersection):
         report = check(holding)
@@ -1179,10 +1180,13 @@ def test_verify_decomposition_rebuilds_only_after_a_count_failure(
     report, _ = verify_decomposition(c3_growing, cand)
     assert calls == [c3_growing]
     assert report.witness.location == "x"
-    # a failed count on which every sum rebuilds contradicts the proof
-    monkeypatch.setattr(arrangements, "_certificate", lambda *args: "(ii)")
+    # a failed walk on direct components, every sum of which rebuilds,
+    # contradicts the proof; it too rebuilds once
+    cand = pre_decompose(c3_growing)
+    monkeypatch.setattr(arrangements, "_certified_sections", lambda *args: None)
     with pytest.raises(InternalContradiction):
-        verify_decomposition(c3_growing, pre_decompose(c3_growing))
+        verify_decomposition(c3_growing, cand)
+    assert calls == [c3_growing, c3_growing]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Poset construction, derived subsets, lower-set enumeration."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,8 @@ from interdec.errors import (
     UnknownLabel,
 )
 from interdec.posets import (
+    LOWER_SET_CAP,
+    Poset,
     _count_lower_sets,
     build_poset,
     cheek,
@@ -236,6 +240,27 @@ def test_lower_sets_match_the_brute_force_filter(p):
     with pytest.raises(CapExceeded) as counted:
         _count_lower_sets(p, count - 1)
     assert str(counted.value) == str(listed.value)
+
+
+def test_a_long_chain_lists_its_prefixes_in_one_split_each():
+    # a 4,095-element chain has 4,096 lower sets, its prefixes from the
+    # bottom; one branch of every split of the listing is a leaf, so it
+    # takes 8,191 steps in either element order
+    n = LOWER_SET_CAP - 1
+    full = (1 << n) - 1
+    tails = [full & ~((1 << i) - 1) for i in range(n)]
+    heads = [(1 << (i + 1)) - 1 for i in range(n)]
+    labels = [f"c{i}" for i in range(n)]
+    bottom_first = Poset(labels, tails, heads)
+    top_first = Poset(labels, heads, tails)
+    for chain, prefixes in (
+        (bottom_first, [(1 << k) - 1 for k in range(n + 1)]),
+        (top_first, [full & ~((1 << (n - k)) - 1) for k in range(n + 1)]),
+    ):
+        start = time.perf_counter()
+        masks = enumerate_lower_sets(chain)
+        assert time.perf_counter() - start < 2
+        assert masks == prefixes
 
 
 def covers_by_definition(p):

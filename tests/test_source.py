@@ -150,6 +150,17 @@ def scopes_where(matches):
     return found
 
 
+def calls_name(name):
+    """A scopes_where matcher for a call of the bare name name."""
+    def matches(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == name
+        )
+    return matches
+
+
 def test_lowest_bit_walk_has_one_home():
     # posets._bits walks a mask's set bits; only the per-call hot path,
     # where a generator's setup cost shows, keeps an inline copy
@@ -171,17 +182,11 @@ def test_lowest_bit_walk_has_one_home():
 def test_section_rule_has_one_home():
     # linalg.complement_rows is the one greedy rule.  pre_decompose takes
     # its sections of F(x) ↠ F(x)/F(x̂*) from arrangements._section_rows,
-    # and the certificate's walk keeps w(x) rows of each F(x) against its
-    # running echelon; in linalg only complement_within wraps the rule,
+    # and the certificate's walk keeps w(x) of the rows it is given for
+    # each element against its running echelon, whether they span F(x) or
+    # a given component; in linalg only complement_within wraps the rule,
     # and it stays while the benchmark traces its name
-    def calls_complement_rows(node):
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "complement_rows"
-        )
-
-    assert scopes_where(calls_complement_rows) == {
+    assert scopes_where(calls_name("complement_rows")) == {
         "arrangements._section_rows",
         "arrangements._certified_sections",
         "linalg.complement_within",
@@ -217,17 +222,56 @@ def test_entry_parsing_has_one_home(monkeypatch):
 
 
 def test_rebuild_locator_has_one_caller():
-    # the certificate's verdict comes from counting; only
-    # verify_decomposition, after a failed count, rebuilds the sums below
-    # each element to locate its witness, so decompose never pays for them
-    def calls_rebuild_locator(node):
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "_first_rebuild_failure"
+    # the certificate's verdict comes from its walk; only
+    # verify_decomposition, after a failed walk on a direct sum, rebuilds
+    # the sums below each element to locate its witness, so decompose
+    # never pays for them
+    assert scopes_where(calls_name("_first_rebuild_failure")) == {
+        "arrangements.verify_decomposition"
+    }
+
+
+def test_lower_sets_are_listed_by_one_split():
+    # posets._lower_sets unrolls the split that _count_component counts
+    # by; enumerate_lower_sets sorts its listing, and lower_set_lattice
+    # builds on it without the traced enumerate_lower_sets, so the
+    # benchmark counts only the listings of failing scans
+    assert scopes_where(calls_name("_lower_sets")) == {
+        "posets.enumerate_lower_sets",
+        "posets.lower_set_lattice",
+    }
+
+
+def test_the_certificate_walk_is_the_one_certificate():
+    # the three checks and decompose walk the section rows of each F(x),
+    # and verify_decomposition walks the stored rows of the components it
+    # is given; no other scope certifies
+    assert scopes_where(calls_name("_certified_sections")) == {
+        "arrangements.check_condition_C",
+        "arrangements._pairwise_lower_set_scan",
+        "arrangements.decompose",
+        "arrangements.verify_decomposition",
+    }
+
+
+def test_the_retired_grower_and_count_certificate_stay_gone():
+    # lower sets are listed by one split and certified by one walk; no
+    # scope defines or names a second lower-set listing or certificate
+    retired = {"_grow_lower_sets", "_certificate"}
+
+    def names_retired(node):
+        return (isinstance(node, ast.Name) and node.id in retired) or (
+            isinstance(node, ast.Attribute) and node.attr in retired
         )
 
-    assert scopes_where(calls_rebuild_locator) == {"arrangements.verify_decomposition"}
+    defined = {
+        node.name
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert scopes_where(names_retired) == set()
+    assert defined & retired == set()
 
 
 def test_pair_test_and_witness_rule_have_one_home_each():
@@ -254,13 +298,6 @@ def test_sum_sites_in_arrangements_are_pinned():
     # eval_mask and dim_of_mask, and only the certificate's failure
     # locators sum components; extend_to_lower_sets grows each lower set
     # from its parent by section rows, and no scope copies an echelon
-    def calls_sum_echelon(node):
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "sum_echelon"
-        )
-
     def calls_copy(node):
         return (
             isinstance(node, ast.Call)
@@ -271,7 +308,7 @@ def test_sum_sites_in_arrangements_are_pinned():
     def in_arrangements(scopes):
         return {scope for scope in scopes if scope.split(".")[0] == "arrangements"}
 
-    assert in_arrangements(scopes_where(calls_sum_echelon)) == {
+    assert in_arrangements(scopes_where(calls_name("sum_echelon"))) == {
         "arrangements.Arrangement._sum_echelon",
         "arrangements._first_rebuild_failure",
         "arrangements._direct_sum_witness",
