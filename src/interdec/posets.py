@@ -14,9 +14,11 @@ of B.
 Derived subsets come back as frozensets of labels; functions that take a
 subset accept any iterable of labels.  enumerate_lower_sets returns member
 bitmasks instead (bit i is element i), the form the checkers work in.
-Listing and counting share one split: a lower set misses ↑x or holds ↓x.
-_lower_sets unrolls it and _count_lower_sets counts by it, so a caller that
-needs only their number, or only the cap, pays for no listing.
+Listing and counting share one split: a lower set misses ↑x or holds ↓x,
+for any x.  _lower_sets unrolls it on the lowest undecided x, which lists
+each size in scan order, and _count_lower_sets counts by it on the highest,
+which bit_length finds in O(1); a caller that needs only their number, or
+only the cap, pays for no listing.
 
 Every Poset has unique labels, the lattice's "{a,b}" names included: two
 lower sets with the same name (elements "a,b", "a" and "b", say) raise
@@ -159,13 +161,15 @@ def build_poset(labels, relations):
         for i in range(n):
             if up[i] & bit:
                 up[i] |= row_k
+    poset = Poset(labels, up)
     for i in range(n):
-        for j in range(i + 1, n):
-            if up[i] >> j & 1 and up[j] >> i & 1:
-                raise CycleDetected(
-                    f"elements {labels[i]!r} and {labels[j]!r} are mutually related"
-                )
-    return Poset(labels, up)
+        mutual = up[i] & poset._down[i] & ~((2 << i) - 1)  # j > i, i ≤ j ≤ i
+        if mutual:
+            j = next(_bits(mutual))
+            raise CycleDetected(
+                f"elements {labels[i]!r} and {labels[j]!r} are mutually related"
+            )
+    return poset
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +199,7 @@ def enumerate_lower_sets(poset, cap=LOWER_SET_CAP):
     Raises CapExceeded when more than cap exist; the count can be
     exponential in the poset size, so brute-force callers stay desk-scale.
     """
-    return _in_lower_set_order(poset, _lower_sets(poset, cap))
+    return sorted(_lower_sets(poset, cap), key=int.bit_count)
 
 
 def _count_lower_sets(poset, cap):
@@ -239,9 +243,9 @@ def _components(poset):
 
 
 def _count_component(poset, component, cap):
-    """N(component) by N(P) = N(P ∖ ↑x) + N(P ∖ ↓x), x the highest member,
-    the split _lower_sets unrolls; raises CapExceeded as soon as a count
-    passes cap."""
+    """N(component) by N(P) = N(P ∖ ↑x) + N(P ∖ ↓x), the split _lower_sets
+    unrolls, x the highest member (O(1) by bit_length); raises CapExceeded
+    as soon as a count passes cap."""
     memo = {0: 1}
     stack = [component]
     while stack:
@@ -271,13 +275,14 @@ def _check_cap(cap):
 
 
 def _lower_sets(poset, cap):
-    """Member masks of all lower sets, unsorted; raises CapExceeded at the
-    (cap + 1)-th.
+    """Member masks of all lower sets, each size in scan order; raises
+    CapExceeded at the (cap + 1)-th.
 
-    This unrolls the split _count_component counts by: with x the highest
-    undecided element, a lower set either misses ↑x or holds ↓x.  Taken
-    elements stay a lower set and dropped ones an upper set, so every
-    branch ends in a lower set, and L lower sets take 2L − 1 steps.
+    With x the lowest undecided element, a lower set either misses ↑x or
+    holds ↓x.  Taken elements stay a lower set and dropped ones an upper
+    set, so every branch ends in a lower set, and L lower sets take 2L − 1
+    steps.  The holding branch pops first, so of two sets the one holding
+    the lowest index where they differ comes out first.
     """
     _check_cap(cap)
     out = []
@@ -289,16 +294,10 @@ def _lower_sets(poset, cap):
                 raise CapExceeded(f"poset has more than {cap} lower sets")
             out.append(taken)
             continue
-        x = rest.bit_length() - 1
+        x = next(_bits(rest))
         stack.append((taken, rest & ~poset._up[x]))
         stack.append((taken | poset._down[x], rest & ~poset._down[x]))
     return out
-
-
-def _in_lower_set_order(poset, masks):
-    # reversed bits, descending: the lowest index where two sets differ decides
-    n = len(poset.labels)
-    return sorted(masks, key=lambda m: (m.bit_count(), -int(f"{m:0{n}b}"[::-1], 2)))
 
 
 def lower_set_label(labels):
@@ -315,7 +314,7 @@ def lower_set_lattice(poset):
     L, so down(L) is L's own bit OR-ed with their down-masks, filled from
     the front, and each cover's up-mask takes in up(L), filled from the end.
     """
-    masks = _in_lower_set_order(poset, _lower_sets(poset, LOWER_SET_CAP))
+    masks = sorted(_lower_sets(poset, LOWER_SET_CAP), key=int.bit_count)
     position = {m: k for k, m in enumerate(masks)}
     lower_covers = [[position[m & ~(1 << x)] for x in _bits(poset._maximal(m))]
                     for m in masks]

@@ -208,6 +208,49 @@ def test_removing_maximal_elements(p):
     assert rest == below
 
 
+def first_mutual_pair(labels, pairs):
+    """Reference: the closure by reachability, then the (i, j), i < j,
+    pair loop for the first two elements each below the other."""
+    n = len(labels)
+    below = {i: {i} for i in range(n)}
+    for a, b in pairs:
+        below[labels.index(b)].add(labels.index(a))
+    for k in range(n):
+        for i in range(n):
+            if k in below[i]:
+                below[i] |= below[k]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if i in below[j] and j in below[i]:
+                return labels[i], labels[j]
+    return None
+
+
+@st.composite
+def relation_sets(draw):
+    """Labels and random (a, b) relation pairs, cycles included."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    labels = [f"e{i}" for i in range(n)]
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=10))
+    return labels, [(labels[a], labels[b]) for a, b in pairs]
+
+
+@settings(max_examples=200)
+@given(relation_sets())
+def test_cycle_message_names_the_first_mutual_pair(case):
+    labels, pairs = case
+    first = first_mutual_pair(labels, pairs)
+    if first is None:
+        build_poset(labels, pairs)
+        return
+    with pytest.raises(CycleDetected) as raised:
+        build_poset(labels, pairs)
+    assert str(raised.value) == (
+        f"elements {first[0]!r} and {first[1]!r} are mutually related"
+    )
+
+
 @st.composite
 def permuted_posets(draw, max_size=8):
     """Random posets whose element order need not be a linear extension."""

@@ -233,9 +233,11 @@ def test_rebuild_locator_has_one_caller():
 
 def test_lower_sets_are_listed_by_one_split():
     # posets._lower_sets unrolls the split that _count_component counts
-    # by; enumerate_lower_sets sorts its listing, and lower_set_lattice
-    # builds on it without the traced enumerate_lower_sets, so the
-    # benchmark counts only the listings of failing scans
+    # by, listing on the lowest undecided element and counting on the
+    # highest; enumerate_lower_sets sorts its listing by size, and
+    # lower_set_lattice builds on it without the traced
+    # enumerate_lower_sets, so the benchmark counts only the listings of
+    # failing scans
     assert scopes_where(calls_name("_lower_sets")) == {
         "posets.enumerate_lower_sets",
         "posets.lower_set_lattice",
@@ -255,9 +257,10 @@ def test_the_certificate_walk_is_the_one_certificate():
 
 
 def test_the_retired_grower_and_count_certificate_stay_gone():
-    # lower sets are listed by one split and certified by one walk; no
-    # scope defines or names a second lower-set listing or certificate
-    retired = {"_grow_lower_sets", "_certificate"}
+    # lower sets are listed in scan order by one split and certified by
+    # one walk; no scope defines or names a second lower-set listing,
+    # order or certificate
+    retired = {"_grow_lower_sets", "_certificate", "_in_lower_set_order"}
 
     def names_retired(node):
         return (isinstance(node, ast.Name) and node.id in retired) or (
