@@ -120,17 +120,18 @@ def poset_to_doc(poset):
 def _space_from_rows(rows, ambient_dim, field, location):
     if not isinstance(rows, list):
         raise InputError(f"{location}: expected a list of generator rows")
-    parsed = []
+    acc = IntEchelon(field)
     for k, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != ambient_dim:
             raise InputError(
                 f"{location}[{k}]: expected a row of {ambient_dim} entries"
             )
         try:
-            parsed.append(field.exact_row(row))
+            row = field.exact_row(row)
         except InputError as exc:
             raise InputError(f"{location}[{k}]: {exc}") from None
-    return IntEchelon(field, parsed).subspace(ambient_dim)
+        acc.insert(row)
+    return acc.subspace(ambient_dim)
 
 
 _ARRANGEMENT_KEYS = ("field", "ambient_dim", "poset", "spaces")

@@ -4,12 +4,17 @@ One elimination kernel does all the work: IntEchelon, fraction-free
 elimination on integer rows.  Over ℚ its rows are primitive integer
 vectors combined by cross multiplication (Bareiss-style, so no fraction
 ever arises); over GF(p) they are residues mod p with pivot one.  A
-subspace of F^d is stored by the kernel's fully reduced echelon rows,
-which are canonical: two Subspace values describe the same set of vectors
-exactly when their stored rows are identical.  Field elements
-(`fractions.Fraction` over ℚ, never for an integer entry) appear only at
-the edges: input, which exact_row parses once, `Subspace.basis`, and
-solve_exact's coefficients.  No floating point appears anywhere.
+sparse pivot row, one with pivot entry one (every row over GF(p), 0/1
+indicator rows over ℚ) that is at least half zeros and has at least eight
+zeros, is eliminated against on its nonzero columns only, in place; any
+other pivot row rebuilds the whole row.  Both give the same integers, as
+only updates of zero entries are skipped.  A subspace of F^d is stored
+by the kernel's fully reduced echelon rows, which are canonical: two
+Subspace values describe the same set of vectors exactly when their
+stored rows are identical.  Field elements (`fractions.Fraction` over ℚ,
+never for an integer entry) appear only at the edges: input, which
+exact_row parses once, `Subspace.basis`, and solve_exact's coefficients.
+No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 from math import gcd, lcm
 
 from .errors import (
@@ -80,10 +85,11 @@ class RationalField:
     def exact_row(self, row):
         """Integer row for the kernel from document entries or field
         elements, denominators cleared and content divided out.  An int
-        (never a bool) or a Fraction is taken as is, anything else parsed."""
-        row = [e if type(e) is int or type(e) is Fraction else self.parse(e) for e in row]
-        if all(type(e) is int for e in row):
+        (never a bool) or a Fraction is taken as is, anything else parsed;
+        an all-int row is recognised in one pass over the entry types."""
+        if set(map(type, row)) <= {int}:
             return _primitive(row)
+        row = [e if type(e) is int or type(e) is Fraction else self.parse(e) for e in row]
         scale = lcm(*(e.denominator for e in row))
         return _primitive([e.numerator * (scale // e.denominator) for e in row])
 
@@ -92,11 +98,17 @@ class RationalField:
         pivot = next(x for x in row if x)
         return tuple(Fraction(x, pivot) for x in row)
 
-    def eliminate(self, row, pivot_row, col):
-        """Cross-multiplied elimination of row[col] against an integer pivot row."""
-        p = pivot_row[col]
+    def eliminate(self, row, pivot_row, col, support):
+        """Cross-multiplied elimination of row[col] against an integer pivot
+        row: a new list, or, given the support of a pivot row with pivot
+        entry one, row itself updated on those columns."""
         c = row[col]
-        return [p * x - c * y for x, y in zip(row, pivot_row)]
+        if support is None:
+            p = pivot_row[col]
+            return [p * x - c * y for x, y in zip(row, pivot_row)]
+        for j in support:
+            row[j] -= c * pivot_row[j]
+        return row
 
     def normalize_int_row(self, row):
         return _primitive(row)
@@ -147,11 +159,17 @@ class PrimeField:
         # kernel rows mod p already have pivot one
         return tuple(row)
 
-    def eliminate(self, row, pivot_row, col):
-        # pivot rows are normalized to pivot value 1, so no inverse here
+    def eliminate(self, row, pivot_row, col, support):
+        """Elimination of row[col] against a pivot row with pivot entry one,
+        so no inverse: a new list of residues, or, given the pivot row's
+        support, row itself with only those columns updated and reduced."""
         c = row[col]
         p = self.p
-        return [(x - c * y) % p for x, y in zip(row, pivot_row)]
+        if support is None:
+            return [(x - c * y) % p for x, y in zip(row, pivot_row)]
+        for j in support:
+            row[j] = (row[j] - c * pivot_row[j]) % p
+        return row
 
     def normalize_int_row(self, row):
         p = self.p
@@ -233,20 +251,16 @@ def _check_digits(n):
 
 
 def _primitive(ints):
-    """Divide an integer row by its content, making the first nonzero entry positive."""
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-        if g == 1:
-            break
+    """Divide an integer row by its content, making the first nonzero entry
+    positive, as a tuple: a tuple already in that form comes back as is."""
+    g = gcd(*ints)
     if g == 0:
         return tuple(ints)
-    for x in ints:
-        if x:
-            if x < 0:
-                g = -g
-            break
-    return tuple(x // g for x in ints)
+    if next(filter(None, ints)) < 0:
+        g = -g
+    if g == 1:
+        return tuple(ints)
+    return tuple([x // g for x in ints])
 
 
 # ---------------------------------------------------------------------------
@@ -304,23 +318,43 @@ def rref(matrix, field=QQ):
 # fraction-free echelon kernel (the one elimination engine)
 # ---------------------------------------------------------------------------
 
+# A pivot row with pivot entry one is sparse when at least half of its
+# entries, and at least this many, are zero: a narrower row skips too few
+# updates to pay for keeping its support.
+_SPARSE_ZEROS = 8
+
+
+def _sparse(width, zeros):
+    """The one sparse rule, for a pivot row with pivot entry one."""
+    return zeros >= _SPARSE_ZEROS and 2 * zeros >= width
+
+
 class IntEchelon:
     """Incremental echelon basis over integer rows.
 
     Rows are kept normalized (primitive with a positive pivot over the
-    rationals, pivot 1 over a prime field) and ordered by pivot column.
-    Inserting a vector reduces it against the accumulated rows; a nonzero
-    residue extends the basis.  reduced() back-substitutes, after which
-    every pivot column is zero outside its own row: that form is canonical
-    and is what a Subspace stores.
+    rationals, pivot 1 over a prime field) and ordered by pivot column;
+    over GF(p) every entry is a residue.  Inserting a vector reduces it
+    against the accumulated rows; a nonzero residue extends the basis.
+    reduced() back-substitutes, after which every pivot column is zero
+    outside its own row: that form is canonical and is what a Subspace
+    stores.
+
+    A pivot row with pivot entry one and at least half, and at least
+    _SPARSE_ZEROS, of its entries zero is sparse: its nonzero columns are
+    kept in `sparse`, keyed by pivot column, and eliminating against it
+    updates only those columns of a row, in place, after copying the row
+    once.  `sparse` is None while no row is sparse, so dense echelons
+    store nothing more.
     """
 
-    __slots__ = ("field", "rows", "pivots")
+    __slots__ = ("field", "rows", "pivots", "sparse")
 
     def __init__(self, field, rows=()):
         self.field = field
         self.rows = []
         self.pivots = []
+        self.sparse = None
         for row in rows:
             self.insert(row)
 
@@ -328,14 +362,27 @@ class IntEchelon:
     def rank(self):
         return len(self.rows)
 
+    def _note(self, row, pcol):
+        """Keep or drop the support of the pivot row row at pcol by the
+        one sparse rule."""
+        if row[pcol] == 1 and _sparse(len(row), row.count(0)):
+            if self.sparse is None:
+                self.sparse = {}
+            self.sparse[pcol] = tuple(compress(range(len(row)), row))
+        elif self.sparse:
+            self.sparse.pop(pcol, None)
+
     def residue(self, row):
         """Reduce an integer row against the basis, which stays unchanged;
-        () means dependent."""
-        field = self.field
-        row = list(row)
+        () means dependent.  The row is copied at its first elimination
+        against a sparse row, so a caller's row is never written into."""
+        field, sparse, given = self.field, self.sparse, row
         for prow, pcol in zip(self.rows, self.pivots):
             if row[pcol]:
-                row = field.eliminate(row, prow, pcol)
+                support = sparse.get(pcol) if sparse else None
+                if support is not None and row is given:
+                    row = list(row)
+                row = field.eliminate(row, prow, pcol, support)
         if any(row):
             return field.normalize_int_row(row)
         return ()
@@ -345,11 +392,13 @@ class IntEchelon:
         res = self.residue(row)
         if not res:
             return False
-        pcol = next(i for i, x in enumerate(res) if x)
+        # the first nonzero entry is also the first entry equal to it;
         # residue zeroed every pivot column, so pcol is not one of them
+        pcol = res.index(next(filter(None, res)))
         at = bisect_left(self.pivots, pcol)
         self.rows.insert(at, res)
         self.pivots.insert(at, pcol)
+        self._note(res, pcol)
         return True
 
     def contains_row(self, row):
@@ -357,14 +406,21 @@ class IntEchelon:
 
     def reduced(self):
         """Back-substitute bottom up, in place; returns the rows as a tuple."""
-        field, rows, pivots = self.field, self.rows, self.pivots
+        field, rows, pivots, sparse = self.field, self.rows, self.pivots, self.sparse
         for i in range(len(rows) - 2, -1, -1):
             row = rows[i]
             for j in range(i + 1, len(rows)):
-                if row[pivots[j]]:
-                    row = field.eliminate(row, rows[j], pivots[j])
+                pcol = pivots[j]
+                if row[pcol]:
+                    support = sparse.get(pcol) if sparse else None
+                    if support is not None and row is rows[i]:
+                        row = list(row)
+                    row = field.eliminate(row, rows[j], pcol, support)
             if row is not rows[i]:
                 rows[i] = field.normalize_int_row(row)
+                self._note(rows[i], pivots[i])
+                # _note makes the dict when the first row turns sparse
+                sparse = self.sparse
         return tuple(rows)
 
     def copy(self):
@@ -374,6 +430,7 @@ class IntEchelon:
         acc.field = self.field
         acc.rows = list(self.rows)
         acc.pivots = list(self.pivots)
+        acc.sparse = dict(self.sparse) if self.sparse else None
         return acc
 
     def subspace(self, ambient_dim):
@@ -484,12 +541,14 @@ def _indicator_subspace(ambient_dim, supports, field):
     Such 0/1 rows already are the kernel's canonical reduced rows over
     every field: primitive with pivot one, pivots strictly increasing, and,
     the sets being disjoint, zero above and below each pivot.  So nothing is
-    eliminated.  The form is checked in O(ambient_dim + Σ |set|) steps, and
-    an empty, unsorted, overlapping or misordered set, or a column out of
-    range, raises InternalContradiction.
+    eliminated, and a sparse row keeps its set as its support.  The form
+    is checked in O(ambient_dim + Σ |set|) steps, and an empty, unsorted,
+    overlapping or misordered set, or a column out of range, raises
+    InternalContradiction.
     """
     used = bytearray(ambient_dim)
     acc = IntEchelon(field)
+    sparse = {}
     for support in supports:
         if not support or (acc.pivots and support[0] <= acc.pivots[-1]):
             raise InternalContradiction(
@@ -507,6 +566,9 @@ def _indicator_subspace(ambient_dim, supports, field):
             last = c
         acc.rows.append(tuple(row))
         acc.pivots.append(support[0])
+        if _sparse(ambient_dim, ambient_dim - len(support)):
+            sparse[support[0]] = tuple(support)
+    acc.sparse = sparse or None
     return Subspace(ambient_dim, acc)
 
 

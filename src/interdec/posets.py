@@ -44,19 +44,14 @@ class Poset:
 
     __slots__ = ("labels", "_index", "_up", "_down")
 
-    def __init__(self, labels, up_masks, down_masks=None):
+    def __init__(self, labels, up_masks, down_masks):
         """Internal constructor: up_masks must already be a reflexive-
-        transitive, antisymmetric closure, and down_masks, if given, its
-        transpose.  A repeated label raises DuplicateLabel.  Use build_poset
-        for raw input."""
+        transitive, antisymmetric closure, and down_masks its transpose.
+        A repeated label raises DuplicateLabel.  Use build_poset for raw
+        input."""
         self.labels = tuple(labels)
         self._index = _label_index(self.labels)
         self._up = tuple(up_masks)
-        if down_masks is None:
-            down_masks = [0] * len(self.labels)
-            for a, mask in enumerate(self._up):
-                for b in _bits(mask):
-                    down_masks[b] |= 1 << a
         self._down = tuple(down_masks)
 
     def __contains__(self, label):
@@ -95,15 +90,20 @@ class Poset:
     def _maximal(self, mask):
         """Members of mask with no other member above them.
 
-        Walks down from the highest index and drops each visited member's
-        downset, so when element order is a linear extension only the
-        maximal members are visited."""
+        Takes the highest member left, climbs from it to a maximal member,
+        each step to the lowest-indexed member above, and drops that
+        member's downset.  When element order is a linear extension the
+        highest member left is maximal; when it is reversed one step
+        reaches the top; either way few members are visited."""
         out = 0
         rest = mask
         while rest:
             i = rest.bit_length() - 1
-            if self._up[i] & mask == 1 << i:
-                out |= 1 << i
+            above = self._up[i] & mask
+            while above != 1 << i:
+                i = next(_bits(above ^ 1 << i))
+                above = self._up[i] & mask
+            out |= 1 << i
             rest &= ~self._down[i]
         return out
 
@@ -116,7 +116,8 @@ class Poset:
         kept = list(_bits(mask))
         pos = {i: j for j, i in enumerate(kept)}
         ups = [sum(1 << pos[j] for j in _bits(self._up[i] & mask)) for i in kept]
-        return Poset([self.labels[i] for i in kept], ups)
+        downs = [sum(1 << pos[j] for j in _bits(self._down[i] & mask)) for i in kept]
+        return Poset([self.labels[i] for i in kept], ups, downs)
 
 
 def _bits(mask):
@@ -141,12 +142,15 @@ def build_poset(labels, relations):
     """Poset from labels and a list of (a, b) pairs meaning a ≤ b.
 
     The stored order is the reflexive-transitive closure of the pairs;
-    a closure that violates antisymmetry is rejected.
+    a closure that violates antisymmetry is rejected.  The down masks are
+    summed along the pairs, lowest elements first: a < b makes ↑a larger
+    than ↑b, so sorting by |↑a| is a linear extension.
     """
     labels = list(labels)
     index = _label_index(labels)
     n = len(labels)
     up = [1 << i for i in range(n)]
+    below = [[] for _ in range(n)]
     for pair in relations:
         a, b = pair
         if a not in index:
@@ -154,6 +158,7 @@ def build_poset(labels, relations):
         if b not in index:
             raise UnknownLabel(f"relation mentions unknown element {b!r}")
         up[index[a]] |= 1 << index[b]
+        below[index[b]].append(index[a])
     # Warshall closure on bitmask rows
     for k in range(n):
         bit = 1 << k
@@ -161,15 +166,19 @@ def build_poset(labels, relations):
         for i in range(n):
             if up[i] & bit:
                 up[i] |= row_k
-    poset = Poset(labels, up)
-    for i in range(n):
-        mutual = up[i] & poset._down[i] & ~((2 << i) - 1)  # j > i, i ≤ j ≤ i
-        if mutual:
-            j = next(_bits(mutual))
-            raise CycleDetected(
-                f"elements {labels[i]!r} and {labels[j]!r} are mutually related"
-            )
-    return poset
+    # i ≤ j ≤ i exactly when ↑i = ↑j; the lowest such pair is named
+    if len(set(up)) < n:
+        first = {}
+        twins = [(first.setdefault(mask, j), j) for j, mask in enumerate(up)]
+        i, j = min(pair for pair in twins if pair[0] != pair[1])
+        raise CycleDetected(
+            f"elements {labels[i]!r} and {labels[j]!r} are mutually related"
+        )
+    down = [1 << i for i in range(n)]
+    for b in sorted(range(n), key=lambda b: -up[b].bit_count()):
+        for a in below[b]:
+            down[b] |= down[a]
+    return Poset(labels, up, down)
 
 
 # ---------------------------------------------------------------------------

@@ -698,7 +698,8 @@ def test_a_long_chain_is_counted_without_recursion():
     # element from it on
     n = 1500
     full = (1 << n) - 1
-    chain = Poset([f"c{i}" for i in range(n)], [full & ~((1 << i) - 1) for i in range(n)])
+    chain = Poset([f"c{i}" for i in range(n)], [full & ~((1 << i) - 1) for i in range(n)],
+                  [(2 << i) - 1 for i in range(n)])
     for check in (check_intersection_bruteforce, check_strong_intersection):
         report = check(zero_spaces(chain))
         assert report.verdict
@@ -723,7 +724,8 @@ def test_the_certificate_counts_skip_zero_components(monkeypatch):
     # only: Σ|downset| = 1,127,250 indices on the zero chain otherwise
     n = 1500
     full = (1 << n) - 1
-    chain = Poset([f"c{i}" for i in range(n)], [full & ~((1 << i) - 1) for i in range(n)])
+    chain = Poset([f"c{i}" for i in range(n)], [full & ~((1 << i) - 1) for i in range(n)],
+                  [(2 << i) - 1 for i in range(n)])
     count = counted_bits(monkeypatch, arrangements)
     assert check_intersection_bruteforce(zero_spaces(chain)).verdict
     assert decompose(zero_spaces(chain)).certified
@@ -739,7 +741,8 @@ def test_the_certificate_counts_skip_zero_components(monkeypatch):
 
 def test_wide_posets_are_refused_after_a_few_components():
     # 2,000 singletons, and 20 disjoint 3-chains of 4 lower sets each
-    antichain = Poset([f"a{i}" for i in range(2000)], [1 << i for i in range(2000)])
+    singletons = [1 << i for i in range(2000)]
+    antichain = Poset([f"a{i}" for i in range(2000)], singletons, singletons)
     relations = [(f"c{c}_{k}", f"c{c}_{k + 1}") for c in range(20) for k in range(2)]
     chains = build_poset([f"c{c}_{k}" for c in range(20) for k in range(3)], relations)
     for poset in (antichain, chains):

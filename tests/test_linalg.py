@@ -1,5 +1,6 @@
 """Exact linear algebra: canonical forms, set operations, certificates."""
 
+import random
 from fractions import Fraction
 from math import lcm
 from time import perf_counter
@@ -26,6 +27,7 @@ from interdec.linalg import (
     full_space,
     intersect,
     is_direct_sum,
+    random_invertible,
     rank_of_rows,
     rref,
     solve_exact,
@@ -725,3 +727,95 @@ def test_echelon_copies_and_subspaces_are_independent(case):
         acc.insert(row)
     assert space == sp(ambient, u_rows, field)
     assert twin.subspace(ambient) == acc.subspace(ambient) == sp(ambient, u_rows + w_rows, field)
+
+
+# ---------------------------------------------------------------------------
+# the sparse elimination path against the reference rref
+# ---------------------------------------------------------------------------
+
+WIDE_FIELDS = [QQ, GF(2), GF(7), GF(101)]
+
+
+def wide_rows(rng, field):
+    """Up to twelve parsed rows 16 to 40 wide, most of them mostly zeros:
+    0/1 indicator rows, sparse rows of small entries whose first entry
+    need not be one, and now and then a dense row."""
+    ambient = rng.randint(16, 40)
+    rows = []
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.choice(("indicator", "indicator", "sparse", "sparse", "dense"))
+        if kind == "dense":
+            row = [rng.randint(-3, 3) for _ in range(ambient)]
+        else:
+            row = [0] * ambient
+            for c in rng.sample(range(ambient), rng.randint(1, ambient // 3)):
+                row[c] = 1 if kind == "indicator" else rng.choice((-3, -2, -1, 1, 2, 3))
+        rows.append([field.parse(e) for e in row])
+    return ambient, rows
+
+
+def counting_eliminations(monkeypatch, field):
+    """Counts of the field's eliminations against dense and sparse pivot rows."""
+    counts = {"dense": 0, "sparse": 0}
+    original = type(field).eliminate
+
+    def counting(self, row, pivot_row, col, *support):
+        counts["sparse" if support and support[0] is not None else "dense"] += 1
+        return original(self, row, pivot_row, col, *support)
+
+    monkeypatch.setattr(type(field), "eliminate", counting)
+    return counts
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(WIDE_FIELDS), st.randoms(use_true_random=False))
+def test_wide_sparse_rows_match_reference_rref(field, rng):
+    ambient, rows = wide_rows(rng, field)
+    space = sp(ambient, rows, field)
+    assert space.basis == reference_basis(rows, field)
+    assert rref(Matrix.from_rows(rows, cols=ambient), field).row_lists() == reference_rref(
+        rows, field
+    )
+    # membership goes through the same residue as the rank
+    for row in rows:
+        assert space.contains_vector(row)
+
+
+@pytest.mark.parametrize("field", WIDE_FIELDS, ids=repr)
+def test_the_wide_sample_takes_both_elimination_paths(monkeypatch, field):
+    # the sparse rule splits the sample: indicator rows and, over GF(p),
+    # every sparse row are eliminated against on their supports; dense
+    # rows, and over ℚ sparse rows whose pivot entry is not one, by the
+    # whole-row comprehension; both must give the reference rows
+    counts = counting_eliminations(monkeypatch, field)
+    rng = random.Random(f"wide:{field!r}")
+    for _ in range(40):
+        ambient, rows = wide_rows(rng, field)
+        assert sp(ambient, rows, field).basis == reference_basis(rows, field)
+    assert counts["dense"] > 0 and counts["sparse"] > 0
+
+
+def test_the_kernel_never_writes_into_a_callers_rows():
+    # a sparse elimination updates its row in place, so the kernel copies
+    # a caller's row before the first one
+    rng = random.Random(7)
+    for field in WIDE_FIELDS:
+        for _ in range(20):
+            _, rows = wide_rows(rng, field)
+            kernel_rows = [list(field.exact_row(row)) for row in rows]
+            before = [list(row) for row in kernel_rows]
+            rank_of_rows(kernel_rows, field)
+            assert kernel_rows == before
+    # random_invertible returns the very rows it ranked; 24 random bits
+    # a row make sparse rows over GF(2)
+    for field, k in ((GF(2), 24), (GF(7), 16), (QQ, 8)):
+        drawn = random.Random(k)
+        while True:
+            if field.kind == "rational":
+                expected = [[drawn.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+            else:
+                expected = [[drawn.randrange(field.p) for _ in range(k)] for _ in range(k)]
+            parsed = [[field.parse(x) for x in row] for row in expected]
+            if len(reference_basis(parsed, field)) == k:
+                break
+        assert random_invertible(field, k, random.Random(k)) == expected

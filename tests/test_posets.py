@@ -306,6 +306,56 @@ def test_a_long_chain_lists_its_prefixes_in_one_split_each():
         assert masks == prefixes
 
 
+class CountedMasks(tuple):
+    """Up masks that count how many times an element's mask is read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountedMasks.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_maximal_climbs_from_each_member_it_visits(monkeypatch):
+    # on a chain numbered top first, a lower set's highest index is its
+    # bottom; _maximal climbs from it to the set's top and drops the whole
+    # set, so building the lattice reads about as many up masks as on the
+    # chain numbered bottom first, not one per member of every lower set
+    n = 300
+    full = (1 << n) - 1
+    tails = [full & ~((1 << i) - 1) for i in range(n)]
+    heads = [(1 << (i + 1)) - 1 for i in range(n)]
+    labels = [f"c{i}" for i in range(n)]
+    reads = {}
+    for name, ups, downs in (("bottom first", tails, heads), ("top first", heads, tails)):
+        chain = Poset(labels, ups, downs)
+        chain._up = CountedMasks(chain._up)
+        monkeypatch.setattr(CountedMasks, "reads", 0)
+        lattice, _ = lower_set_lattice(chain)
+        reads[name] = CountedMasks.reads
+        assert len(lattice.labels) == n + 1
+        # element k tops the lower set that holds k and what is below it
+        for k in range(n):
+            mask = full & ~((1 << k) - 1) if name == "top first" else (1 << (k + 1)) - 1
+            assert chain._maximal(mask) == 1 << k
+    assert reads["top first"] <= 2 * reads["bottom first"]
+
+
+@settings(max_examples=150)
+@given(st.one_of(posets(), permuted_posets(max_size=10)), st.data())
+def test_down_masks_are_the_transposed_up_masks(p, data):
+    # build_poset sums the down masks along the relation pairs and induced
+    # restricts them; either way they are the transpose of the up masks
+    def transposed(poset):
+        n = len(poset.labels)
+        return [sum(1 << a for a in range(n) if poset._up[a] >> b & 1) for b in range(n)]
+
+    assert list(p._down) == transposed(p)
+    members = data.draw(st.sets(st.sampled_from(p.labels))) if p.labels else set()
+    sub = p.induced(members)
+    assert list(sub._down) == transposed(sub)
+
+
 def covers_by_definition(p):
     """Reference: the O(N²) scan for a < b with nothing strictly between."""
     n = len(p.labels)

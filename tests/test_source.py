@@ -221,6 +221,55 @@ def test_entry_parsing_has_one_home(monkeypatch):
     assert linalg.QQ.exact_row([Fraction(-1, 2), 3]) == (1, -6)
 
 
+def test_the_sparse_rule_and_the_eliminations_have_one_home():
+    # one density rule decides which pivot rows eliminate on their
+    # supports, read where a row enters an echelon: insert and reduced
+    # (through _note) and _indicator_subspace, which holds its supports;
+    # every elimination step runs inside IntEchelon, the one kernel
+    def names_rule_constant(node):
+        return isinstance(node, ast.Name) and node.id == "_SPARSE_ZEROS"
+
+    def calls_eliminate(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "eliminate"
+        )
+
+    assert scopes_where(names_rule_constant) == {"linalg", "linalg._sparse"}
+    assert scopes_where(calls_name("_sparse")) == {
+        "linalg.IntEchelon._note",
+        "linalg._indicator_subspace",
+    }
+    assert scopes_where(calls_eliminate) == {
+        "linalg.IntEchelon.residue",
+        "linalg.IntEchelon.reduced",
+    }
+
+
+def test_reloading_a_factor_export_makes_no_dense_elimination(monkeypatch):
+    # the exported (2,)*5 factor arrangement holds 0/1 indicator rows, at
+    # least half zeros each; loading it and proving monotonicity on every
+    # cover eliminates against their supports only
+    interactions = importlib.import_module("interdec.interactions")
+    fileio = importlib.import_module("interdec.fileio")
+    arrangements = importlib.import_module("interdec.arrangements")
+    linalg = importlib.import_module("interdec.linalg")
+    product = interactions.build_product_space(list("abcde"), [2] * 5)
+    doc = fileio.arrangement_to_doc(interactions.build_factor_arrangement(product).arrangement)
+    counts = {"dense": 0, "sparse": 0}
+    original = linalg.RationalField.eliminate
+
+    def counting(self, row, pivot_row, col, *support):
+        counts["sparse" if support and support[0] is not None else "dense"] += 1
+        return original(self, row, pivot_row, col, *support)
+
+    monkeypatch.setattr(linalg.RationalField, "eliminate", counting)
+    loaded = fileio.arrangement_from_doc(json.loads(json.dumps(doc)))
+    assert arrangements.check_monotonicity(loaded.poset, loaded.spaces).verdict
+    assert counts["dense"] == 0 and counts["sparse"] > 0
+
+
 def test_rebuild_locator_has_one_caller():
     # the certificate's verdict comes from its walk; only
     # verify_decomposition, after a failed walk on a direct sum, rebuilds
