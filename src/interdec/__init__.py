@@ -56,14 +56,12 @@ from .interactions import (
 from .linalg import (
     GF,
     QQ,
-    Matrix,
     Subspace,
     complement_within,
     contains,
     full_space,
     intersect,
     is_direct_sum,
-    rref,
     subspace_from_generators,
     sum_subspaces,
     zero_subspace,

@@ -56,7 +56,7 @@ from .interactions import (
     build_product_space,
     interaction_dimensions,
 )
-from .linalg import QQ
+from .linalg import QQ, _read_number
 from .posets import LOWER_SET_CAP
 
 EXIT_FALSE = 1
@@ -163,12 +163,20 @@ def interactions(opts):
 
 def _cap(text):
     try:
-        value = int(text)
+        value = _read_number(text, int)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
     return value
+
+
+def _seed(text):
+    try:
+        return _read_number(text, int)
+    except ValueError:
+        # the words argparse uses for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 _TAKES_VALUE = frozenset(
@@ -278,7 +286,7 @@ def _parser():
 
     sub = command("decompose", decompose_cmd)
     sub.add_argument("arrangement_file", metavar="ARRANGEMENT")
-    sub.add_argument("--seed", type=int, help="Randomize the section choice.")
+    sub.add_argument("--seed", type=_seed, help="Randomize the section choice.")
 
     sub = command("interactions", interactions)
     sub.add_argument("model_file", metavar="MODEL")

@@ -14,7 +14,7 @@ import json
 
 from .arrangements import new_arrangement
 from .errors import InputError
-from .linalg import GF, QQ, IntEchelon
+from .linalg import GF, QQ, IntEchelon, _read_number
 from .posets import build_poset
 
 
@@ -61,7 +61,7 @@ def field_from_flag(text):
         return QQ
     if text.startswith("mod:"):
         try:
-            p = int(text[4:])
+            p = _read_number(text[4:], int)
         except ValueError:
             raise InputError(f"--field: bad modulus in {text!r}") from None
         return GF(p)
@@ -200,10 +200,8 @@ def arrangement_to_doc(arrangement):
 def witness_to_doc(witness, field):
     location = witness.location
     if isinstance(location, tuple):
-        rendered = [list(part) for part in location]
-    else:
-        rendered = location
-    return {"location": rendered, "vector": render_vector(field, witness.vector)}
+        location = [list(part) for part in location]
+    return {"location": location, "vector": render_vector(field, witness.vector)}
 
 
 def report_to_doc(report, field):

@@ -19,10 +19,10 @@ No floating point appears anywhere.
 
 from __future__ import annotations
 
+import re
 import reprlib
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
 from math import gcd, lcm
@@ -48,16 +48,13 @@ class RationalField:
     zero = Fraction(0)
 
     def parse(self, value):
-        """Accept ints, Fractions, or strings like '-3/7' or '0.5'.
-
-        Strings take no exponent: Fraction would read "1e1000000000" as a
-        billion-digit integer before any size cap applies.
-        """
+        """Accept ints, Fractions, or strings like '-3/7' or '0.5' that
+        keep the number rule of _read_number."""
         if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
             return Fraction(value)
-        if isinstance(value, str) and "e" not in value and "E" not in value:
+        if isinstance(value, str):
             try:
-                return Fraction(value)
+                return _read_number(value, Fraction)
             except (ValueError, ZeroDivisionError):
                 pass
         raise InputError(f"not a rational entry: {_shown(value)}")
@@ -190,10 +187,7 @@ class PrimeField:
 
 
 QQ = RationalField()
-
-
-def GF(p):
-    return PrimeField(p)
+GF = PrimeField
 
 
 # Miller–Rabin with the twelve prime bases 2..37 decides primality exactly
@@ -224,6 +218,20 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+# The one rule for numbers spelled in documents and flags: ASCII digits,
+# signs, '.' and '/' only.  int() and Fraction() alone also read '_',
+# surrounding whitespace, other scripts' digits and (Fraction) exponents,
+# so "1e1000000000" would be a billion-digit integer before any size cap.
+_NUMBER_TEXT = re.compile(r"[-+./0-9]+")
+
+
+def _read_number(text, kind):
+    """kind(text), kind int or Fraction; ValueError if text breaks the rule."""
+    if _NUMBER_TEXT.fullmatch(text) is None:
+        raise ValueError(f"not a number: {text!r}")
+    return kind(text)
 
 
 _SHOWN_LIMIT = 40
@@ -261,57 +269,6 @@ def _primitive(ints):
     if g == 1:
         return tuple(ints)
     return tuple([x // g for x in ints])
-
-
-# ---------------------------------------------------------------------------
-# matrices and canonical reduced row-echelon form
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Matrix:
-    """Dense matrix with entries in row-major order."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
-
-    @classmethod
-    def from_rows(cls, row_lists, cols=None):
-        rows = [list(r) for r in row_lists]
-        if rows:
-            if cols is None:
-                cols = len(rows[0])
-            for r in rows:
-                if len(r) != cols:
-                    raise DimensionMismatch("ragged rows")
-        elif cols is None:
-            cols = 0
-        flat = tuple(e for r in rows for e in r)
-        return cls(len(rows), cols, flat)
-
-    def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def row_lists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-
-def rref(matrix, field=QQ):
-    """Reduced row-echelon form; preserves the shape (zero rows sink to the bottom).
-
-    The kernel's reduced rows, scaled to pivot one over the field.
-    """
-    acc = IntEchelon(field, (field.exact_row(row) for row in matrix.row_lists()))
-    rows = [field.pivot_one(r) for r in acc.reduced()]
-    rows += [(field.zero,) * matrix.cols] * (matrix.rows - len(rows))
-    return Matrix.from_rows(rows, cols=matrix.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +490,14 @@ def subspace_from_generators(ambient_dim, gens, field=QQ):
     return IntEchelon(field, map(field.exact_row, rows)).subspace(ambient_dim)
 
 
+def rref(rows, field=QQ):
+    """The pivot-one canonical basis of equal-length rows, () for none.
+    No package code calls it; it stays because the benchmark's tracer
+    binds the name."""
+    rows = list(rows)
+    return subspace_from_generators(len(rows[0]), rows, field).basis if rows else ()
+
+
 def _indicator_subspace(ambient_dim, supports, field):
     """The Subspace spanned by the indicator rows of disjoint sets of
     columns, each set given by its column indices in ascending order, the
@@ -577,10 +542,7 @@ def zero_subspace(ambient_dim, field=QQ):
 
 
 def full_space(ambient_dim, field=QQ):
-    rows = (
-        tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)
-    )
-    return IntEchelon(field, rows).subspace(ambient_dim)
+    return _indicator_subspace(ambient_dim, [(i,) for i in range(ambient_dim)], field)
 
 
 def _check_compatible(*spaces):
@@ -652,9 +614,7 @@ def intersect(u, w):
 def contains(u, w):
     """True iff W ⊆ U, i.e. every basis row of W lies in U."""
     _check_compatible(u, w)
-    if w.dim > u.dim:
-        return False
-    return first_outside(w, u) is None
+    return w.dim <= u.dim and first_outside(w, u) is None
 
 
 def complement_within(w, u):

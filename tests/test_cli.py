@@ -175,6 +175,38 @@ def test_rational_exponent_entry_is_input_error(tmp_path):
     assert line.startswith("error: ") and "not a rational entry" in line
 
 
+def test_numbers_in_documents_and_flags_keep_the_ascii_rule(tmp_path, monkeypatch):
+    # int() and Fraction() alone also read '_' between digits, surrounding
+    # whitespace and other scripts' digits; each such form is refused with
+    # the message of a number refused for its form before
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "tl.json", THREE_LINES)
+    refused = {}
+    for k, entry in enumerate(["1_0", " 1/2 ", "\t2\n", "١/٢"]):
+        doc = dict(THREE_LINES, spaces={**THREE_LINES["spaces"], "a1": [[entry, 0]]})
+        write(tmp_path, f"e{k}.json", doc)
+        refused["check", f"e{k}.json", "--property", "C"] = (
+            f"error: e{k}.json.spaces.a1[0]: not a rational entry: {entry!r}"
+        )
+    for modulus in ("mod:7_1", "mod: 7", "mod:٧"):
+        refused["--field", modulus, "check", "tl.json", "--property", "C"] = (
+            f"error: --field: bad modulus in {modulus!r}"
+        )
+    for cap in ("1_0", "٣", "x"):
+        refused["check", "tl.json", "--property", "C", "--cap", cap] = (
+            f"interdec check: error: argument --cap: expected an integer of at least 1, got {cap!r}"
+        )
+    for seed in (" 1_2 ", "x"):
+        refused["decompose", "tl.json", "--seed", seed] = (
+            f"interdec decompose: error: argument --seed: invalid int value: {seed!r}"
+        )
+    for args, message in refused.items():
+        result = invoke(args)
+        assert (result.exit_code, result.stdout) == (2, ""), args
+        assert result.stderr.splitlines()[-1] == message, args
+    assert invoke(["decompose", "tl.json", "--seed", "+12"]).exit_code == 1
+
+
 @pytest.mark.parametrize(
     "entry", ["[" * 900 + "1" + "]" * 900, json.dumps("7" * 10_000)], ids=["deep", "long"]
 )

@@ -49,6 +49,10 @@ def test_field_flag():
         field_from_flag("mod:x")
     with pytest.raises(InputError):
         field_from_flag("float")
+    # int() alone would read these as 71, 7, 7 and 7
+    for text in ("mod:7_1", "mod: 7", "mod:٧", "mod:7\n"):
+        with pytest.raises(InputError, match="bad modulus"):
+            field_from_flag(text)
 
 
 def test_poset_doc_round_trip():

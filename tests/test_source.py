@@ -305,12 +305,8 @@ def test_the_certificate_walk_is_the_one_certificate():
     }
 
 
-def test_the_retired_grower_and_count_certificate_stay_gone():
-    # lower sets are listed in scan order by one split and certified by
-    # one walk; no scope defines or names a second lower-set listing,
-    # order or certificate
-    retired = {"_grow_lower_sets", "_certificate", "_in_lower_set_order"}
-
+def assert_retired(retired):
+    """No scope of the package defines or names any of the names retired."""
     def names_retired(node):
         return (isinstance(node, ast.Name) and node.id in retired) or (
             isinstance(node, ast.Attribute) and node.attr in retired
@@ -324,6 +320,19 @@ def test_the_retired_grower_and_count_certificate_stay_gone():
     }
     assert scopes_where(names_retired) == set()
     assert defined & retired == set()
+
+
+def test_the_retired_grower_and_count_certificate_stay_gone():
+    # lower sets are listed in scan order by one split and certified by
+    # one walk; no scope defines or names a second lower-set listing,
+    # order or certificate
+    assert_retired({"_grow_lower_sets", "_certificate", "_in_lower_set_order"})
+
+
+def test_the_retired_dense_matrix_stays_gone():
+    # matrices are kernel rows and subspaces are Subspace values; no
+    # module defines, names or exports a dense matrix type
+    assert_retired({"Matrix"})
 
 
 def test_pair_test_and_witness_rule_have_one_home_each():
@@ -382,13 +391,36 @@ def test_only_the_rational_field_names_fraction():
         ), scope
 
 
-def test_nothing_in_the_package_calls_rref_or_matrix():
-    # rref and Matrix stay only while the benchmark traces rref; deleting
-    # them then takes no other change
-    def names_rref_or_matrix(node):
-        return isinstance(node, ast.Name) and node.id in ("rref", "Matrix")
+def test_nothing_in_the_package_calls_rref():
+    # rref stays only while the benchmark traces the name; deleting it
+    # then takes no other change
+    def calls_rref(node):
+        return isinstance(node, ast.Call) and "rref" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        )
 
-    assert scopes_where(names_rref_or_matrix) <= {"linalg.rref"}
+    assert scopes_where(calls_rref) == set()
+
+
+def test_the_number_rule_has_one_home():
+    # numbers spelled in documents and flags are read by linalg._read_number
+    # alone; every other int() or Fraction() call takes a number, not text
+    def names_rule(node):
+        return isinstance(node, ast.Name) and node.id == "_NUMBER_TEXT"
+
+    assert scopes_where(names_rule) == {"linalg", "linalg._read_number"}
+    assert scopes_where(calls_name("_read_number")) == {
+        "linalg.RationalField.parse",
+        "fileio.field_from_flag",
+        "cli._cap",
+        "cli._seed",
+    }
+    assert scopes_where(calls_name("int")) == {"linalg.RationalField.format"}
+    assert scopes_where(calls_name("Fraction")) == {
+        "linalg.RationalField",
+        "linalg.RationalField.parse",
+        "linalg.RationalField.pivot_one",
+    }
 
 
 def test_the_factor_path_eliminates_nothing():
