@@ -28,28 +28,15 @@ from .arrangements import (
 )
 from .errors import (
     CapExceeded,
-    CycleDetected,
-    DimensionMismatch,
-    DuplicateLabel,
-    EmptyVariableDomain,
     InputError,
     InterdecError,
     InternalContradiction,
-    NotComparable,
-    NotContained,
     NotMonotone,
-    NotMonotoneMap,
-    SizeLimitExceeded,
-    UnknownElement,
-    UnknownLabel,
-    UnknownVariable,
-    VectorOutsideArrangement,
 )
 from .interactions import (
     FactorArrangement,
     ProductSpace,
     build_factor_arrangement,
-    build_product_space,
     factor_subspace,
     interaction_dimensions,
 )

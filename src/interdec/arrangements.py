@@ -36,14 +36,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import (
-    DimensionMismatch,
-    InputError,
-    InternalContradiction,
-    NotMonotone,
-    NotMonotoneMap,
-    VectorOutsideArrangement,
-)
+from .errors import InputError, InternalContradiction, NotMonotone
 from .linalg import (
     IntEchelon,
     Subspace,
@@ -202,9 +195,6 @@ class Arrangement:
         self._dim_memo[mask] = rank
         return rank
 
-    def full_space_value(self):
-        return self.eval_mask((1 << len(self.poset.labels)) - 1)
-
     def __repr__(self):
         return (
             f"Arrangement({len(self.poset.labels)} elements, "
@@ -222,12 +212,12 @@ def new_arrangement(poset, ambient_dim, field, spaces):
         if not isinstance(val, Subspace):
             val = subspace_from_generators(ambient_dim, val, field)
         if val.ambient_dim != ambient_dim:
-            raise DimensionMismatch(
+            raise InputError(
                 f"space at {lab!r} lives in dim {val.ambient_dim}, "
                 f"arrangement ambient is {ambient_dim}"
             )
         if val.field != field:
-            raise DimensionMismatch(
+            raise InputError(
                 f"space at {lab!r} is over {val.field!r}, arrangement is over {field!r}"
             )
         table[lab] = val
@@ -470,7 +460,7 @@ def verify_decomposition(arrangement, decomposition):
     field, n = arrangement.field, arrangement.ambient_dim
     for lab in poset.labels:
         if comps[lab].ambient_dim != n or comps[lab].field != field:
-            raise DimensionMismatch(f"component at {lab!r} does not fit the arrangement")
+            raise InputError(f"component at {lab!r} does not fit the arrangement")
 
     rows = [comps[lab].exact_rows() for lab in poset.labels]
     kept = _certified_sections(arrangement, rows)
@@ -549,14 +539,12 @@ def decomposition_of(arrangement, decomposition, vector):
     field = arrangement.field
     target = tuple(field.parse(x) for x in vector)
     if len(target) != arrangement.ambient_dim:
-        raise DimensionMismatch(
+        raise InputError(
             f"vector has length {len(target)}, ambient dim is {arrangement.ambient_dim}"
         )
-    if not arrangement.full_space_value().contains_vector(target):
-        raise VectorOutsideArrangement(
-            "vector is outside the sum of the arrangement's spaces"
-        )
     labels = arrangement.poset.labels
+    if not arrangement.eval_mask((1 << len(labels)) - 1).contains_vector(target):
+        raise InputError("vector is outside the sum of the arrangement's spaces")
     bases = [decomposition.components[lab].basis for lab in labels]
     coeffs = solve_exact([row for basis in bases for row in basis], target, field)
     if coeffs is None:
@@ -589,14 +577,14 @@ def pushforward(mapping, arrangement, target_poset):
     images = {}
     for lab in source.labels:
         if lab not in mapping:
-            raise NotMonotoneMap(f"map is not defined on element {lab!r}")
+            raise InputError(f"map is not defined on element {lab!r}")
         images[lab] = mapping[lab]
         target_poset.index(images[lab])
     # the order is the transitive closure of its covers
     for i, j in source.covers():
         a1, a2 = source.labels[i], source.labels[j]
         if not target_poset.leq(images[a1], images[a2]):
-            raise NotMonotoneMap(f"map does not preserve {a1!r} ≤ {a2!r}")
+            raise InputError(f"map does not preserve {a1!r} ≤ {a2!r}")
     spaces = {}
     for b in target_poset.labels:
         mask = 0

@@ -32,12 +32,7 @@ from .arrangements import (
     check_strong_intersection,
     decompose,
 )
-from .errors import (
-    CapExceeded,
-    InputError,
-    InternalContradiction,
-    SizeLimitExceeded,
-)
+from .errors import CapExceeded, InputError, InternalContradiction
 from .fileio import (
     arrangement_from_doc,
     arrangement_to_doc,
@@ -51,11 +46,7 @@ from .fileio import (
     subspace_rows,
     witness_to_doc,
 )
-from .interactions import (
-    build_factor_arrangement,
-    build_product_space,
-    interaction_dimensions,
-)
+from .interactions import ProductSpace, build_factor_arrangement, interaction_dimensions
 from .linalg import QQ, _read_number
 from .posets import LOWER_SET_CAP
 
@@ -100,7 +91,7 @@ def _exit_codes():
         yield
     except InputError as exc:
         _fail(exc, EXIT_INPUT)
-    except (CapExceeded, SizeLimitExceeded) as exc:
+    except CapExceeded as exc:
         _fail(exc, EXIT_CAP)
     except InternalContradiction as exc:
         _fail(exc, EXIT_BUG)
@@ -143,7 +134,7 @@ def interactions(opts):
     """Interaction dimensions of the factor arrangement of finite variables."""
     labels, cardinalities = model_from_doc(load_json(opts.model_file), opts.model_file)
     field = _field_override(opts) or QQ
-    product = build_product_space(labels, cardinalities)
+    product = ProductSpace(labels, cardinalities)
     factor = build_factor_arrangement(product, field)
     # an export over the size cap is refused before any row is built
     exported = factor.arrangement if opts.export_arrangement is not None else None
@@ -234,6 +225,12 @@ def _canonical_words(args):
     return [word for word in words if word is not None]
 
 
+def _formatter(prog):
+    """argparse's formatter at the width it takes without a terminal, so
+    that help and usage text do not follow COLUMNS or the terminal."""
+    return argparse.HelpFormatter(prog, width=78)
+
+
 def _parser():
     def with_help(parser):
         parser.add_argument("--help", action="help", help="Show this message and exit.")
@@ -242,6 +239,7 @@ def _parser():
     parser = with_help(argparse.ArgumentParser(
         prog="interdec",
         description=main.__doc__.partition("\n")[0],
+        formatter_class=_formatter,
         add_help=False,
         allow_abbrev=False,
     ))
@@ -262,7 +260,8 @@ def _parser():
 
     def command(name, run):
         sub = with_help(commands.add_parser(
-            name, help=run.__doc__, description=run.__doc__, add_help=False, allow_abbrev=False
+            name, help=run.__doc__, description=run.__doc__, formatter_class=_formatter,
+            add_help=False, allow_abbrev=False,
         ))
         sub.set_defaults(run=run)
         return sub

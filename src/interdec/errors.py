@@ -1,7 +1,9 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one per failure exit code.
 
 Every error raised on purpose derives from InterdecError so callers (and
-the CLI) can separate expected failures from genuine bugs.
+the CLI) can separate expected failures from genuine bugs.  The CLI maps
+InputError to exit 2, CapExceeded to exit 3 and InternalContradiction to
+exit 4; the message says which input, cap or identity it was.
 """
 
 import json
@@ -12,46 +14,10 @@ class InterdecError(Exception):
 
 
 class InputError(InterdecError):
-    """A document failed to parse or validate; message carries the location."""
+    """An input failed to parse or validate: a malformed document, an
+    unknown or repeated label, a cycle, a size or dimension that does not
+    fit.  The message carries the location."""
 
-
-# -- poset construction and queries -----------------------------------------
-
-class DuplicateLabel(InputError):
-    pass
-
-
-class UnknownLabel(InputError):
-    pass
-
-
-class UnknownElement(InterdecError):
-    pass
-
-
-class CycleDetected(InputError):
-    """The supplied relation pairs close into a cycle, breaking antisymmetry."""
-
-
-class NotComparable(InterdecError):
-    pass
-
-
-class CapExceeded(InterdecError):
-    """A brute-force enumeration grew past its cap; the poset is too large."""
-
-
-# -- exact linear algebra ----------------------------------------------------
-
-class DimensionMismatch(InterdecError):
-    pass
-
-
-class NotContained(InterdecError):
-    pass
-
-
-# -- arrangements ------------------------------------------------------------
 
 class NotMonotone(InputError):
     """The element map is not monotone: some F(a) is not inside F(b) for a <= b.
@@ -71,27 +37,10 @@ class NotMonotone(InputError):
         )
 
 
-class NotMonotoneMap(InterdecError):
-    pass
-
-
-class VectorOutsideArrangement(InterdecError):
-    pass
+class CapExceeded(InterdecError):
+    """An enumeration or a size grew past its cap: too many lower sets,
+    points, subsets or entries, or a number with too many digits."""
 
 
 class InternalContradiction(InterdecError):
     """A certified mathematical identity failed to hold; indicates a bug."""
-
-
-# -- product spaces ----------------------------------------------------------
-
-class EmptyVariableDomain(InputError):
-    pass
-
-
-class UnknownVariable(InterdecError):
-    pass
-
-
-class SizeLimitExceeded(InterdecError):
-    pass

@@ -23,13 +23,7 @@ import itertools
 from math import prod
 
 from .arrangements import Arrangement, Decomposition
-from .errors import (
-    DuplicateLabel,
-    EmptyVariableDomain,
-    InternalContradiction,
-    SizeLimitExceeded,
-    UnknownVariable,
-)
+from .errors import CapExceeded, InputError, InternalContradiction
 from .linalg import QQ, _indicator_subspace
 from .posets import _bits, build_poset, lower_set_lattice
 
@@ -50,22 +44,16 @@ class ProductSpace:
         labels = tuple(labels)
         cardinalities = tuple(cardinalities)
         if len(labels) != len(cardinalities):
-            raise EmptyVariableDomain(
-                "need exactly one cardinality per variable label"
-            )
+            raise InputError("need exactly one cardinality per variable label")
         if len(set(labels)) != len(labels):
-            raise DuplicateLabel("variable labels must be distinct")
+            raise InputError("variable labels must be distinct")
         total = 1
         for lab, card in zip(labels, cardinalities):
             if card < 1:
-                raise EmptyVariableDomain(
-                    f"variable {lab!r} has empty domain (cardinality {card})"
-                )
+                raise InputError(f"variable {lab!r} has empty domain (cardinality {card})")
             total *= card
         if total > POINT_LIMIT:
-            raise SizeLimitExceeded(
-                f"product space has {total} points, limit is {POINT_LIMIT}"
-            )
+            raise CapExceeded(f"product space has {total} points, limit is {POINT_LIMIT}")
         self.labels = labels
         self.cardinalities = cardinalities
         self.total_points = total
@@ -75,15 +63,11 @@ class ProductSpace:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise UnknownVariable(f"no variable {label!r}") from None
+            raise InputError(f"no variable {label!r}") from None
 
     def __repr__(self):
         sizes = "x".join(str(c) for c in self.cardinalities) or "1"
         return f"ProductSpace({sizes}, {self.total_points} points)"
-
-
-def build_product_space(labels, cardinalities):
-    return ProductSpace(labels, cardinalities)
 
 
 def _cylinders(product, idxs, values):
@@ -153,14 +137,14 @@ class FactorArrangement:
         Monotonicity is cylinder refinement: for a ⊆ b every cylinder of a
         is a union of cylinders of b, so F(a) ⊆ F(b), and new_arrangement's
         dense recheck is skipped.  Its Π(|E_i| + 1) rows of |E| entries
-        each are refused with SizeLimitExceeded, before any row is built,
+        each are refused with CapExceeded, before any row is built,
         when they would hold more than POINT_LIMIT² entries.
         """
         if self._arrangement is None:
             product = self.product
             rows = prod(card + 1 for card in product.cardinalities)
             if rows * product.total_points > POINT_LIMIT**2:
-                raise SizeLimitExceeded(
+                raise CapExceeded(
                     f"the factor arrangement has {rows} rows of {product.total_points} "
                     f"entries, more than the cap of {POINT_LIMIT**2} entries"
                 )
@@ -270,7 +254,7 @@ def build_factor_arrangement(product, field=QQ):
     space is built here; see FactorArrangement.
     """
     if 2 ** len(product.labels) > POINT_LIMIT:
-        raise SizeLimitExceeded(
+        raise CapExceeded(
             f"powerset has {2 ** len(product.labels)} subsets, cap is {POINT_LIMIT}"
         )
     antichain = build_poset(sorted(product.labels), [])

@@ -27,13 +27,7 @@ from fractions import Fraction
 from itertools import compress, islice
 from math import gcd, lcm
 
-from .errors import (
-    DimensionMismatch,
-    InputError,
-    InternalContradiction,
-    NotContained,
-    SizeLimitExceeded,
-)
+from .errors import CapExceeded, InputError, InternalContradiction
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +55,7 @@ class RationalField:
 
     def format(self, element):
         """Document form: an int or "p/q".  Parts longer than the
-        interpreter's integer-to-text limit raise SizeLimitExceeded."""
+        interpreter's integer-to-text limit raise CapExceeded."""
         _check_digits(element.numerator)
         _check_digits(element.denominator)
         if element.denominator == 1:
@@ -77,7 +71,7 @@ class RationalField:
         if pivot != 1:
             return [self.format(x) for x in self.pivot_one(row)]
         _check_digits(max(max(row), -min(row)))
-        return list(row)
+        return row
 
     def exact_row(self, row):
         """Integer row for the kernel from document entries or field
@@ -144,7 +138,7 @@ class PrimeField:
     def format_row(self, row, pivot):
         # kernel rows mod p are residues with pivot one, so already their
         # own document form
-        return list(row)
+        return row
 
     def exact_row(self, row):
         """Residue row for the kernel from document entries or field
@@ -246,13 +240,13 @@ def _shown(value):
 
 
 def _check_digits(n):
-    """Raise SizeLimitExceeded when the integer n has more digits than the
+    """Raise CapExceeded when the integer n has more digits than the
     interpreter converts to text."""
     limit = sys.get_int_max_str_digits()
     size = abs(n)
     # 8**limit < 10**limit, so 3 * limit bits always fit
     if limit and size.bit_length() > 3 * limit and size >= 10**limit:
-        raise SizeLimitExceeded(
+        raise CapExceeded(
             f"an output entry has more than {limit} digits, the "
             "interpreter's integer-to-text limit"
         )
@@ -459,7 +453,7 @@ class Subspace:
     def contains_vector(self, vector):
         """Exact membership test for a single coordinate vector."""
         if len(vector) != self.ambient_dim:
-            raise DimensionMismatch(
+            raise InputError(
                 f"vector of length {len(vector)} in ambient dim {self.ambient_dim}"
             )
         return self._echelon.contains_row(self.field.exact_row(vector))
@@ -484,9 +478,7 @@ def subspace_from_generators(ambient_dim, gens, field=QQ):
     rows = list(gens)
     for r in rows:
         if len(r) != ambient_dim:
-            raise DimensionMismatch(
-                f"generator of length {len(r)}, ambient dim is {ambient_dim}"
-            )
+            raise InputError(f"generator of length {len(r)}, ambient dim is {ambient_dim}")
     return IntEchelon(field, map(field.exact_row, rows)).subspace(ambient_dim)
 
 
@@ -549,9 +541,7 @@ def _check_compatible(*spaces):
     first = spaces[0]
     for s in spaces[1:]:
         if s.ambient_dim != first.ambient_dim or s.field != first.field:
-            raise DimensionMismatch(
-                f"incompatible subspaces: {first!r} vs {s!r}"
-            )
+            raise InputError(f"incompatible subspaces: {first!r} vs {s!r}")
 
 
 def sum_echelon(spaces, field):
@@ -625,7 +615,7 @@ def complement_within(w, u):
     """
     _check_compatible(w, u)
     if not contains(u, w):
-        raise NotContained(f"{w!r} is not contained in {u!r}")
+        raise InputError(f"{w!r} is not contained in {u!r}")
     kept = complement_rows(w.echelon(), u.exact_rows(), u.dim - w.dim)
     return IntEchelon(u.field, kept).subspace(u.ambient_dim)
 

@@ -22,19 +22,12 @@ only the cap, pays for no listing.
 
 Every Poset has unique labels, the lattice's "{a,b}" names included: two
 lower sets with the same name (elements "a,b", "a" and "b", say) raise
-DuplicateLabel.
+InputError.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    CapExceeded,
-    CycleDetected,
-    DuplicateLabel,
-    NotComparable,
-    UnknownElement,
-    UnknownLabel,
-)
+from .errors import CapExceeded, InputError
 
 LOWER_SET_CAP = 4096
 
@@ -47,7 +40,7 @@ class Poset:
     def __init__(self, labels, up_masks, down_masks):
         """Internal constructor: up_masks must already be a reflexive-
         transitive, antisymmetric closure, and down_masks its transpose.
-        A repeated label raises DuplicateLabel.  Use build_poset for raw
+        A repeated label raises InputError.  Use build_poset for raw
         input."""
         self.labels = tuple(labels)
         self._index = _label_index(self.labels)
@@ -64,7 +57,7 @@ class Poset:
         try:
             return self._index[label]
         except KeyError:
-            raise UnknownElement(f"no element {label!r}") from None
+            raise InputError(f"no element {label!r}") from None
 
     def leq(self, a, b):
         """a ≤ b."""
@@ -129,11 +122,11 @@ def _bits(mask):
 
 
 def _label_index(labels):
-    """Position of each label; raises DuplicateLabel at the first repeat."""
+    """Position of each label; raises InputError at the first repeat."""
     index = {}
     for i, lab in enumerate(labels):
         if lab in index:
-            raise DuplicateLabel(f"duplicate element {lab!r}")
+            raise InputError(f"duplicate element {lab!r}")
         index[lab] = i
     return index
 
@@ -153,10 +146,9 @@ def build_poset(labels, relations):
     below = [[] for _ in range(n)]
     for pair in relations:
         a, b = pair
-        if a not in index:
-            raise UnknownLabel(f"relation mentions unknown element {a!r}")
-        if b not in index:
-            raise UnknownLabel(f"relation mentions unknown element {b!r}")
+        for lab in (a, b):
+            if lab not in index:
+                raise InputError(f"relation mentions unknown element {lab!r}")
         up[index[a]] |= 1 << index[b]
         below[index[b]].append(index[a])
     # Warshall closure on bitmask rows
@@ -171,9 +163,7 @@ def build_poset(labels, relations):
         first = {}
         twins = [(first.setdefault(mask, j), j) for j, mask in enumerate(up)]
         i, j = min(pair for pair in twins if pair[0] != pair[1])
-        raise CycleDetected(
-            f"elements {labels[i]!r} and {labels[j]!r} are mutually related"
-        )
+        raise InputError(f"elements {labels[i]!r} and {labels[j]!r} are mutually related")
     down = [1 << i for i in range(n)]
     for b in sorted(range(n), key=lambda b: -up[b].bit_count()):
         for a in below[b]:
@@ -343,7 +333,7 @@ def interval_elements(poset, a, b):
     """[a, b] = {c | a ≤ c ≤ b}; demands a ≤ b."""
     ia, ib = poset.index(a), poset.index(b)
     if not poset._up[ia] >> ib & 1:
-        raise NotComparable(f"{a!r} is not below {b!r}")
+        raise InputError(f"{a!r} is not below {b!r}")
     return frozenset(poset._labels_of(poset._up[ia] & poset._down[ib]))
 
 
@@ -352,7 +342,7 @@ def is_order_embedding(mapping, source, target):
     imgs = []
     for lab in source.labels:
         if lab not in mapping:
-            raise UnknownElement(f"map is not defined on {lab!r}")
+            raise InputError(f"map is not defined on {lab!r}")
         imgs.append(target.index(mapping[lab]))
     n = len(source.labels)
     for i in range(n):

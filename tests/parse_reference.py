@@ -10,7 +10,7 @@ spaces are built by parsing each row once more.
 from math import gcd
 
 from interdec.arrangements import new_arrangement
-from interdec.errors import DimensionMismatch, InputError, InterdecError
+from interdec.errors import InputError, InterdecError
 from interdec.fileio import field_from_doc, poset_from_doc
 from interdec.linalg import IntEchelon, _primitive
 
@@ -36,9 +36,7 @@ def reference_subspace(ambient_dim, gens, field):
     rows = [list(r) for r in gens]
     for r in rows:
         if len(r) != ambient_dim:
-            raise DimensionMismatch(
-                f"generator of length {len(r)}, ambient dim is {ambient_dim}"
-            )
+            raise InputError(f"generator of length {len(r)}, ambient dim is {ambient_dim}")
     kernel_rows = [reference_exact_row(field, r) for r in rows]
     return IntEchelon(field, kernel_rows).subspace(ambient_dim)
 

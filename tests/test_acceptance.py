@@ -21,7 +21,7 @@ from interdec.arrangements import (
     pushforward,
     verify_decomposition,
 )
-from interdec.interactions import build_factor_arrangement, build_product_space, interaction_dimensions
+from interdec.interactions import ProductSpace, build_factor_arrangement, interaction_dimensions
 from interdec.linalg import (
     GF,
     QQ,
@@ -74,7 +74,7 @@ def suite3():
     out = []
     for sizes in [(2, 2), (2, 3), (3, 3), (2, 2, 2)]:
         labels = [f"x{i + 1}" for i in range(len(sizes))]
-        factor = build_factor_arrangement(build_product_space(labels, sizes))
+        factor = build_factor_arrangement(ProductSpace(labels, sizes))
         out.append((sizes, factor))
     return {"factors": out, "built_at": t0}
 

@@ -24,20 +24,8 @@ from interdec.arrangements import (
     pushforward,
     verify_decomposition,
 )
-from interdec.errors import (
-    CapExceeded,
-    DuplicateLabel,
-    InputError,
-    InternalContradiction,
-    NotMonotone,
-    NotMonotoneMap,
-    VectorOutsideArrangement,
-)
-from interdec.interactions import (
-    build_factor_arrangement,
-    build_product_space,
-    interaction_dimensions,
-)
+from interdec.errors import CapExceeded, InputError, InternalContradiction, NotMonotone
+from interdec.interactions import ProductSpace, build_factor_arrangement, interaction_dimensions
 from interdec.linalg import (
     GF,
     QQ,
@@ -325,7 +313,7 @@ def test_decomposition_of_vectors(c3_constant):
 def test_decomposition_of_outside_vector():
     arr = new_arrangement(build_poset(["a"], []), 2, QQ, {"a": [[1, 0]]})
     dec = decompose(arr)
-    with pytest.raises(VectorOutsideArrangement):
+    with pytest.raises(InputError, match="^vector is outside the sum of the arrangement's spaces$"):
         decomposition_of(arr, dec, [0, 1])
     with pytest.raises(InputError):
         decomposition_of(arr, Decomposition(dec.components, certified=False), [1, 0])
@@ -366,14 +354,14 @@ def test_pushforward_rejects_non_monotone_maps():
     c2 = build_poset(["u", "v"], [("u", "v")])
     a2 = build_poset(["a", "b"], [])
     arr = new_arrangement(c2, 2, QQ, {"u": [[1, 0]], "v": [[1, 0]]})
-    with pytest.raises(NotMonotoneMap):
+    with pytest.raises(InputError, match="^map does not preserve 'u' ≤ 'v'$"):
         pushforward({"u": "a", "v": "b"}, arr, a2)
-    with pytest.raises(NotMonotoneMap):
+    with pytest.raises(InputError, match="^map is not defined on element 'v'$"):
         pushforward({"u": "a"}, arr, a2)
     # x ≤ z breaks too, but the named pair is the failing cover
     c3 = build_poset(["x", "y", "z"], [("x", "y"), ("y", "z")])
     arr = new_arrangement(c3, 1, QQ, {"x": [], "y": [], "z": []})
-    with pytest.raises(NotMonotoneMap, match="^map does not preserve 'y' ≤ 'z'$"):
+    with pytest.raises(InputError, match="^map does not preserve 'y' ≤ 'z'$"):
         pushforward({"x": "a", "y": "a", "z": "b"}, arr, a2)
 
 
@@ -428,7 +416,7 @@ def test_extend_rejects_colliding_lower_set_names():
     # {a,b} names both the lower set of element "a,b" and that of a and b
     poset = build_poset(["a,b", "a", "b"], [])
     arr = new_arrangement(poset, 1, QQ, {"a,b": [], "a": [], "b": []})
-    with pytest.raises(DuplicateLabel, match=r"^duplicate element '\{a,b\}'$"):
+    with pytest.raises(InputError, match=r"^duplicate element '\{a,b\}'$"):
         extend_to_lower_sets(arr)
 
 
@@ -501,7 +489,7 @@ def test_subset_sums_match_all_members_reference(seed, field, picks):
 
 
 def test_subset_sum_inserts_only_non_seed_maximal_rows(monkeypatch):
-    product = build_product_space(["a", "b", "c", "d"], (2, 2, 2, 2))
+    product = ProductSpace(["a", "b", "c", "d"], (2, 2, 2, 2))
     arr = build_factor_arrangement(product).arrangement
     poset = arr.poset
     top = poset.index("{a,b,c,d}")
@@ -733,7 +721,7 @@ def test_the_certificate_counts_skip_zero_components(monkeypatch):
     # twelve one-valued variables: only the empty set's count is nonzero,
     # so each of the 4,096 subsets adds one count, not 3^12 in all
     count = counted_bits(monkeypatch, interactions)
-    factor = build_factor_arrangement(build_product_space(list("abcdefghijkl"), [1] * 12))
+    factor = build_factor_arrangement(ProductSpace(list("abcdefghijkl"), [1] * 12))
     dims = interaction_dimensions(factor)
     assert dims["{}"] == 1 and sum(dims.values()) == 1
     assert count == [4096]
@@ -1059,7 +1047,7 @@ def test_certified_decompose_takes_no_subset_sum(monkeypatch, c3_growing):
     monkeypatch.setattr(arrangements, "_first_rebuild_failure", refuse_rebuild)
     monkeypatch.setattr(arrangements, "sum_echelon", refuse)
     monkeypatch.setattr(arrangements.Arrangement, "_sum_echelon", refuse)
-    product = build_product_space(["x0", "x1", "x2"], (2, 2, 2))
+    product = ProductSpace(["x0", "x1", "x2"], (2, 2, 2))
     factor = build_factor_arrangement(product, GF(7)).arrangement
     planted, _ = random_decomposable_arrangement(random.Random(0), QQ, 6, 6)
     for arr in (factor, c3_growing, planted):
@@ -1145,7 +1133,7 @@ def test_a_holding_check_C_inserts_one_row_per_element(monkeypatch):
         return original(self, row)
 
     monkeypatch.setattr(IntEchelon, "insert", counting)
-    product = build_product_space([f"x{i}" for i in range(5)], (2,) * 5)
+    product = ProductSpace([f"x{i}" for i in range(5)], (2,) * 5)
     for field in (QQ, GF(101)):
         factor = build_factor_arrangement(product, field).arrangement
         arr = new_arrangement(factor.poset, factor.ambient_dim, field, factor.spaces)
@@ -1255,7 +1243,7 @@ def test_decomposition_of_splits_into_the_components(sample, field, seed):
     arr, _ = random_decomposable_arrangement(rng, field)
     dec = decompose(arr, seed=seed)
     assert dec.certified
-    full = arr.full_space_value().basis
+    full = arr.eval_mask((1 << len(arr.poset.labels)) - 1).basis
     weights = [rng.randint(-3, 3) for _ in full]
     v = tuple(
         field.parse(sum(w * row[i] for w, row in zip(weights, full)))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from interdec import arrangements, cli, fileio, interactions, linalg
+from interdec import arrangements, cli, errors, fileio, interactions, linalg
 
 from clirun import invoke
 from parse_reference import outcome, reference_arrangement_from_doc
@@ -601,6 +601,33 @@ def test_help_exits_0(args):
     assert result.exit_code == 0
     assert result.stdout.startswith(" ".join(["usage: interdec"] + args))
     assert result.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--help"], ["check", "--help"], ["decompose", "--help"], ["interactions", "--help"],
+     ["interactions"]],
+    ids=" ".join,
+)
+def test_help_and_usage_text_ignore_the_terminal_width(monkeypatch, args):
+    # argparse wraps to COLUMNS or the terminal; the CLI's text does not
+    monkeypatch.delenv("COLUMNS", raising=False)
+    unset = invoke(args)
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert invoke(args) == unset
+    assert unset.output.startswith("usage: interdec")
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(errors.InputError, 2), (errors.CapExceeded, 3), (errors.InternalContradiction, 4)],
+)
+def test_each_error_class_has_one_exit_code_and_one_line(capsys, error, code):
+    with pytest.raises(SystemExit) as ended, cli._exit_codes():
+        raise error("the message")
+    assert ended.value.code == code
+    assert capsys.readouterr() == ("", "error: the message\n")
 
 
 def test_command_line_word_rules(tmp_path, monkeypatch):

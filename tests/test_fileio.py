@@ -13,6 +13,7 @@ from interdec.fileio import (
     arrangement_from_doc,
     arrangement_to_doc,
     decomposition_to_doc,
+    dump_json,
     field_from_doc,
     field_from_flag,
     field_to_doc,
@@ -87,7 +88,7 @@ def test_arrangement_doc_round_trip():
     }
     arr = arrangement_from_doc(doc)
     assert arr.spaces["u"].basis == ((Fraction(1), Fraction(0)),)
-    out = arrangement_to_doc(arr)
+    out = json.loads(dump_json(arrangement_to_doc(arr)))
     assert out["spaces"]["u"] == [[1, 0]]
     again = arrangement_from_doc(out)
     assert again.spaces == arr.spaces
@@ -193,7 +194,7 @@ def test_report_and_decomposition_docs():
         poset, 2, QQ, {"a1": [[1, 0]], "a2": [[0, 1]], "a3": [[1, 1]]}
     )
     report = check_condition_C(arr)
-    doc = report_to_doc(report, arr.field)
+    doc = json.loads(dump_json(report_to_doc(report, arr.field)))
     assert doc["property"] == "C"
     assert doc["verdict"] is False
     assert doc["witness"] == {"location": "a1", "vector": [1, 0]}
@@ -202,7 +203,7 @@ def test_report_and_decomposition_docs():
     chain = build_poset(["x", "y"], [("x", "y")])
     carr = new_arrangement(chain, 1, QQ, {"x": [[1]], "y": [[1]]})
     dec = decompose(carr)
-    ddoc = decomposition_to_doc(dec, chain)
+    ddoc = json.loads(dump_json(decomposition_to_doc(dec, chain)))
     assert ddoc == {"certified": True, "components": {"x": [[1]], "y": []}}
 
 

@@ -14,16 +14,10 @@ from interdec.arrangements import (
     decompose,
     decomposition_of,
 )
-from interdec.errors import (
-    DuplicateLabel,
-    EmptyVariableDomain,
-    InternalContradiction,
-    SizeLimitExceeded,
-    UnknownVariable,
-)
+from interdec.errors import CapExceeded, InputError, InternalContradiction
 from interdec.interactions import (
+    ProductSpace,
     build_factor_arrangement,
-    build_product_space,
     factor_subspace,
     interaction_dimensions,
 )
@@ -35,7 +29,7 @@ from factor_reference import reference_components, reference_factor_arrangement
 
 def fa(*cardinalities, field=None):
     labels = [f"x{i + 1}" for i in range(len(cardinalities))]
-    product = build_product_space(labels, cardinalities)
+    product = ProductSpace(labels, cardinalities)
     if field is None:
         return build_factor_arrangement(product)
     return build_factor_arrangement(product, field)
@@ -46,31 +40,31 @@ def fa(*cardinalities, field=None):
 # ---------------------------------------------------------------------------
 
 def test_point_enumeration_mixed_radix():
-    p = build_product_space(["a", "b"], [2, 2])
+    p = ProductSpace(["a", "b"], [2, 2])
     assert p.total_points == 4
     assert p.points == ((0, 0), (0, 1), (1, 0), (1, 1))
 
-    q = build_product_space(["only"], [3])
+    q = ProductSpace(["only"], [3])
     assert q.points == ((0,), (1,), (2,))
 
-    empty = build_product_space([], [])
+    empty = ProductSpace([], [])
     assert empty.total_points == 1
     assert empty.points == ((),)
 
 
 def test_product_space_rejects_bad_input():
-    with pytest.raises(EmptyVariableDomain):
-        build_product_space(["a"], [0])
-    with pytest.raises(EmptyVariableDomain):
-        build_product_space(["a", "b"], [2])
-    with pytest.raises(DuplicateLabel):
-        build_product_space(["a", "a"], [2, 2])
+    with pytest.raises(InputError, match=r"^variable 'a' has empty domain \(cardinality 0\)$"):
+        ProductSpace(["a"], [0])
+    with pytest.raises(InputError, match="^need exactly one cardinality per variable label$"):
+        ProductSpace(["a", "b"], [2])
+    with pytest.raises(InputError, match="^variable labels must be distinct$"):
+        ProductSpace(["a", "a"], [2, 2])
 
 
 def test_product_space_size_limit():
-    build_product_space(["a", "b"], [64, 64])  # 4096 exactly: allowed
-    with pytest.raises(SizeLimitExceeded):
-        build_product_space(["a", "b"], [65, 64])
+    ProductSpace(["a", "b"], [64, 64])  # 4096 exactly: allowed
+    with pytest.raises(CapExceeded, match="^product space has 4160 points, limit is 4096$"):
+        ProductSpace(["a", "b"], [65, 64])
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +72,17 @@ def test_product_space_size_limit():
 # ---------------------------------------------------------------------------
 
 def test_factor_subspace_dimensions():
-    p = build_product_space(["a", "b"], [2, 2])
+    p = ProductSpace(["a", "b"], [2, 2])
     assert factor_subspace(p, []).dim == 1
     assert factor_subspace(p, ["a"]).dim == 2
     assert factor_subspace(p, ["a", "b"]).dim == 4
 
-    q = build_product_space(["a", "b"], [2, 3])
+    q = ProductSpace(["a", "b"], [2, 3])
     assert factor_subspace(q, ["a", "b"]) == full_space(6)
 
 
 def test_factor_subspace_contents():
-    p = build_product_space(["a", "b"], [2, 2])
+    p = ProductSpace(["a", "b"], [2, 2])
     constants = factor_subspace(p, [])
     assert constants == subspace_from_generators(4, [[1, 1, 1, 1]])
     first = factor_subspace(p, ["a"])
@@ -98,8 +92,8 @@ def test_factor_subspace_contents():
 
 
 def test_factor_subspace_unknown_variable():
-    p = build_product_space(["a"], [2])
-    with pytest.raises(UnknownVariable):
+    p = ProductSpace(["a"], [2])
+    with pytest.raises(InputError, match="^no variable 'zzz'$"):
         factor_subspace(p, ["zzz"])
 
 
@@ -128,13 +122,13 @@ def test_factor_arrangement_cube():
 
 def test_powerset_cap():
     # 13 one-point variables: 1 point, but 2^13 subsets > POINT_LIMIT
-    product = build_product_space([f"v{i}" for i in range(13)], [1] * 13)
-    with pytest.raises(SizeLimitExceeded, match="powerset has 8192 subsets"):
+    product = ProductSpace([f"v{i}" for i in range(13)], [1] * 13)
+    with pytest.raises(CapExceeded, match="powerset has 8192 subsets"):
         build_factor_arrangement(product)
 
 
 def test_factor_powerset_matches_combinations_on_unsorted_labels():
-    product = build_product_space(["z", "a", "m"], [2, 3, 2])
+    product = ProductSpace(["z", "a", "m"], [2, 3, 2])
     arr = build_factor_arrangement(product).arrangement
     subsets = [
         set(combo)
@@ -271,12 +265,12 @@ def test_export_size_is_capped_before_any_row_is_built(monkeypatch):
     factor = fa(64, 64)
     calls = []
     monkeypatch.setattr(interactions, "factor_subspace", lambda *args: calls.append(args))
-    with pytest.raises(SizeLimitExceeded, match="4225 rows of 4096 entries"):
+    with pytest.raises(CapExceeded, match="4225 rows of 4096 entries"):
         factor.arrangement
     assert calls == []
     assert interaction_dimensions(factor)["{x1,x2}"] == 63 * 63
     # 4,097 rows of 4,096 entries: just over the cap
-    with pytest.raises(SizeLimitExceeded, match="4097 rows of 4096 entries"):
+    with pytest.raises(CapExceeded, match="4097 rows of 4096 entries"):
         fa(4096).arrangement
 
 

@@ -10,12 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interdec import linalg
-from interdec.errors import (
-    DimensionMismatch,
-    InputError,
-    InternalContradiction,
-    NotContained,
-)
+from interdec.errors import InputError, InternalContradiction
 from interdec.linalg import (
     GF,
     QQ,
@@ -190,7 +185,7 @@ def test_subspace_from_generators_matches_the_two_pass_route(field, rows):
     def build(route):
         try:
             return route(2, rows, field)
-        except (DimensionMismatch, InputError) as exc:
+        except InputError as exc:
             return type(exc).__name__, str(exc)
 
     assert build(subspace_from_generators) == build(reference_subspace)
@@ -256,7 +251,7 @@ def test_rank_examples():
 
 
 def test_rref_ragged_rows_raise():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match="^generator of length 1, ambient dim is 2$"):
         rref([[Q(1), Q(2)], [Q(3)]])
 
 
@@ -277,7 +272,7 @@ def test_subspace_from_generators_examples():
 
 
 def test_subspace_generator_dimension_check():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match="^generator of length 2, ambient dim is 3$"):
         sp(3, [[1, 0]])
 
 
@@ -325,11 +320,11 @@ def test_contains_examples():
 
 
 def test_ambient_mismatch_raises():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match=r"^incompatible subspaces: .* vs .*F\^3 over QQ\)$"):
         sum_subspaces(L1(), sp(3, [[1, 0, 0]]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match=r"^incompatible subspaces: .* vs .*F\^3 over QQ\)$"):
         intersect(L1(), sp(3, [[1, 0, 0]]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match=r"^incompatible subspaces: .* vs .* over GF\(2\)\)$"):
         sum_subspaces(L1(), sp(2, [[1, 0]], GF(2)))
 
 
@@ -352,7 +347,7 @@ def test_complement_examples():
 
 
 def test_complement_requires_containment():
-    with pytest.raises(NotContained):
+    with pytest.raises(InputError, match=r"^Subspace\(dim 1 .+ is not contained in Subspace\(dim 1 .+\)$"):
         complement_within(L3(), L1())
 
 

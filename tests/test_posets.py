@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interdec.errors import (
-    CapExceeded,
-    CycleDetected,
-    DuplicateLabel,
-    NotComparable,
-    UnknownElement,
-    UnknownLabel,
-)
+from interdec.errors import CapExceeded, InputError
 from interdec.posets import (
     LOWER_SET_CAP,
     Poset,
@@ -65,26 +58,26 @@ def test_antichain_has_no_relations(a3):
 
 
 def test_cycle_rejected():
-    with pytest.raises(CycleDetected):
+    with pytest.raises(InputError, match="^elements 'u' and 'v' are mutually related$"):
         build_poset(["u", "v"], [("u", "v"), ("v", "u")])
-    with pytest.raises(CycleDetected):
+    with pytest.raises(InputError, match="^elements 'u' and 'v' are mutually related$"):
         build_poset(["u", "v", "w"], [("u", "v"), ("v", "w"), ("w", "u")])
 
 
 def test_duplicate_label_rejected():
-    with pytest.raises(DuplicateLabel):
+    with pytest.raises(InputError, match="^duplicate element 'u'$"):
         build_poset(["u", "u"], [])
 
 
 def test_unknown_relation_label_rejected():
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(InputError, match="^relation mentions unknown element 'v'$"):
         build_poset(["u"], [("u", "v")])
 
 
 def test_unknown_element_in_queries(c3):
-    with pytest.raises(UnknownElement):
+    with pytest.raises(InputError, match="^no element 'nope'$"):
         downset(c3, "nope")
-    with pytest.raises(UnknownElement):
+    with pytest.raises(InputError, match="^no element 'nope'$"):
         cheek(c3, "nope")
 
 
@@ -135,7 +128,7 @@ def test_maximal_elements(a3, d2):
 def test_interval_elements(c3, a3, d2):
     assert set(interval_elements(d2, "e", "t")) == {"e", "p", "q", "t"}
     assert set(interval_elements(c3, "x", "y")) == {"x", "y"}
-    with pytest.raises(NotComparable):
+    with pytest.raises(InputError, match="^'a1' is not below 'a2'$"):
         interval_elements(a3, "a1", "a2")
 
 
@@ -145,7 +138,7 @@ def test_order_embeddings(c3):
     assert is_order_embedding({"u": "x", "v": "z"}, c2, c3)
     a2 = build_poset(["a", "b"], [])
     assert not is_order_embedding({"a": "u", "b": "v"}, a2, c2)
-    with pytest.raises(UnknownElement):
+    with pytest.raises(InputError, match="^map is not defined on 'v'$"):
         is_order_embedding({"u": "x"}, c2, c3)
 
 
@@ -244,7 +237,7 @@ def test_cycle_message_names_the_first_mutual_pair(case):
     if first is None:
         build_poset(labels, pairs)
         return
-    with pytest.raises(CycleDetected) as raised:
+    with pytest.raises(InputError) as raised:
         build_poset(labels, pairs)
     assert str(raised.value) == (
         f"elements {first[0]!r} and {first[1]!r} are mutually related"

@@ -19,7 +19,6 @@ PACKAGE = Path(interdec.__file__).parent
 # each kept on purpose
 KEPT_EXPORTS = {
     "InterdecError": "the base class of every error callers catch",
-    "ProductSpace": "the type build_product_space returns",
 }
 
 
@@ -255,7 +254,7 @@ def test_reloading_a_factor_export_makes_no_dense_elimination(monkeypatch):
     fileio = importlib.import_module("interdec.fileio")
     arrangements = importlib.import_module("interdec.arrangements")
     linalg = importlib.import_module("interdec.linalg")
-    product = interactions.build_product_space(list("abcde"), [2] * 5)
+    product = interactions.ProductSpace(list("abcde"), [2] * 5)
     doc = fileio.arrangement_to_doc(interactions.build_factor_arrangement(product).arrangement)
     counts = {"dense": 0, "sparse": 0}
     original = linalg.RationalField.eliminate
@@ -306,10 +305,13 @@ def test_the_certificate_walk_is_the_one_certificate():
 
 
 def assert_retired(retired):
-    """No scope of the package defines or names any of the names retired."""
+    """No scope of the package defines, names, imports or exports any of
+    the names retired."""
     def names_retired(node):
-        return (isinstance(node, ast.Name) and node.id in retired) or (
-            isinstance(node, ast.Attribute) and node.attr in retired
+        return (
+            (isinstance(node, ast.Name) and node.id in retired)
+            or (isinstance(node, ast.Attribute) and node.attr in retired)
+            or (isinstance(node, ast.alias) and {node.name, node.asname} & retired)
         )
 
     defined = {
@@ -333,6 +335,37 @@ def test_the_retired_dense_matrix_stays_gone():
     # matrices are kernel rows and subspaces are Subspace values; no
     # module defines, names or exports a dense matrix type
     assert_retired({"Matrix"})
+
+
+def test_the_retired_error_leaves_and_wrappers_stay_gone():
+    # each failure exit code has one error class, InputError, CapExceeded
+    # or InternalContradiction, and the message tells the failures apart;
+    # ProductSpace and eval_mask of the full mask are called directly
+    assert_retired({
+        "DuplicateLabel", "UnknownLabel", "UnknownElement", "CycleDetected",
+        "NotComparable", "DimensionMismatch", "NotContained", "NotMonotoneMap",
+        "VectorOutsideArrangement", "EmptyVariableDomain", "UnknownVariable",
+        "SizeLimitExceeded", "build_product_space", "full_space_value",
+    })
+
+
+def test_every_error_has_one_exit_code():
+    # the CLI maps InputError to exit 2, CapExceeded to 3 and
+    # InternalContradiction to 4, so every other error class of the
+    # package must derive from exactly one of them
+    errors = importlib.import_module("interdec.errors")
+    roots = (errors.InputError, errors.CapExceeded, errors.InternalContradiction)
+    classes = [
+        cls
+        for cls in vars(errors).values()
+        if inspect.isclass(cls) and cls.__module__ == errors.__name__
+    ]
+    assert {cls.__name__ for cls in classes} == {
+        "InterdecError", "InputError", "NotMonotone", "CapExceeded", "InternalContradiction",
+    }
+    for cls in classes:
+        if cls is not errors.InterdecError:
+            assert sum(issubclass(cls, root) for root in roots) == 1, cls
 
 
 def test_pair_test_and_witness_rule_have_one_home_each():
