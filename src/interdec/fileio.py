@@ -122,7 +122,7 @@ def _space_from_rows(rows, ambient_dim, field, location):
         raise InputError(f"{location}: expected a list of generator rows")
     acc = IntEchelon(field)
     for k, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != ambient_dim:
+        if not isinstance(row, (list, tuple)) or len(row) != ambient_dim:
             raise InputError(
                 f"{location}[{k}]: expected a row of {ambient_dim} entries"
             )

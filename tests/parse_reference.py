@@ -48,7 +48,7 @@ def reference_parse_rows(rows, ambient_dim, field, location):
         raise InputError(f"{location}: expected a list of generator rows")
     parsed = []
     for k, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != ambient_dim:
+        if not isinstance(row, (list, tuple)) or len(row) != ambient_dim:
             raise InputError(
                 f"{location}[{k}]: expected a row of {ambient_dim} entries"
             )
