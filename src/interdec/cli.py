@@ -9,21 +9,26 @@ exits 2, with argparse's usage message on stderr.
 Output is a single JSON document, compact unless --pretty, written to
 stdout or to --output.  Identical invocations produce identical bytes.
 
-The command line is parsed by the standard library's argparse, with one
-parser built when the module is imported.  No parser abbreviates long
-options, so `--prop` is an unknown option, not `--property`, and
-`_canonical_words` first rewrites the words so that an option takes the
-next word as its value even when that word starts with '-'.
+The command line is read in one pass, `_read_words`, driven by one option
+table per command (`_COMMANDS`, and `_TOP` for the options before the
+command).  `_canonical_words` first rewrites the words so that an option
+takes the next word as its value even when that word starts with '-'.
+The pass accepts exactly the lines that the standard library's argparse
+accepts, and sets the same attributes.  Only when it refuses a line is
+argparse imported and its parser built from the same tables, so help and
+usage errors are argparse's text.  No option is abbreviated, so `--prop`
+is an unknown option, not `--property`.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import os
 import re
 import sys
 from contextlib import contextmanager
+from functools import cache
+from types import SimpleNamespace
 
 from .arrangements import (
     Witness,
@@ -158,7 +163,7 @@ def _cap(text):
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+        raise ValueError(f"expected an integer of at least 1, got {text!r}")
     return value
 
 
@@ -167,17 +172,56 @@ def _seed(text):
         return _read_number(text, int)
     except ValueError:
         # the words argparse uses for type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
 
+
+# An option table maps each option to (dest, default, check, metavar, help).
+# A flag's default is False.  A value option's check is None (any text), a
+# function raising ValueError, or a tuple of choices, which also makes the
+# option required.
+_TOP = {
+    "--field": ("field", None, None, "FIELD",
+                "Coefficient field: 'rational' or 'mod:p'. Overrides the file's field."),
+    "--pretty": ("pretty", False, None, None, "Indent the JSON output."),
+    "--output": ("output", None, None, "PATH",
+                 "Write the output document to PATH instead of stdout."),
+}
+
+# command -> (run, dest and metavar of its one argument, option table)
+_COMMANDS = {
+    "check": (check, "arrangement_file", "ARRANGEMENT", {
+        "--property": ("prop", None, ("C", "I", "sI"), None,
+                       "Which intersection property to decide."),
+        "--cap": ("cap", LOWER_SET_CAP, _cap, "N",
+                  "Abort if the poset has more lower sets than this (default: %(default)s)."),
+    }),
+    "decompose": (decompose_cmd, "arrangement_file", "ARRANGEMENT", {
+        "--seed": ("seed", None, _seed, None, "Randomize the section choice."),
+    }),
+    "interactions": (interactions, "model_file", "MODEL", {
+        "--emit-bases": ("emit_bases", False, None, None,
+                         "Include component bases in the output."),
+        "--export-arrangement": ("export_arrangement", None, None, "PATH", "Also write the "
+                                 "factor arrangement as a checkable arrangement file."),
+    }),
+}
 
 _TAKES_VALUE = frozenset(
-    ["--field", "--output", "--property", "--cap", "--seed", "--export-arrangement"]
+    option
+    for table in (_TOP, *(entry[3] for entry in _COMMANDS.values()))
+    for option, spec in table.items()
+    if spec[1] is not False
 )
+
+# argparse's test for a negative number; its `$` also matches before a
+# final newline, so only .fullmatch is the word rule's test
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _canonical_words(args):
-    """ARGS rewritten so that argparse reads them by this command line's
-    word rules, which argparse alone does not follow:
+    """ARGS rewritten so that argparse, and the one pass of _read_words,
+    read them by this command line's word rules, which argparse alone does
+    not follow:
 
     - An option that takes a value takes the next word whatever it looks
       like; it is glued on as `--option=value`, since argparse refuses a
@@ -203,7 +247,7 @@ def _canonical_words(args):
             if word is None:
                 break
             if word.startswith("-"):
-                _PARSER.error(f"argument COMMAND: invalid choice: {word!r}")
+                _parser().error(f"argument COMMAND: invalid choice: {word!r}")
         option, eq, value = word.partition("=")
         if option in _TAKES_VALUE:
             if not eq:
@@ -213,90 +257,128 @@ def _canonical_words(args):
                     words[latest[command, option]] = None
                 latest[command, option] = len(words)
                 word = f"{option}={value}"
-        elif re.fullmatch(r"-\d+|-\d*\.\d+", word):
-            _PARSER.error(f"unrecognized arguments: {word}")
+        elif _NEGATIVE.fullmatch(word):
+            _parser().error(f"unrecognized arguments: {word}")
         elif not word.startswith("-") or word == "-":
             command = True
         words.append(word)
     for k in latest.values():
         option, _, value = words[k].partition("=")
         if value == "--":
-            _PARSER.error(f"argument {option}: '--' is not accepted as a value")
+            _parser().error(f"argument {option}: '--' is not accepted as a value")
     return [word for word in words if word is not None]
 
 
-def _formatter(prog):
-    """argparse's formatter at the width it takes without a terminal, so
-    that help and usage text do not follow COLUMNS or the terminal."""
-    return argparse.HelpFormatter(prog, width=78)
+def _read_words(words):
+    """The options argparse's parser reads from canonical WORDS, as a
+    namespace with the same attributes, or None for a line on which that
+    parser prints help or a usage error.
+
+    Each word is classified as argparse classifies it: an option of the
+    current table or --help, alone or as `--option=value`; else an
+    argument when it does not start with '-', is '-', holds a space or
+    reads as a negative number; else an unknown option.  The first
+    argument names the command, whose table then replaces the top one.
+    After the command a '--' makes every later word an argument, and the
+    command takes exactly one argument.
+    """
+    options = _TOP
+    opts = {spec[0]: spec[1] for spec in _TOP.values()}
+    opts["command"] = None
+    free = []
+    rest = iter(words)
+    for word in rest:
+        option, eq, value = word.partition("=")
+        known = option in options or option == "--help"
+        if word == "--" and options is not _TOP:
+            free += rest
+            break
+        elif not word.startswith("-") or word == "-" or not known and (
+            " " in word or _NEGATIVE.match(word)
+        ):
+            if options is not _TOP:
+                free.append(word)
+            elif word in _COMMANDS:
+                run, argument, _, options = _COMMANDS[word]
+                opts.update(command=word, run=run)
+                opts.update(spec[:2] for spec in options.values())
+            else:
+                return None
+        elif option not in options:
+            # an unknown option, or --help
+            return None
+        else:
+            dest, default, check, _, _ = options[option]
+            if default is False:
+                if eq:
+                    return None
+                value = True
+            elif not eq:
+                return None
+            elif isinstance(check, tuple):
+                if value not in check:
+                    return None
+            elif check is not None:
+                try:
+                    value = check(value)
+                except ValueError:
+                    return None
+            opts[dest] = value
+    if options is _TOP or len(free) != 1 or any(
+        isinstance(spec[2], tuple) and opts[spec[0]] is None for spec in options.values()
+    ):
+        return None
+    opts[argument] = free[0]
+    return SimpleNamespace(**opts)
 
 
+@cache
 def _parser():
-    def with_help(parser):
+    """argparse's parser for the option tables, built at the first line
+    that _read_words refuses, to print help or a usage error.  Help and
+    usage text are formatted at the width argparse takes without a
+    terminal, so they do not follow COLUMNS or the terminal."""
+    import argparse
+
+    def formatter(prog):
+        return argparse.HelpFormatter(prog, width=78)
+
+    def typed(check):
+        def read(text):
+            try:
+                return check(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return read
+
+    def with_options(parser, options, *argument):
         parser.add_argument("--help", action="help", help="Show this message and exit.")
+        if argument:
+            # before the options: argparse names missing arguments in this order
+            parser.add_argument(argument[0], metavar=argument[1])
+        for option, (dest, default, check, metavar, text) in options.items():
+            if default is False:
+                parser.add_argument(option, action="store_true", help=text)
+            elif isinstance(check, tuple):
+                parser.add_argument(option, dest=dest, choices=check, required=True, help=text)
+            else:
+                parser.add_argument(option, dest=dest, default=default, metavar=metavar,
+                                    type=check and typed(check), help=text)
         return parser
 
-    parser = with_help(argparse.ArgumentParser(
-        prog="interdec",
-        description=main.__doc__.partition("\n")[0],
-        formatter_class=_formatter,
-        add_help=False,
-        allow_abbrev=False,
-    ))
-    parser.add_argument(
-        "--field",
-        metavar="FIELD",
-        help="Coefficient field: 'rational' or 'mod:p'. Overrides the file's field.",
-    )
-    parser.add_argument("--pretty", action="store_true", help="Indent the JSON output.")
-    parser.add_argument(
-        "--output",
-        metavar="PATH",
-        help="Write the output document to PATH instead of stdout.",
-    )
+    parser = with_options(argparse.ArgumentParser(
+        prog="interdec", description=main.__doc__.partition("\n")[0],
+        formatter_class=formatter, add_help=False, allow_abbrev=False,
+    ), _TOP)
     commands = parser.add_subparsers(
         title="commands", dest="command", metavar="COMMAND", required=True
     )
-
-    def command(name, run):
-        sub = with_help(commands.add_parser(
-            name, help=run.__doc__, description=run.__doc__, formatter_class=_formatter,
+    for name, (run, dest, metavar, options) in _COMMANDS.items():
+        sub = with_options(commands.add_parser(
+            name, help=run.__doc__, description=run.__doc__, formatter_class=formatter,
             add_help=False, allow_abbrev=False,
-        ))
+        ), options, dest, metavar)
         sub.set_defaults(run=run)
-        return sub
-
-    sub = command("check", check)
-    sub.add_argument("arrangement_file", metavar="ARRANGEMENT")
-    sub.add_argument(
-        "--property",
-        dest="prop",
-        choices=("C", "I", "sI"),
-        required=True,
-        help="Which intersection property to decide.",
-    )
-    sub.add_argument(
-        "--cap",
-        type=_cap,
-        default=LOWER_SET_CAP,
-        metavar="N",
-        help="Abort if the poset has more lower sets than this (default: %(default)s).",
-    )
-
-    sub = command("decompose", decompose_cmd)
-    sub.add_argument("arrangement_file", metavar="ARRANGEMENT")
-    sub.add_argument("--seed", type=_seed, help="Randomize the section choice.")
-
-    sub = command("interactions", interactions)
-    sub.add_argument("model_file", metavar="MODEL")
-    sub.add_argument(
-        "--emit-bases", action="store_true", help="Include component bases in the output."
-    )
-    sub.add_argument(
-        "--export-arrangement",
-        metavar="PATH",
-        help="Also write the factor arrangement as a checkable arrangement file.",
-    )
     return parser
 
 
@@ -308,7 +390,12 @@ def main(args=None, prog_name="interdec"):
     callers written against an earlier calling convention; usage messages
     always name the program `interdec`.
     """
-    opts = _PARSER.parse_args(_canonical_words(sys.argv[1:] if args is None else args))
+    words = _canonical_words(sys.argv[1:] if args is None else args)
+    opts = _read_words(words)
+    if opts is None:
+        with _exit_codes():
+            _parser().parse_args(words)
+            raise InternalContradiction(f"argparse accepts the refused command line {words!r}")
     for path in (opts.output, getattr(opts, "export_arrangement", None)):
         if path is not None:
             _refuse_unwritable(path)
@@ -325,8 +412,6 @@ def main(args=None, prog_name="interdec"):
 # bench/passrun.py calls main.main(args=argv, prog_name="interdec"), the
 # calling convention of the command object that main used to be
 main.main = main
-
-_PARSER = _parser()
 
 if __name__ == "__main__":
     main()

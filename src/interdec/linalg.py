@@ -327,6 +327,10 @@ class IntEchelon:
         """Reduce an integer row against the basis, which stays unchanged;
         () means dependent.  The row is copied at its first elimination
         against a sparse row, so a caller's row is never written into."""
+        # every row of one echelon has one width, and a basis of full rank
+        # spans every row of that width
+        if len(self.rows) == len(row):
+            return ()
         field, sparse, given = self.field, self.sparse, row
         for prow, pcol in zip(self.rows, self.pivots):
             if row[pcol]:

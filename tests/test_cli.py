@@ -2,13 +2,15 @@
 
 import argparse
 import copy
+import io
 import json
 import random
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from interdec import arrangements, cli, errors, fileio, interactions, linalg
@@ -603,6 +605,29 @@ def test_help_exits_0(args):
     assert result.stderr == ""
 
 
+CHECK_USAGE = "usage: interdec check [--help] --property {C,I,sI} [--cap N] ARRANGEMENT\n"
+
+
+def test_help_and_usage_text_keep_the_tables_order():
+    # the parser is built from the option tables, so their order, and the
+    # argument's place before the options, is the order of this text
+    assert invoke(["check", "--help"]).stdout == CHECK_USAGE + """
+Decide a property of an arrangement and report a witness on failure.
+
+positional arguments:
+  ARRANGEMENT
+
+options:
+  --help               Show this message and exit.
+  --property {C,I,sI}  Which intersection property to decide.
+  --cap N              Abort if the poset has more lower sets than this
+                       (default: 4096).
+"""
+    assert invoke(["check"]).stderr == CHECK_USAGE + (
+        "interdec check: error: the following arguments are required: ARRANGEMENT, --property\n"
+    )
+
+
 @pytest.mark.parametrize(
     "args",
     [["--help"], ["check", "--help"], ["decompose", "--help"], ["interactions", "--help"],
@@ -658,17 +683,104 @@ def test_command_line_word_rules(tmp_path, monkeypatch):
 
 
 def test_word_rules_know_every_option_that_takes_a_value():
-    # an option missing from _TAKES_VALUE would again refuse values that
-    # start with '-' and let argparse drop a value of '--'
-    def options(parser):
+    # the parser is built from the reader's tables, so each level of it
+    # names the same options; an option missing from _TAKES_VALUE would
+    # again refuse values that start with '-' and let argparse drop a
+    # value of '--'
+    def levels(parser):
+        yield parser, cli._TOP
         for action in parser._actions:
             if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    yield from options(sub)
-            elif action.option_strings and action.nargs is None:
-                yield from action.option_strings
+                assert list(action.choices) == list(cli._COMMANDS)
+                for name, sub in action.choices.items():
+                    yield sub, cli._COMMANDS[name][3]
 
-    assert set(options(cli._PARSER)) == cli._TAKES_VALUE
+    takes_value = set()
+    for parser, table in levels(cli._parser()):
+        options = [a for a in parser._actions if a.option_strings]
+        assert {o for a in options for o in a.option_strings} == {"--help", *table}
+        takes_value |= {o for a in options if a.nargs is None for o in a.option_strings}
+    assert takes_value == cli._TAKES_VALUE
+
+
+VALUE_WORDS = ["C", "I", "sI", "X", "3", "0", "-3", "x", "rational", "", "-x.json",
+               "--", "-5", "-.5", "--help", "--pretty=", "a b"]
+LONE_WORDS = ["check", "decompose", "interactions", "verify", "a.json", "-", "",
+              "-x.json", "-a b", "--pretty", "--emit-bases", "--help", "--", "-5",
+              "-.5", "-5\n", "--pretty=", "--emit-bases=1", "--help=x", "--help=a b",
+              "--prop", "-h", "--foo=a b", *sorted(cli._TAKES_VALUE)]
+OPTION_WORDS = st.tuples(
+    st.sampled_from(sorted(cli._TAKES_VALUE)), st.sampled_from(VALUE_WORDS), st.booleans()
+).map(lambda t: [f"{t[0]}={t[1]}"] if t[2] else [t[0], t[1]])
+WORDS = st.one_of(OPTION_WORDS, st.sampled_from(LONE_WORDS).map(lambda w: [w]))
+TOP_WORDS = [("--pretty",), ("--pretty=",), ("--field", "-x"), ("--field=mod:7",),
+             ("--output", "--pretty"), ("--output",)]
+COMMAND_WORDS = {
+    "check": [("--cap", "7"), ("--cap=-4",), ("--property", "I"), ("--property=X",),
+              ("--property",)],
+    "decompose": [("--seed", "-3"), ("--seed=5",), ("--seed", "x"), ("--seed",)],
+    "interactions": [("--emit-bases",), ("--emit-bases=1",),
+                     ("--export-arrangement", "-x.json"), ("--export-arrangement",)],
+}
+ARGUMENTS = ["a.json", "-", "", "-x.json", "-a b", "-5\n", "--help=a b", "--foo=a b"]
+
+
+@st.composite
+def command_lines(draw):
+    """Lines of about the form the parser accepts: top options, a command,
+    then its options, its argument and --property in any order, with the
+    command, the argument or --property left out now and then, and up to
+    two words of WORDS put in anywhere."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    needed = [(draw(st.sampled_from(ARGUMENTS)),), ("--property", "C")]
+    needed = needed[: 2 if command == "check" else 1]
+    line = draw(st.lists(st.sampled_from(TOP_WORDS), max_size=2))
+    line += [(command,)] if draw(st.integers(0, 5)) else []
+    line += draw(st.permutations(
+        draw(st.lists(st.sampled_from(COMMAND_WORDS[command]), max_size=2))
+        + draw(st.sampled_from([needed, needed[:-1]]))
+    ))
+    for _ in range(draw(st.integers(0, 2))):
+        line.insert(draw(st.integers(0, len(line))), draw(WORDS))
+    return [word for part in line for word in part]
+
+
+@settings(max_examples=400)
+@given(command_lines())
+@example(["--pretty", "--field", "-x", "check", "-a b", "--property=sI", "--cap", "7"])
+@example(["check", "--property", "C", "--", "--help"])
+@example(["decompose", "--seed", "-3", "-5\n", "--seed=4"])
+@example(["--pretty=", "decompose", "a.json"])
+@example(["check", "--help=a b", "--property", "C"])
+@example(["interactions", "a.json", "--export-arrangement"])
+@example(["--output=--pretty", "interactions", "", "--emit-bases", "--emit-bases",
+          "--export-arrangement", "-x.json"])
+def test_the_one_pass_reads_every_line_as_argparse_does(args):
+    # where argparse, on the same canonical words, accepts a line, the one
+    # pass sets the same attributes to the same values; where it prints
+    # help or a usage error, the one pass refuses the line
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            words = cli._canonical_words(args)
+        except SystemExit:
+            return
+        try:
+            expected = vars(cli._parser().parse_args(words))
+        except SystemExit:
+            expected = None
+    read = cli._read_words(words)
+    assert (read if read is None else vars(read)) == expected, words
+
+
+def test_a_line_argparse_accepts_after_a_refusal_is_a_contradiction(tmp_path, monkeypatch):
+    tl = write(tmp_path, "tl.json", THREE_LINES)
+    monkeypatch.setattr(cli, "_read_words", lambda words: None)
+    result = invoke(["check", tl, "--property", "C"])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: argparse accepts the refused command line [")
+    assert result.stderr.count("\n") == 1
 
 
 def test_an_option_value_of_a_lone_double_dash_is_refused(tmp_path, monkeypatch):

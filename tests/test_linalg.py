@@ -812,3 +812,15 @@ def test_the_kernel_never_writes_into_a_callers_rows():
             if len(reference_basis(parsed, field)) == k:
                 break
         assert random_invertible(field, k, random.Random(k)) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_a_full_rank_echelon_contains_every_row_without_eliminating(monkeypatch, field):
+    rng = random.Random(f"full:{field!r}")
+    acc = IntEchelon(field, random_invertible(field, 6, rng))
+    assert acc.rank == 6
+    counts = counting_eliminations(monkeypatch, field)
+    for _ in range(20):
+        row = field.exact_row([rng.randint(-9, 9) for _ in range(6)])
+        assert acc.contains_row(row) and not acc.insert(row)
+    assert counts == {"dense": 0, "sparse": 0}

@@ -95,13 +95,32 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
-def test_importing_the_cli_loads_no_click():
+def test_importing_the_cli_loads_no_click(tmp_path):
     # a fresh interpreter, so that no other test's imports count; `-c` puts
-    # its working directory, the package's parent, first on the path
-    code = "import sys, interdec.cli; print('click' in sys.modules)"
+    # its working directory, the package's parent, first on the path.
+    # argparse is imported only to print help or a usage error
+    doc = tmp_path / "chain.json"
+    doc.write_text(json.dumps({
+        "field": "rational", "ambient_dim": 1,
+        "poset": {"elements": ["x", "y"], "relations": [["x", "y"]]},
+        "spaces": {"x": [[1]], "y": [[1]]},
+    }))
+    code = f"""if True:
+        import io, sys
+        from contextlib import redirect_stdout
+        import interdec.cli
+        print('click' in sys.modules, 'argparse' in sys.modules)
+        for args in (["check", {str(doc)!r}, "--property", "C"], ["--help"]):
+            with redirect_stdout(io.StringIO()):
+                try:
+                    interdec.cli.main(args=args)
+                except SystemExit as ended:
+                    code = ended.code
+            print(code, 'argparse' in sys.modules)
+    """
     done = subprocess.run([sys.executable, "-c", code], cwd=PACKAGE.parent,
                           capture_output=True, text=True, check=True, timeout=60)
-    assert done.stdout == "False\n"
+    assert done.stdout == "False False\n0 False\n0 True\n"
 
 
 def test_every_export_is_used_or_kept():
