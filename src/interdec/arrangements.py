@@ -202,15 +202,22 @@ class Arrangement:
         )
 
 
-def new_arrangement(poset, ambient_dim, field, spaces):
-    """Validated arrangement; spaces may be Subspace values or generator rows."""
-    table = {}
+def new_arrangement(poset, ambient_dim, field, spaces, location="spaces"):
+    """Validated arrangement; spaces maps each element to a Subspace or to
+    generator rows, read by subspace_from_generators as f"{location}.{label}".
+    Missing elements come first in poset order, then the rest in table order."""
+    if not isinstance(spaces, dict):
+        raise InputError(f"{location}: expected an object")
     for lab in poset.labels:
         if lab not in spaces:
-            raise InputError(f"no subspace given for element {lab!r}")
-        val = spaces[lab]
+            raise InputError(f"{location}: no entry for element {lab!r}")
+    for lab in spaces:
+        if lab not in poset:
+            raise InputError(f"{location}: unknown element {lab!r}")
+    table = {}
+    for lab, val in spaces.items():
         if not isinstance(val, Subspace):
-            val = subspace_from_generators(ambient_dim, val, field)
+            val = subspace_from_generators(ambient_dim, val, field, f"{location}.{lab}")
         if val.ambient_dim != ambient_dim:
             raise InputError(
                 f"space at {lab!r} lives in dim {val.ambient_dim}, "
@@ -221,9 +228,6 @@ def new_arrangement(poset, ambient_dim, field, spaces):
                 f"space at {lab!r} is over {val.field!r}, arrangement is over {field!r}"
             )
         table[lab] = val
-    for lab in spaces:
-        if lab not in poset:
-            raise InputError(f"subspace given for unknown element {lab!r}")
     report = check_monotonicity(poset, table)
     if not report.verdict:
         w = report.witness

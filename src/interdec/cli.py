@@ -85,6 +85,9 @@ def _refuse_unwritable(path):
 
 
 def _fail(message, code):
+    # control characters (Unicode category Cc) print as their repr escapes,
+    # so that a path or label holding one still makes one error line
+    message = re.sub("[\x00-\x1f\x7f-\x9f]", lambda m: repr(m[0])[1:-1], str(message))
     print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 

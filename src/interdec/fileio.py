@@ -4,8 +4,8 @@ All documents are plain JSON.  Rational entries are integers or "p/q"
 strings; entries over GF(p) are integers reduced mod p.  A poset document
 lists elements and relation pairs [a, b] meaning a ≤ b; an arrangement
 document embeds its poset and declares its field once.  Loaders validate
-shape eagerly, raise InputError with the offending location in the
-message, and parse each arrangement entry once, by exact_row.
+shape eagerly and raise InputError naming the offending location; the
+spaces table goes to new_arrangement, so it reads as a library call's.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 
 from .arrangements import new_arrangement
 from .errors import InputError
-from .linalg import GF, QQ, IntEchelon, _read_number
+from .linalg import GF, QQ, _read_number
 from .posets import build_poset
 
 
@@ -89,7 +89,6 @@ def poset_from_doc(doc, location="poset"):
     relations = doc.get("relations", [])
     if not isinstance(relations, list):
         raise InputError(f"{location}.relations: expected a list of pairs")
-    pairs = []
     for k, rel in enumerate(relations):
         if (
             not isinstance(rel, list)
@@ -99,11 +98,10 @@ def poset_from_doc(doc, location="poset"):
             raise InputError(
                 f"{location}.relations[{k}]: expected a pair of element labels"
             )
-        pairs.append((rel[0], rel[1]))
     extra = set(doc) - {"elements", "relations"}
     if extra:
         raise InputError(f"{location}: unknown keys {sorted(extra)}")
-    return build_poset(elements, pairs)
+    return build_poset(elements, relations)
 
 
 def poset_to_doc(poset):
@@ -116,23 +114,6 @@ def poset_to_doc(poset):
 # ---------------------------------------------------------------------------
 # arrangements
 # ---------------------------------------------------------------------------
-
-def _space_from_rows(rows, ambient_dim, field, location):
-    if not isinstance(rows, list):
-        raise InputError(f"{location}: expected a list of generator rows")
-    acc = IntEchelon(field)
-    for k, row in enumerate(rows):
-        if not isinstance(row, (list, tuple)) or len(row) != ambient_dim:
-            raise InputError(
-                f"{location}[{k}]: expected a row of {ambient_dim} entries"
-            )
-        try:
-            row = field.exact_row(row)
-        except InputError as exc:
-            raise InputError(f"{location}[{k}]: {exc}") from None
-        acc.insert(row)
-    return acc.subspace(ambient_dim)
-
 
 _ARRANGEMENT_KEYS = ("field", "ambient_dim", "poset", "spaces")
 
@@ -151,20 +132,7 @@ def arrangement_from_doc(doc, field_override=None, location="arrangement"):
     if not isinstance(ambient, int) or isinstance(ambient, bool) or ambient < 0:
         raise InputError(f"{location}.ambient_dim: expected a count")
     poset = poset_from_doc(doc["poset"], f"{location}.poset")
-    spaces_doc = doc["spaces"]
-    if not isinstance(spaces_doc, dict):
-        raise InputError(f"{location}.spaces: expected an object")
-    for lab in poset.labels:
-        if lab not in spaces_doc:
-            raise InputError(f"{location}.spaces: no entry for element {lab!r}")
-    for lab in spaces_doc:
-        if lab not in poset:
-            raise InputError(f"{location}.spaces: unknown element {lab!r}")
-    spaces = {
-        lab: _space_from_rows(rows, ambient, field, f"{location}.spaces.{lab}")
-        for lab, rows in spaces_doc.items()
-    }
-    return new_arrangement(poset, ambient, field, spaces)
+    return new_arrangement(poset, ambient, field, doc["spaces"], f"{location}.spaces")
 
 
 def render_vector(field, vector):

@@ -477,13 +477,21 @@ class Subspace:
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim} over {self.field!r})"
 
 
-def subspace_from_generators(ambient_dim, gens, field=QQ):
-    """Canonical subspace spanned by rows, each a sequence of entries."""
-    rows = list(gens)
-    for r in rows:
-        if len(r) != ambient_dim:
-            raise InputError(f"generator of length {len(r)}, ambient dim is {ambient_dim}")
-    return IntEchelon(field, map(field.exact_row, rows)).subspace(ambient_dim)
+def subspace_from_generators(ambient_dim, gens, field=QQ, location="generators"):
+    """Canonical subspace spanned by a list or tuple of generator rows, read
+    row by row: each a list or tuple of ambient_dim entries that exact_row
+    parses once.  An InputError names the row refused, f"{location}[{k}]"."""
+    if not isinstance(gens, (list, tuple)):
+        raise InputError(f"{location}: expected a list of generator rows")
+    acc = IntEchelon(field)
+    for k, row in enumerate(gens):
+        if not isinstance(row, (list, tuple)) or len(row) != ambient_dim:
+            raise InputError(f"{location}[{k}]: expected a row of {ambient_dim} entries")
+        try:
+            acc.insert(field.exact_row(row))
+        except InputError as exc:
+            raise InputError(f"{location}[{k}]: {exc}") from None
+    return acc.subspace(ambient_dim)
 
 
 def rref(rows, field=QQ):

@@ -145,6 +145,8 @@ def build_poset(labels, relations):
     up = [1 << i for i in range(n)]
     below = [[] for _ in range(n)]
     for pair in relations:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise InputError(f"relation {pair!r} is not a pair of elements")
         a, b = pair
         for lab in (a, b):
             if lab not in index:

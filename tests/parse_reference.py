@@ -4,7 +4,7 @@ differential reference for the one-pass `exact_row` of `interdec.linalg`.
 Every entry is first parsed to a field element (a `Fraction` over ℚ, even
 for an integer) and the parsed row then goes to the kernel; the loader
 parses a whole document this way before it builds any space, and the
-spaces are built by parsing each row once more.
+spaces are then built from the parsed rows.
 """
 
 from math import gcd
@@ -31,13 +31,10 @@ def reference_exact_row(field, row):
     return old_exact_row(field, [field.parse(e) for e in row])
 
 
-def reference_subspace(ambient_dim, gens, field):
-    """Lengths checked first, then every row parsed again and eliminated."""
-    rows = [list(r) for r in gens]
-    for r in rows:
-        if len(r) != ambient_dim:
-            raise InputError(f"generator of length {len(r)}, ambient dim is {ambient_dim}")
-    kernel_rows = [reference_exact_row(field, r) for r in rows]
+def reference_kernel_space(ambient_dim, parsed, field):
+    """The subspace spanned by rows of field elements, each taken to the
+    kernel as the kernel took them, then eliminated."""
+    kernel_rows = [old_exact_row(field, r) for r in parsed]
     return IntEchelon(field, kernel_rows).subspace(ambient_dim)
 
 
@@ -92,7 +89,7 @@ def reference_arrangement_from_doc(doc, field_override=None, location="arrangeme
         for lab, rows in spaces_doc.items()
     }
     spaces = {
-        lab: reference_subspace(ambient, rows[lab], field) for lab in poset.labels
+        lab: reference_kernel_space(ambient, rows[lab], field) for lab in poset.labels
     }
     return new_arrangement(poset, ambient, field, spaces)
 

@@ -1,6 +1,7 @@
 """Arrangements: validation, property checkers, decomposition, functoriality."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -226,6 +227,31 @@ def test_verify_decomposition_rejects_missing_and_unknown_elements():
     cand = Decomposition({"x": sp(2, [[1, 0]]), "ghost": sp(2, [[1, 0]])})
     with pytest.raises(InputError, match="unknown element 'ghost'"):
         verify_decomposition(arr, cand)
+
+
+@pytest.mark.parametrize("entry, message", [
+    (5, "spaces.x: expected a list of generator rows"),
+    ([5], "spaces.x[0]: expected a row of 2 entries"),
+    ([[1, 0], [1]], "spaces.x[1]: expected a row of 2 entries"),
+])
+def test_new_arrangement_refuses_bad_rows_with_input_error(entry, message):
+    # a documented InputError naming the row, never a TypeError
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        new_arrangement(build_poset(["x"], []), 2, QQ, {"x": entry})
+
+
+def test_new_arrangement_checks_the_table_in_the_loaders_order():
+    poset = build_poset(["x", "y"], [])
+    for spaces, message in (
+        (None, "here: expected an object"),
+        # missing elements first, in poset order, whatever else is wrong
+        ({"ghost": 5, "y": 5}, "here: no entry for element 'x'"),
+        # then unknown elements, then the entries, both in table order
+        ({"y": 5, "ghost": 5, "x": 5, "spook": 5}, "here: unknown element 'ghost'"),
+        ({"y": [[1]], "x": 5}, "here.y[0]: expected a row of 2 entries"),
+    ):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            new_arrangement(poset, 2, QQ, spaces, location="here")
 
 
 def test_decompose_three_lines_returns_witness(three_lines):

@@ -6,6 +6,7 @@ import io
 import json
 import random
 import tempfile
+import unicodedata
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -653,6 +654,44 @@ def test_each_error_class_has_one_exit_code_and_one_line(capsys, error, code):
         raise error("the message")
     assert ended.value.code == code
     assert capsys.readouterr() == ("", "error: the message\n")
+
+
+def test_a_control_character_in_a_path_or_label_stays_on_the_error_line(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    label = {
+        "field": "rational",
+        "ambient_dim": 2,
+        "poset": {"elements": ["x\ny"], "relations": []},
+        "spaces": {"x\ny": [[1]]},
+    }
+    bad = write(tmp_path, "badlabel.json", label)
+    cc = write(tmp_path, "cc.json", CONSTANT_CHAIN)
+    for args, line in (
+        (["check", "-5\n", "--property", "C"], "-5\\n: no such file"),
+        (["check", bad, "--property", "C"],
+         f"{bad}.spaces.x\\ny[0]: expected a row of 2 entries"),
+        (["--output", "no/x\ny", "check", cc, "--property", "C"],
+         "no/x\\ny: cannot write (No such file or directory)"),
+        (["check", "\t\x1b[31m\x7f\x85\u2028", "--property", "C"],
+         "\\t\\x1b[31m\\x7f\\x85\u2028: no such file"),
+    ):
+        result = invoke(args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {line}\n"
+
+
+def test_the_error_line_escapes_exactly_the_control_characters(capsys):
+    # category Cc, and nothing else, prints as its repr escape; all 65 Cc
+    # characters lie below U+3000
+    assert sum(unicodedata.category(c) == "Cc" for c in map(chr, range(0x110000))) == 65
+    text = "".join(map(chr, range(0x3000)))
+    escaped = "".join(
+        repr(c)[1:-1] if unicodedata.category(c) == "Cc" else c for c in text
+    )
+    with pytest.raises(SystemExit):
+        cli._fail(text, 2)
+    assert capsys.readouterr() == ("", f"error: {escaped}\n")
 
 
 def test_command_line_word_rules(tmp_path, monkeypatch):

@@ -174,6 +174,50 @@ def test_the_first_bad_entry_in_document_order_is_reported():
         assert outcome(reference_arrangement_from_doc, doc) == expected
 
 
+# entries: well-formed rows (most often), rows of mixed entries, and
+# values that are not rows
+WELL_FORMED_ROWS = st.sampled_from([[], [[1, 0]], [[2, "1/2"]], [(0, 1)], [[1, 0], [0, 1]]])
+TABLE_ENTRIES = st.one_of(
+    WELL_FORMED_ROWS,
+    WELL_FORMED_ROWS,
+    WELL_FORMED_ROWS,
+    st.lists(st.lists(st.sampled_from([0, 1, -1, 8, "1/2", "x", True, None, 1.5]),
+                      min_size=1, max_size=3), max_size=3),
+    st.sampled_from([5, None, "rows", {"a": 1}, [5], [[1, 0], [1]], ([1, 0],)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(2), GF(7)]),
+    st.booleans(),
+    st.fixed_dictionaries({lab: TABLE_ENTRIES for lab in ("a", "b", "c", "ghost")}),
+    st.sampled_from([{"ghost"}] * 4 + [set(), {"a", "ghost"}, {"c"}]),
+    st.randoms(use_true_random=False),
+)
+def test_a_raw_table_loads_as_its_document(field, chain, table, dropped, rng):
+    # new_arrangement on the table and arrangement_from_doc on the same
+    # table in a document give equal spaces or the same error, whose
+    # message differs only by the document's location prefix
+    elements = ["a", "b", "c"]
+    relations = [["a", "b"], ["b", "c"]] if chain else []
+    items = [(lab, entry) for lab, entry in table.items() if lab not in dropped]
+    rng.shuffle(items)
+    table = dict(items)
+    doc = {
+        "field": field_to_doc(field),
+        "ambient_dim": 2,
+        "poset": {"elements": elements, "relations": relations},
+        "spaces": table,
+    }
+    raw = outcome(new_arrangement, build_poset(elements, relations), 2, field, table)
+    loaded = outcome(arrangement_from_doc, doc, None, "doc")
+    if raw[0] == "ok" or not raw[1].startswith("spaces"):
+        assert loaded == raw
+    else:
+        assert loaded == (raw[0], "doc." + raw[1])
+
+
 def test_render_vector():
     assert render_vector(QQ, (Fraction(1, 2), Fraction(3))) == ["1/2", 3]
     assert render_vector(GF(5), (7, 3)) == [2, 3]

@@ -1,6 +1,7 @@
 """Exact linear algebra: canonical forms, set operations, certificates."""
 
 import random
+import re
 from fractions import Fraction
 from math import lcm
 from time import perf_counter
@@ -31,7 +32,7 @@ from interdec.linalg import (
     zero_subspace,
 )
 
-from parse_reference import reference_exact_row, reference_subspace
+from parse_reference import reference_exact_row, reference_kernel_space, reference_parse_rows
 
 
 def Q(x):
@@ -181,14 +182,17 @@ def test_exact_row_matches_the_fraction_product(field, row):
 )
 @example(QQ, [[True, 0], [1]])
 def test_subspace_from_generators_matches_the_two_pass_route(field, rows):
-    # every length is checked before any entry is parsed
+    # rows are read in order, each checked for its length before its
+    # entries are parsed, as the loader has always read them
     def build(route):
         try:
-            return route(2, rows, field)
+            return route()
         except InputError as exc:
             return type(exc).__name__, str(exc)
 
-    assert build(subspace_from_generators) == build(reference_subspace)
+    assert build(lambda: subspace_from_generators(2, rows, field, "rows")) == build(
+        lambda: reference_kernel_space(2, reference_parse_rows(rows, 2, field, "rows"), field)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +255,7 @@ def test_rank_examples():
 
 
 def test_rref_ragged_rows_raise():
-    with pytest.raises(InputError, match="^generator of length 1, ambient dim is 2$"):
+    with pytest.raises(InputError, match=r"^generators\[1\]: expected a row of 2 entries$"):
         rref([[Q(1), Q(2)], [Q(3)]])
 
 
@@ -272,8 +276,24 @@ def test_subspace_from_generators_examples():
 
 
 def test_subspace_generator_dimension_check():
-    with pytest.raises(InputError, match="^generator of length 2, ambient dim is 3$"):
+    with pytest.raises(InputError, match=r"^generators\[0\]: expected a row of 3 entries$"):
         sp(3, [[1, 0]])
+
+
+@pytest.mark.parametrize("gens, message", [
+    (None, "generators: expected a list of generator rows"),
+    (5, "generators: expected a list of generator rows"),
+    ([5], "generators[0]: expected a row of 2 entries"),
+    (["ab"], "generators[0]: expected a row of 2 entries"),
+    ([[1, 0], [1, "x"]], "generators[1]: not a rational entry: 'x'"),
+])
+def test_subspace_from_generators_refuses_what_is_not_rows(gens, message):
+    # a documented InputError naming the row, never a TypeError
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        sp(2, gens)
+    message = message.replace("generators", "here")
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        subspace_from_generators(2, gens, QQ, "here")
 
 
 def test_subspace_accepts_string_entries():

@@ -1,5 +1,6 @@
 """Poset construction, derived subsets, lower-set enumeration."""
 
+import re
 import time
 
 import pytest
@@ -72,6 +73,13 @@ def test_duplicate_label_rejected():
 def test_unknown_relation_label_rejected():
     with pytest.raises(InputError, match="^relation mentions unknown element 'v'$"):
         build_poset(["u"], [("u", "v")])
+
+
+@pytest.mark.parametrize("relation", [("u",), ("u", "v", "u"), "uv", 5, None])
+def test_a_relation_that_is_not_a_pair_is_rejected(relation):
+    message = f"relation {relation!r} is not a pair of elements"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build_poset(["u", "v"], [relation])
 
 
 def test_unknown_element_in_queries(c3):
