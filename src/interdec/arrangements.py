@@ -203,36 +203,41 @@ class Arrangement:
 
 
 def new_arrangement(poset, ambient_dim, field, spaces, location="spaces"):
-    """Validated arrangement; spaces maps each element to a Subspace or to
-    generator rows, read by subspace_from_generators as f"{location}.{label}".
-    Missing elements come first in poset order, then the rest in table order."""
-    if not isinstance(spaces, dict):
-        raise InputError(f"{location}: expected an object")
-    for lab in poset.labels:
-        if lab not in spaces:
-            raise InputError(f"{location}: no entry for element {lab!r}")
-    for lab in spaces:
-        if lab not in poset:
-            raise InputError(f"{location}: unknown element {lab!r}")
-    table = {}
-    for lab, val in spaces.items():
-        if not isinstance(val, Subspace):
-            val = subspace_from_generators(ambient_dim, val, field, f"{location}.{lab}")
-        if val.ambient_dim != ambient_dim:
-            raise InputError(
-                f"space at {lab!r} lives in dim {val.ambient_dim}, "
-                f"arrangement ambient is {ambient_dim}"
-            )
-        if val.field != field:
-            raise InputError(
-                f"space at {lab!r} is over {val.field!r}, arrangement is over {field!r}"
-            )
-        table[lab] = val
+    """Validated arrangement; spaces, a table that _subspace_table reads
+    under location, must be monotone."""
+    table = _subspace_table(poset, ambient_dim, field, spaces, location)
     report = check_monotonicity(poset, table)
     if not report.verdict:
         w = report.witness
         raise NotMonotone(w.location[0], w.location[1], w.vector, field)
     return Arrangement(poset, ambient_dim, field, table)
+
+
+def _subspace_table(poset, ambient_dim, field, table, location):
+    """table, an object mapping each element to a Subspace of F^ambient_dim
+    or to generator rows, as a dict of Subspace values.  Missing elements
+    are refused first, in poset order, then unknown ones, then each entry,
+    both in table order; rows are read by subspace_from_generators and an
+    entry is named f"{location}.{label}"."""
+    if not isinstance(table, dict):
+        raise InputError(f"{location}: expected an object")
+    for lab in poset.labels:
+        if lab not in table:
+            raise InputError(f"{location}: no entry for element {lab!r}")
+    for lab in table:
+        if lab not in poset:
+            raise InputError(f"{location}: unknown element {lab!r}")
+    out = {}
+    for lab, val in table.items():
+        if not isinstance(val, Subspace):
+            val = subspace_from_generators(ambient_dim, val, field, f"{location}.{lab}")
+        elif val.ambient_dim != ambient_dim or val.field != field:
+            raise InputError(
+                f"{location}.{lab}: a subspace of F^{val.ambient_dim} over "
+                f"{val.field!r}, expected F^{ambient_dim} over {field!r}"
+            )
+        out[lab] = val
+    return out
 
 
 def check_monotonicity(poset, spaces):
@@ -444,7 +449,9 @@ def _components(arrangement, rows):
 def verify_decomposition(arrangement, decomposition):
     """Certificate check: global direct sum, and Σ_{b≤a} s_b = F(a) per element.
 
-    Returns the report together with a copy of the decomposition whose
+    The components, Subspace values or generator rows, are read by
+    _subspace_table under "components", as new_arrangement reads spaces.
+    Returns the report with a Decomposition of the components read whose
     certified flag records the verdict: (i) and (ii) hold exactly when the
     certificate walk keeps every stored row of the components.  A failed
     walk does not say where they fail: a sum that is not direct gets the
@@ -454,18 +461,8 @@ def verify_decomposition(arrangement, decomposition):
     components below do not sum to its space.
     """
     poset = arrangement.poset
-    comps = decomposition.components
-    for lab in poset.labels:
-        if lab not in comps:
-            raise InputError(f"decomposition misses element {lab!r}")
-    for lab in comps:
-        if lab not in poset:
-            raise InputError(f"decomposition has component for unknown element {lab!r}")
-    field, n = arrangement.field, arrangement.ambient_dim
-    for lab in poset.labels:
-        if comps[lab].ambient_dim != n or comps[lab].field != field:
-            raise InputError(f"component at {lab!r} does not fit the arrangement")
-
+    comps = _subspace_table(poset, arrangement.ambient_dim, arrangement.field,
+                            decomposition.components, "components")
     rows = [comps[lab].exact_rows() for lab in poset.labels]
     kept = _certified_sections(arrangement, rows)
     if kept is not None and list(map(len, kept)) == list(map(len, rows)):
@@ -537,15 +534,11 @@ def decompose(arrangement, seed=None):
 
 def decomposition_of(arrangement, decomposition, vector):
     """The unique components {s_a(v)} with v = Σ s_a(v), s_a(v) ∈ s_a,
-    solved for in the pivot-one bases of the components."""
+    solved for in the pivot-one bases; contains_vector checks v's length."""
     if not decomposition.certified:
         raise InputError("need a certified decomposition to split vectors")
     field = arrangement.field
     target = tuple(field.parse(x) for x in vector)
-    if len(target) != arrangement.ambient_dim:
-        raise InputError(
-            f"vector has length {len(target)}, ambient dim is {arrangement.ambient_dim}"
-        )
     labels = arrangement.poset.labels
     if not arrangement.eval_mask((1 << len(labels)) - 1).contains_vector(target):
         raise InputError("vector is outside the sum of the arrangement's spaces")
@@ -574,34 +567,30 @@ def decomposition_of(arrangement, decomposition, vector):
 def pushforward(mapping, arrangement, target_poset):
     """f_* F on the target poset: (f_*F)(b) = Σ over {a | f(a) ≤ b} of F(a).
 
-    The map must be monotone.  For order-embeddings the defining property
-    (f_*F)(f(a)) = F(a) is re-checked after construction.
+    The map must send every element into the target poset, which
+    is_order_embedding checks first, and be monotone.  For order-embeddings
+    the defining property (f_*F)(f(a)) = F(a) is re-checked afterwards.
     """
     source = arrangement.poset
-    images = {}
-    for lab in source.labels:
-        if lab not in mapping:
-            raise InputError(f"map is not defined on element {lab!r}")
-        images[lab] = mapping[lab]
-        target_poset.index(images[lab])
+    embedding = is_order_embedding(mapping, source, target_poset)
     # the order is the transitive closure of its covers
     for i, j in source.covers():
         a1, a2 = source.labels[i], source.labels[j]
-        if not target_poset.leq(images[a1], images[a2]):
+        if not target_poset.leq(mapping[a1], mapping[a2]):
             raise InputError(f"map does not preserve {a1!r} ≤ {a2!r}")
     spaces = {}
     for b in target_poset.labels:
         mask = 0
         for i, a in enumerate(source.labels):
-            if target_poset.leq(images[a], b):
+            if target_poset.leq(mapping[a], b):
                 mask |= 1 << i
         spaces[b] = arrangement.eval_mask(mask)
     result = new_arrangement(
         target_poset, arrangement.ambient_dim, arrangement.field, spaces
     )
-    if is_order_embedding(images, source, target_poset):
+    if embedding:
         for a in source.labels:
-            if result.spaces[images[a]] != arrangement.spaces[a]:
+            if result.spaces[mapping[a]] != arrangement.spaces[a]:
                 raise InternalContradiction(
                     "pushforward along an order-embedding must restrict back "
                     f"to F, but differs at {a!r}"

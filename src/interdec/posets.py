@@ -122,9 +122,11 @@ def _bits(mask):
 
 
 def _label_index(labels):
-    """Position of each label; raises InputError at the first repeat."""
+    """Position of each label; raises InputError at the first non-string or repeat."""
     index = {}
     for i, lab in enumerate(labels):
+        if not isinstance(lab, str):
+            raise InputError(f"element {lab!r} is not a string")
         if lab in index:
             raise InputError(f"duplicate element {lab!r}")
         index[lab] = i
@@ -149,7 +151,7 @@ def build_poset(labels, relations):
             raise InputError(f"relation {pair!r} is not a pair of elements")
         a, b = pair
         for lab in (a, b):
-            if lab not in index:
+            if not isinstance(lab, str) or lab not in index:
                 raise InputError(f"relation mentions unknown element {lab!r}")
         up[index[a]] |= 1 << index[b]
         below[index[b]].append(index[a])
@@ -251,9 +253,6 @@ def _count_component(poset, component, cap):
     stack = [component]
     while stack:
         mask = stack[-1]
-        if mask in memo:
-            stack.pop()
-            continue
         x = mask.bit_length() - 1
         without = mask & ~poset._up[x]
         holding = mask & ~poset._down[x]
@@ -344,7 +343,7 @@ def is_order_embedding(mapping, source, target):
     imgs = []
     for lab in source.labels:
         if lab not in mapping:
-            raise InputError(f"map is not defined on {lab!r}")
+            raise InputError(f"map is not defined on element {lab!r}")
         imgs.append(target.index(mapping[lab]))
     n = len(source.labels)
     for i in range(n):

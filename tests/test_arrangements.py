@@ -220,7 +220,7 @@ def test_verify_decomposition_rejects_wrong_rebuild(c3_growing):
 
 def test_verify_decomposition_rejects_missing_and_unknown_elements():
     arr = new_arrangement(build_poset(["x"], []), 2, QQ, {"x": [[1, 0]]})
-    with pytest.raises(InputError, match="misses element 'x'"):
+    with pytest.raises(InputError, match="^components: no entry for element 'x'$"):
         verify_decomposition(arr, Decomposition({}))
     # the extra component makes the sum not direct; it is refused like a
     # missing one rather than certified
@@ -252,6 +252,39 @@ def test_new_arrangement_checks_the_table_in_the_loaders_order():
     ):
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             new_arrangement(poset, 2, QQ, spaces, location="here")
+
+
+def test_a_subspace_that_does_not_fit_is_refused_by_one_check():
+    # new_arrangement and verify_decomposition read their tables alike: a
+    # Subspace entry must lie in F^ambient_dim over the arrangement's field
+    poset = build_poset(["x"], [])
+    arr = new_arrangement(poset, 2, QQ, {"x": [[1, 0]]})
+    for space, message in (
+        (sp(3, [[1, 0, 0]]), "a subspace of F^3 over QQ, expected F^2 over QQ"),
+        (sp(2, [[1, 0]], GF(5)), "a subspace of F^2 over GF(5), expected F^2 over QQ"),
+    ):
+        with pytest.raises(InputError, match=f"^{re.escape('spaces.x: ' + message)}$"):
+            new_arrangement(poset, 2, QQ, {"x": space})
+        with pytest.raises(InputError, match=f"^{re.escape('components.x: ' + message)}$"):
+            verify_decomposition(arr, Decomposition({"x": space}))
+
+
+@pytest.mark.parametrize("entry, message", [
+    (5, "components.x: expected a list of generator rows"),
+    ([[1, 0], [1]], "components.x[1]: expected a row of 2 entries"),
+    ([["a", 0]], "components.x[0]: not a rational entry: 'a'"),
+])
+def test_verify_decomposition_reads_generator_rows_as_new_arrangement_does(entry, message):
+    poset = build_poset(["x"], [])
+    arr = new_arrangement(poset, 2, QQ, {"x": [[1, 0]]})
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        new_arrangement(poset, 2, QQ, {"x": entry}, location="components")
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        verify_decomposition(arr, Decomposition({"x": entry}))
+    # well-formed rows are read into the copy that is returned
+    report, certified = verify_decomposition(arr, Decomposition({"x": [[2, 0]]}))
+    assert report.verdict
+    assert certified.components == {"x": sp(2, [[1, 0]])}
 
 
 def test_decompose_three_lines_returns_witness(three_lines):
@@ -343,6 +376,15 @@ def test_decomposition_of_outside_vector():
         decomposition_of(arr, dec, [0, 1])
     with pytest.raises(InputError):
         decomposition_of(arr, Decomposition(dec.components, certified=False), [1, 0])
+
+
+def test_decomposition_of_refuses_a_vector_of_the_wrong_length(c3_constant):
+    # the membership test in the sum of the spaces checks the length
+    dec = decompose(c3_constant)
+    for vector in ([1], [1, 0, 0]):
+        message = f"^vector of length {len(vector)} in ambient dim 2$"
+        with pytest.raises(InputError, match=message):
+            decomposition_of(c3_constant, dec, vector)
 
 
 def test_decomposition_of_round_trip(c3_growing):

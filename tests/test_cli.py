@@ -312,6 +312,17 @@ def test_arrangement_unknown_top_level_key_is_input_error(tmp_path):
     assert result.stderr.splitlines() == [f"error: {path}: unknown keys ['extra']"]
 
 
+@pytest.mark.parametrize("command", ["check", "decompose", "interactions"])
+def test_a_directory_as_input_is_input_error(tmp_path, command):
+    # opening a directory raises an OSError that names no missing file
+    argv = [command, str(tmp_path)] + (["--property", "C"] if command == "check" else [])
+    result = invoke(argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"error: {tmp_path}: ")
+
+
 def test_check_cap(tmp_path):
     # an 8-element antichain has 256 lower sets
     anti = {
@@ -692,6 +703,17 @@ def test_the_error_line_escapes_exactly_the_control_characters(capsys):
     with pytest.raises(SystemExit):
         cli._fail(text, 2)
     assert capsys.readouterr() == ("", f"error: {escaped}\n")
+
+
+def test_a_lone_double_dash_leaves_the_command_missing():
+    # '--' before the command makes the next word the command's name; with
+    # no next word, the command is missing
+    result = invoke(["--"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == (
+        "interdec: error: the following arguments are required: COMMAND"
+    )
 
 
 def test_command_line_word_rules(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interdec.errors import CapExceeded, InputError
+from interdec.interactions import ProductSpace, build_factor_arrangement
 from interdec.posets import (
     LOWER_SET_CAP,
     Poset,
@@ -73,6 +74,26 @@ def test_duplicate_label_rejected():
 def test_unknown_relation_label_rejected():
     with pytest.raises(InputError, match="^relation mentions unknown element 'v'$"):
         build_poset(["u"], [("u", "v")])
+
+
+def test_labels_that_are_not_strings_are_rejected():
+    # labels are strings, which lower_set_label joins; anything else is an
+    # InputError, never a TypeError from hashing or joining
+    for labels in ([["a"]], [1, 2], ["a", None]):
+        bad = next(lab for lab in labels if not isinstance(lab, str))
+        message = f"^element {re.escape(repr(bad))} is not a string$"
+        with pytest.raises(InputError, match=message):
+            build_poset(labels, [])
+        units = [1 << i for i in range(len(labels))]
+        with pytest.raises(InputError, match=message):
+            Poset(labels, units, units)
+    with pytest.raises(InputError, match=r"^relation mentions unknown element \['b'\]$"):
+        build_poset(["a", "b"], [("a", ["b"])])
+    with pytest.raises(InputError, match="^relation mentions unknown element 1$"):
+        build_poset(["a", "b"], [(1, "b")])
+    # the factor arrangement's powerset is built on the variable labels
+    with pytest.raises(InputError, match="^element 1 is not a string$"):
+        build_factor_arrangement(ProductSpace([1, 2], [2, 2]))
 
 
 @pytest.mark.parametrize("relation", [("u",), ("u", "v", "u"), "uv", 5, None])
@@ -146,7 +167,7 @@ def test_order_embeddings(c3):
     assert is_order_embedding({"u": "x", "v": "z"}, c2, c3)
     a2 = build_poset(["a", "b"], [])
     assert not is_order_embedding({"a": "u", "b": "v"}, a2, c2)
-    with pytest.raises(InputError, match="^map is not defined on 'v'$"):
+    with pytest.raises(InputError, match="^map is not defined on element 'v'$"):
         is_order_embedding({"u": "x"}, c2, c3)
 
 

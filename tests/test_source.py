@@ -374,16 +374,27 @@ def test_the_retired_error_leaves_and_wrappers_stay_gone():
 
 def test_generator_rows_have_one_reader():
     # subspace_from_generators reads every generator row, naming the row
-    # it refuses; new_arrangement reads a table's rows through it, under
+    # it refuses; _subspace_table reads a table's rows through it, under
     # the arrangements binding the benchmark's tracer wraps, and the loader
-    # hands it the document's table, so fileio keeps no reader and no kernel
+    # hands new_arrangement the document's table, so fileio keeps no reader
+    # and no kernel
     assert_retired({"_space_from_rows"})
     assert scopes_where(calls_name("subspace_from_generators")) == {
-        "arrangements.new_arrangement",
+        "arrangements._subspace_table",
         "linalg.rref",
     }
     kernel = scopes_where(names_any({"IntEchelon"}))
     assert {scope for scope in kernel if scope.split(".")[0] == "fileio"} == set()
+
+
+def test_element_tables_have_one_check():
+    # an arrangement's spaces and a decomposition's components are both
+    # element tables, checked in one order with one wording by
+    # _subspace_table; verify_decomposition keeps no copy of its checks
+    assert scopes_where(calls_name("_subspace_table")) == {
+        "arrangements.new_arrangement",
+        "arrangements.verify_decomposition",
+    }
 
 
 def test_every_error_has_one_exit_code():
