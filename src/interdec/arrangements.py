@@ -25,9 +25,11 @@ independent and lie in F(x), so every x reaching w(x) is (i) a direct sum
 and (ii) Σ_{b≤x} s_b = F(x), by dimension.  Under (C) the echelon at x
 spans F(B), B the lower set walked, and F(B) ∩ F(x) = F(x̂*); so by the
 modular law the walk keeps the rows pre_decompose keeps, summing no F(x̂*).
-verify_decomposition walks the stored rows of components it did not build,
-which certify exactly when every one is kept, and rebuilds sums only after
-a failed walk on a direct sum, to locate the witness.
+The walk trusts that each source row lies in F(x): F(x)'s own rows and
+their mixes do.  verify_decomposition first proves each s_a ⊆ F(a) of
+components it did not build, then walks their stored rows, which certify
+exactly when every one is kept, and rebuilds sums only after a failed
+proof or walk on a direct sum, to locate the witness.
 
 Everything is exact; verdicts carry re-verifiable witnesses on failure.
 """
@@ -418,12 +420,12 @@ def _section_sources(arrangement, seed):
 
 def _certified_sections(arrangement, sources):
     """The certificate walk of the module docstring on sources, the rows
-    of each element in element order: each element's kept rows, in element
-    order, when it holds, and None when some x misses w(x) or keeps a row
-    outside F(x).  Elements go by the size of their downsets, a linear
-    extension whatever the element order, so a holding walk on the rows of
-    _section_sources returns pre_decompose's rows.  Every row kept below x
-    is independent and lies in F(x), so w(x) ≥ 0."""
+    of each element in element order, each row inside its element's space:
+    each element's kept rows, in element order, when it holds, and None
+    when some x misses w(x).  Elements go by the size of their downsets, a
+    linear extension whatever the element order, so a holding walk on the
+    rows of _section_sources returns pre_decompose's rows.  Every row kept
+    below x is independent and lies in F(x), so w(x) ≥ 0."""
     down = arrangement.poset._down
     spaces = [arrangement.spaces[a] for a in arrangement.poset.labels]
     acc = IntEchelon(arrangement.field)
@@ -433,7 +435,7 @@ def _certified_sections(arrangement, sources):
     for i in sorted(range(len(spaces)), key=lambda i: down[i].bit_count()):
         width = spaces[i].dim - sum(len(kept[j]) for j in _bits(down[i] & nonzero))
         own = kept[i] = complement_rows(acc, sources[i], width)
-        if len(own) != width or not all(map(spaces[i].contains_row, own)):
+        if len(own) != width:
             return None
         nonzero |= bool(own) << i
     return kept
@@ -452,19 +454,21 @@ def verify_decomposition(arrangement, decomposition):
     The components, Subspace values or generator rows, are read by
     _subspace_table under "components", as new_arrangement reads spaces.
     Returns the report with a Decomposition of the components read whose
-    certified flag records the verdict: (i) and (ii) hold exactly when the
-    certificate walk keeps every stored row of the components.  A failed
-    walk does not say where they fail: a sum that is not direct gets the
-    witness of _direct_sum_witness, and otherwise _first_rebuild_failure
-    rebuilds the sums from the first element on, so the witness and the
-    work counts are those of the first element, in element order, whose
-    components below do not sum to its space.
+    certified flag records the verdict: (i) and (ii) hold exactly when each
+    s_a ⊆ F(a) and the certificate walk then keeps every stored row of the
+    components.  A failure does not say where they fail: a sum that is not
+    direct gets the witness of _direct_sum_witness, and otherwise
+    _first_rebuild_failure rebuilds the sums from the first element on, so
+    the witness and the work counts are those of the first element, in
+    element order, whose components below do not sum to its space.
     """
     poset = arrangement.poset
     comps = _subspace_table(poset, arrangement.ambient_dim, arrangement.field,
                             decomposition.components, "components")
+    spaces = arrangement.spaces
     rows = [comps[lab].exact_rows() for lab in poset.labels]
-    kept = _certified_sections(arrangement, rows)
+    inside = all(first_outside(comps[a], spaces[a]) is None for a in poset.labels)
+    kept = _certified_sections(arrangement, rows) if inside else None
     if kept is not None and list(map(len, kept)) == list(map(len, rows)):
         count = len(poset.labels)
         report = CheckReport("decomposition", None, count, count + 1)
@@ -475,7 +479,7 @@ def verify_decomposition(arrangement, decomposition):
     i, rebuilt = _first_rebuild_failure(arrangement, comps)
     # element i is pair i + 1 and, after the rank of (i), rank i + 2
     a = poset.labels[i]
-    space = arrangement.spaces[a]
+    space = spaces[a]
     if first_outside(rebuilt, space) is not None:
         witness = _witness(a, rebuilt, space)
     else:

@@ -34,10 +34,14 @@ def load_json(path):
         raise InputError(f"{path}: {exc}") from None
 
 
+# json.dumps builds a new encoder whenever separators or indent is given
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+_PRETTY = json.JSONEncoder(indent=2)
+
+
 def dump_json(doc, pretty=False):
-    if pretty:
-        return json.dumps(doc, indent=2) + "\n"
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    """json.dumps's text of doc, compact or indented by two, and a newline."""
+    return (_PRETTY if pretty else _COMPACT).encode(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------

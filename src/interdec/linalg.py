@@ -166,9 +166,11 @@ class PrimeField:
         p = self.p
         for x in row:
             if x % p:
-                s = pow(x, p - 2, p)
-                return tuple(v * s % p for v in row)
-        return tuple(v % p for v in row)
+                if x % p != 1:
+                    s = pow(x, p - 2, p)
+                    return tuple([v * s % p for v in row])
+                break
+        return tuple([v % p for v in row])
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -389,10 +391,14 @@ class IntEchelon:
         return acc
 
     def subspace(self, ambient_dim):
-        """The canonical Subspace spanned by the rows; it keeps a reduced
-        copy, so later inserts here leave it unchanged."""
-        self.reduced()
-        return Subspace(ambient_dim, self.copy())
+        """The canonical Subspace spanned by the rows; it keeps one tuple
+        copy of the reduced rows and pivots, untouched by later inserts."""
+        acc = IntEchelon.__new__(IntEchelon)
+        acc.field = self.field
+        acc.rows = self.reduced()
+        acc.pivots = tuple(self.pivots)
+        acc.sparse = dict(self.sparse) if self.sparse else None
+        return Subspace(ambient_dim, acc)
 
 
 def rank_of_rows(int_rows, field):
@@ -417,13 +423,13 @@ class Subspace:
     __slots__ = ("field", "ambient_dim", "_echelon", "_rows", "_basis")
 
     def __init__(self, ambient_dim, echelon):
-        """Takes over echelon, which must be reduced and is never inserted
-        into again; IntEchelon.subspace and _indicator_subspace are the
-        ways to build one."""
+        """Takes over echelon, which must be reduced and hold its rows and
+        pivots as tuples, which no insert can change; IntEchelon.subspace
+        and _indicator_subspace are the ways to build one."""
         self.field = echelon.field
         self.ambient_dim = ambient_dim
         self._echelon = echelon
-        self._rows = tuple(echelon.rows)
+        self._rows = echelon.rows
         self._basis = None
 
     @property
@@ -444,7 +450,7 @@ class Subspace:
     @property
     def pivots(self):
         """The pivot column of each stored row, strictly increasing."""
-        return tuple(self._echelon.pivots)
+        return self._echelon.pivots
 
     def echelon(self):
         """Fresh IntEchelon seeded with this subspace's rows."""
@@ -537,6 +543,7 @@ def _indicator_subspace(ambient_dim, supports, field):
         acc.pivots.append(support[0])
         if _sparse(ambient_dim, ambient_dim - len(support)):
             sparse[support[0]] = tuple(support)
+    acc.rows, acc.pivots = tuple(acc.rows), tuple(acc.pivots)
     acc.sparse = sparse or None
     return Subspace(ambient_dim, acc)
 

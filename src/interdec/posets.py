@@ -37,13 +37,13 @@ class Poset:
 
     __slots__ = ("labels", "_index", "_up", "_down")
 
-    def __init__(self, labels, up_masks, down_masks):
+    def __init__(self, labels, up_masks, down_masks, index=None):
         """Internal constructor: up_masks must already be a reflexive-
         transitive, antisymmetric closure, and down_masks its transpose.
-        A repeated label raises InputError.  Use build_poset for raw
-        input."""
+        A repeated label raises InputError, unless index, the _label_index
+        of labels, is given.  Use build_poset for raw input."""
         self.labels = tuple(labels)
-        self._index = _label_index(self.labels)
+        self._index = _label_index(self.labels) if index is None else index
         self._up = tuple(up_masks)
         self._down = tuple(down_masks)
 
@@ -172,7 +172,7 @@ def build_poset(labels, relations):
     for b in sorted(range(n), key=lambda b: -up[b].bit_count()):
         for a in below[b]:
             down[b] |= down[a]
-    return Poset(labels, up, down)
+    return Poset(labels, up, down, index)
 
 
 # ---------------------------------------------------------------------------

@@ -1096,6 +1096,15 @@ def test_swapped_lines_fail_the_containment_test():
     assert outcome == rebuild_route(arr, comps)
     assert outcome[0] is False and outcome[1] == "a" and outcome[2] == (0, 1)
     assert outcome[5] == {"pairs_checked": 1, "ranks_computed": 2}
+    # on the chain a < b with F(a) = ⟨e1⟩ ⊂ F(b) = ℚ², the same s_a = ⟨e2⟩
+    # and s_b = ⟨e1⟩ pass every count, and a walk on their rows keeps every
+    # one; verify_decomposition proves s_a ⊆ F(a) before it walks them
+    chain = new_arrangement(build_poset(["a", "b"], [("a", "b")]), 2, QQ,
+                            {"a": [[1, 0]], "b": [[1, 0], [0, 1]]})
+    kept = arrangements._certified_sections(chain, [comps[x].exact_rows() for x in "ab"])
+    assert kept is not None and list(map(len, kept)) == [1, 1]
+    assert first_count_failure(chain, comps) == 0
+    assert verify_outcome(chain, comps) == rebuild_route(chain, comps) == outcome
 
 
 class EnteredRebuild(Exception):

@@ -256,6 +256,29 @@ def test_report_and_decomposition_docs():
     assert ddoc == {"certified": True, "components": {"x": [[1]], "y": []}}
 
 
+# the leaves of output documents: ints beyond 2**64, text with non-ASCII
+# and control characters, None and booleans
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.text(st.characters(codec="utf-8"), max_size=8)
+)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(st.characters(codec="utf-8"), max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(JSON_DOCS)
+def test_dump_json_writes_what_json_dumps_writes(doc):
+    # dump_json keeps one encoder per layout; its text is json.dumps's
+    assert dump_json(doc) == json.dumps(doc, separators=(",", ":")) + "\n"
+    assert dump_json(doc, pretty=True) == json.dumps(doc, indent=2) + "\n"
+
+
 def test_model_docs():
     doc = {"variables": [{"label": "a", "cardinality": 2}]}
     assert model_from_doc(doc) == (["a"], [2])

@@ -738,10 +738,15 @@ def test_echelon_copies_and_subspaces_are_independent(case):
         space.echelon().insert(row)
     # inserting into the copies moved neither the original nor the subspace
     assert acc.subspace(ambient) == space == sp(ambient, u_rows, field)
+    inside = [space.contains_row(row) for row in extra]
     for row in extra:
         acc.insert(row)
     assert space == sp(ambient, u_rows, field)
     assert twin.subspace(ambient) == acc.subspace(ambient) == sp(ambient, u_rows + w_rows, field)
+    # the subspace holds tuples, so inserting into acc left what it
+    # contains unchanged, not only its stored rows
+    assert [space.contains_row(row) for row in extra] == inside
+    assert type(space.exact_rows()) is tuple and type(space.pivots) is tuple
 
 
 # ---------------------------------------------------------------------------

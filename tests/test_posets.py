@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interdec import posets as posets_module
 from interdec.errors import CapExceeded, InputError
 from interdec.interactions import ProductSpace, build_factor_arrangement
 from interdec.posets import (
@@ -69,6 +70,24 @@ def test_cycle_rejected():
 def test_duplicate_label_rejected():
     with pytest.raises(InputError, match="^duplicate element 'u'$"):
         build_poset(["u", "u"], [])
+
+
+def test_build_poset_indexes_its_labels_once(monkeypatch):
+    # build_poset hands the index it checked to the Poset it builds, while
+    # a Poset built from masks still indexes, and checks, its own labels
+    calls = []
+
+    def counting(labels):
+        calls.append(tuple(labels))
+        return label_index(labels)
+
+    label_index = posets_module._label_index
+    monkeypatch.setattr(posets_module, "_label_index", counting)
+    poset = build_poset(["u", "v", "w"], [("u", "v")])
+    assert calls == [("u", "v", "w")]
+    assert [poset.index(lab) for lab in "uvw"] == [0, 1, 2] and "w" in poset
+    poset.induced(["u", "v"])
+    assert calls == [("u", "v", "w"), ("u", "v")]
 
 
 def test_unknown_relation_label_rejected():

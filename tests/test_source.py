@@ -323,6 +323,29 @@ def test_the_certificate_walk_is_the_one_certificate():
     }
 
 
+def test_the_walk_trusts_its_sources_and_verify_proves_containment_first():
+    # every source row of the walk lies in its element's space: F(x)'s
+    # rows and their mixes by construction, and a given component's rows
+    # because verify_decomposition proves s_a ⊆ F(a) before it walks them,
+    # so the walk itself tests no containment
+    tree = ast.parse((PACKAGE / "arrangements.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def call_lines(scope, name):
+        return [
+            node.lineno
+            for node in ast.walk(defs[scope])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name
+        ]
+
+    walk = defs["_certified_sections"]
+    assert not any(names_any({"contains_row", "first_outside"})(node) for node in ast.walk(walk))
+    proofs = call_lines("verify_decomposition", "first_outside")
+    (walked,) = call_lines("verify_decomposition", "_certified_sections")
+    assert proofs and min(proofs) < walked
+
+
 def names_any(names):
     """A scopes_where matcher for a use, import or export of any of names."""
     def matches(node):
