@@ -151,49 +151,62 @@ class Arrangement:
     extend_to_lower_sets, whose spaces are lower-set sums, or by
     interactions.FactorArrangement, whose factor spaces are monotone by
     cylinder refinement and are not rechecked; instances are immutable.
-    Monotonicity makes F(B) = Σ_{b ∈ max B} F(b) for every subset B, so
-    eval_mask and dim_of_mask sum the maximal members of B only.  Those
-    sums are memoized, keyed by the subset bitmask.
+    Monotonicity makes F(B) = Σ_{b ∈ max B} F(b) for every subset B, and
+    F(B) = F(B ∖ Z) for the members Z whose space is zero, so eval_mask
+    and dim_of_mask sum the maximal nonzero members of B only, memoized
+    by the bitmask of B's nonzero members.  A sum with one summand is that
+    member's own space, and nothing is eliminated.
     """
 
-    __slots__ = ("poset", "ambient_dim", "field", "spaces", "_eval_memo", "_dim_memo")
+    __slots__ = ("poset", "ambient_dim", "field", "spaces", "_nonzero", "_eval_memo", "_dim_memo")
 
     def __init__(self, poset, ambient_dim, field, spaces):
         self.poset = poset
         self.ambient_dim = ambient_dim
         self.field = field
         self.spaces = dict(spaces)
+        # all bits but those of the members whose space is zero: few to sum
+        self._nonzero = ~sum(1 << i for i, a in enumerate(poset.labels) if not self.spaces[a].dim)
         self._eval_memo = {}
         self._dim_memo = {}
 
-    def _sum_echelon(self, mask):
-        """Kernel echelon of F(B) for a bitmask subset B, from max B only."""
+    def _sum_echelon(self, top):
+        """Kernel echelon of F(B) from top = max B, a bitmask."""
         labels = self.poset.labels
         summands = []
-        m = self.poset._maximal(mask)
         # inline rather than posets._bits: generator setup shows on this hot path
-        while m:
-            low = m & -m
+        while top:
+            low = top & -top
             summands.append(self.spaces[labels[low.bit_length() - 1]])
-            m ^= low
+            top ^= low
         return sum_echelon(summands, self.field)
 
     def eval_mask(self, mask):
         """Canonical sum of the member spaces of a bitmask subset."""
+        mask &= self._nonzero
         hit = self._eval_memo.get(mask)
         if hit is not None:
             return hit
-        out = self._sum_echelon(mask).subspace(self.ambient_dim)
+        top = self.poset._maximal(mask)
+        if top and not top & (top - 1):
+            out = self.spaces[self.poset.labels[top.bit_length() - 1]]
+        else:
+            out = self._sum_echelon(top).subspace(self.ambient_dim)
         self._eval_memo[mask] = out
         self._dim_memo[mask] = out.dim
         return out
 
     def dim_of_mask(self, mask):
         """dim of the sum over a bitmask subset, without canonicalizing."""
+        mask &= self._nonzero
         hit = self._dim_memo.get(mask)
         if hit is not None:
             return hit
-        rank = self._sum_echelon(mask).rank
+        top = self.poset._maximal(mask)
+        if top & (top - 1):
+            rank = self._sum_echelon(top).rank
+        else:
+            rank = self.spaces[self.poset.labels[top.bit_length() - 1]].dim if top else 0
         self._dim_memo[mask] = rank
         return rank
 
@@ -280,9 +293,9 @@ def _first_failing_element(arrangement):
 
     This is the pair test of _pair_fails on the lower sets â and ǎ, as
     â ∪ ǎ = ǎ ∪ {a} and â ∩ ǎ = â*, and a failure is their pair witness.
-    F(â) = F(a) is a sum with one summand, which copies F(a)'s stored rows
-    and eliminates nothing, so element i counts as pair i + 1 and three
-    ranks.  Called after a failed certificate, which promises a failure.
+    F(â) = F(a) is a sum with one summand, read off F(a) itself, so
+    element i counts as pair i + 1 and three ranks.  Called after a
+    failed certificate, which promises a failure.
     """
     poset = arrangement.poset
     full = (1 << len(poset.labels)) - 1
@@ -349,7 +362,7 @@ def _section_rows(arrangement, i, rows):
     F(x̂*) in F(x).  F(x̂*) is summed as a kernel echelon, never
     canonicalized."""
     poset = arrangement.poset
-    acc = arrangement._sum_echelon(poset._down[i] & ~(1 << i))
+    acc = arrangement._sum_echelon(poset._maximal(poset._down[i] & ~(1 << i)))
     width = arrangement.spaces[poset.labels[i]].dim - acc.rank
     kept = complement_rows(acc, rows, width)
     if len(kept) != width:

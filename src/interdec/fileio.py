@@ -19,9 +19,10 @@ from .posets import build_poset
 
 
 def load_json(path):
+    """The JSON document in the file at path, read in one unbuffered read."""
     try:
-        with open(path, "rb") as fh:
-            return json.load(fh)
+        with open(path, "rb", buffering=0) as fh:
+            return json.loads(fh.read())
     except FileNotFoundError:
         raise InputError(f"{path}: no such file") from None
     except ValueError as exc:

@@ -26,6 +26,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress, islice
 from math import gcd, lcm
+from operator import mul
 
 from .errors import CapExceeded, InputError, InternalContradiction
 
@@ -64,14 +65,17 @@ class RationalField:
 
     def format_row(self, row, pivot):
         """Document form of the pivot-one row that the integer kernel row
-        spans, given its pivot entry.  A row with pivot one is its own
-        pivot-one row, so its integers are the entries and no Fraction is
-        made; the digit limit is checked on its largest entry, which
-        bounds every other."""
-        if pivot != 1:
-            return [self.format(x) for x in self.pivot_one(row)]
-        _check_digits(max(max(row), -min(row)))
-        return row
+        spans, given its pivot entry, which is positive, and no Fraction
+        made: each entry x is x/pivot in lowest terms, x/g over pivot/g for
+        g = gcd(x, pivot), an int when pivot/g is one.  A row with pivot
+        one is its own pivot-one row.  The digit limit is checked on the
+        largest of those integers before any text is made."""
+        if pivot == 1:
+            _check_digits(max(max(row), -min(row)))
+            return row
+        terms = [(x // g, pivot // g) for x in row for g in [gcd(x, pivot)]]
+        _check_digits(max(max(abs(n), d) for n, d in terms))
+        return [n if d == 1 else f"{n}/{d}" for n, d in terms]
 
     def exact_row(self, row):
         """Integer row for the kernel from document entries or field
@@ -224,9 +228,16 @@ _NUMBER_TEXT = re.compile(r"[-+./0-9]+")
 
 
 def _read_number(text, kind):
-    """kind(text), kind int or Fraction; ValueError if text breaks the rule."""
+    """kind(text), kind int or Fraction; ValueError if text breaks the rule.
+    A Fraction spelled p/q, p a run of digits with at most one sign and q a
+    run of digits, is kind(p, q) of the two ints: the value, or the error
+    for q zero, that Fraction(text) gives, without its text parsing."""
     if _NUMBER_TEXT.fullmatch(text) is None:
         raise ValueError(f"not a number: {text!r}")
+    p, slash, q = text.partition("/")
+    if (slash and kind is not int and q.isdigit()
+            and (p.isdigit() or p[1:].isdigit() and p[0] in "+-")):
+        return kind(int(p), int(q))
     return kind(text)
 
 
@@ -424,8 +435,9 @@ class Subspace:
 
     def __init__(self, ambient_dim, echelon):
         """Takes over echelon, which must be reduced and hold its rows and
-        pivots as tuples, which no insert can change; IntEchelon.subspace
-        and _indicator_subspace are the ways to build one."""
+        pivots as tuples, which no insert can change; IntEchelon.subspace,
+        subspace_from_generators and _indicator_subspace are the ways to
+        build one."""
         self.field = echelon.field
         self.ambient_dim = ambient_dim
         self._echelon = echelon
@@ -497,7 +509,9 @@ def subspace_from_generators(ambient_dim, gens, field=QQ, location="generators")
             acc.insert(field.exact_row(row))
         except InputError as exc:
             raise InputError(f"{location}[{k}]: {exc}") from None
-    return acc.subspace(ambient_dim)
+    # acc is private, so the Subspace takes it over, rows and pivots as tuples
+    acc.rows, acc.pivots = acc.reduced(), tuple(acc.pivots)
+    return Subspace(ambient_dim, acc)
 
 
 def rref(rows, field=QQ):
@@ -680,7 +694,7 @@ def mix_rows(mix, rows, field):
     scale = lcm(*pivots)
     scaled = [[scale // pivot * x for x in r] for r, pivot in zip(rows, pivots)]
     return (
-        field.exact_row([sum(c * x for c, x in zip(coeffs, col)) for col in zip(*scaled)])
+        field.exact_row([sum(map(mul, coeffs, col)) for col in zip(*scaled)])
         for coeffs in mix
     )
 

@@ -4,15 +4,30 @@ differential reference for the one-pass `exact_row` of `interdec.linalg`.
 Every entry is first parsed to a field element (a `Fraction` over ℚ, even
 for an integer) and the parsed row then goes to the kernel; the loader
 parses a whole document this way before it builds any space, and the
-spaces are then built from the parsed rows.
+spaces are then built from the parsed rows.  A ℚ text is read by the
+number rule's check and then `Fraction(text)`, whatever its form.
 """
 
+from fractions import Fraction
 from math import gcd
 
 from interdec.arrangements import new_arrangement
 from interdec.errors import InputError, InterdecError
 from interdec.fileio import field_from_doc, poset_from_doc
-from interdec.linalg import IntEchelon, _primitive
+from interdec.linalg import _NUMBER_TEXT, IntEchelon, _primitive, _shown
+
+
+def reference_parse(field, value):
+    """field.parse, but a ℚ text is checked by the number rule and then
+    read whole by Fraction(text), as before "p/q" texts were split."""
+    if field.kind != "rational" or not isinstance(value, str):
+        return field.parse(value)
+    if _NUMBER_TEXT.fullmatch(value) is not None:
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"not a rational entry: {_shown(value)}")
 
 
 def old_exact_row(field, row):
@@ -28,7 +43,7 @@ def old_exact_row(field, row):
 
 def reference_exact_row(field, row):
     """Parse every entry, then take the parsed row to the kernel."""
-    return old_exact_row(field, [field.parse(e) for e in row])
+    return old_exact_row(field, [reference_parse(field, e) for e in row])
 
 
 def reference_kernel_space(ambient_dim, parsed, field):
@@ -50,7 +65,7 @@ def reference_parse_rows(rows, ambient_dim, field, location):
                 f"{location}[{k}]: expected a row of {ambient_dim} entries"
             )
         try:
-            parsed.append([field.parse(x) for x in row])
+            parsed.append([reference_parse(field, x) for x in row])
         except InputError as exc:
             raise InputError(f"{location}[{k}]: {exc}") from None
     return parsed

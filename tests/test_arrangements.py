@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from interdec import arrangements, interactions, posets
@@ -536,14 +536,41 @@ def all_members_sum(arrangement, mask):
     return IntEchelon(arrangement.field, rows).subspace(arrangement.ambient_dim)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    field=st.sampled_from([QQ, GF(2), GF(7)]),
-    picks=st.lists(st.integers(min_value=0), max_size=6),
+def zeroed_below(arrangement, mask):
+    """The arrangement with the spaces of the downsets of mask's members,
+    bits past the last element ignored, made zero; monotone still, as they
+    form a lower set."""
+    poset = arrangement.poset
+    zeroed = 0
+    for i in posets._bits(mask & (1 << len(poset.labels)) - 1):
+        zeroed |= poset._down[i]
+    zero = zero_subspace(arrangement.ambient_dim, arrangement.field)
+    spaces = {
+        a: zero if zeroed >> i & 1 else arrangement.spaces[a]
+        for i, a in enumerate(poset.labels)
+    }
+    return new_arrangement(poset, arrangement.ambient_dim, arrangement.field, spaces)
+
+
+# an arrangement with the downsets of a drawn subset zeroed, so that many
+# hold zero spaces, and subsets to sum
+SUBSET_SUM_SAMPLES = st.tuples(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([QQ, GF(2), GF(7)]),
+    st.integers(min_value=0, max_value=2**6 - 1) | st.just(0),
+    st.lists(st.integers(min_value=0), max_size=6),
 )
-def test_subset_sums_match_all_members_reference(seed, field, picks):
-    arr = random_monotone_arrangement(random.Random(seed), field)
+
+
+def subset_sum_sample(seed, field, zeroed):
+    return zeroed_below(random_monotone_arrangement(random.Random(seed), field), zeroed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SUBSET_SUM_SAMPLES)
+def test_subset_sums_match_all_members_reference(sample):
+    seed, field, zeroed, picks = sample
+    arr = subset_sum_sample(seed, field, zeroed)
     full = (1 << len(arr.poset.labels)) - 1
     masks = [0, full] + [p & full for p in picks]
     for mask in masks:
@@ -551,9 +578,61 @@ def test_subset_sums_match_all_members_reference(seed, field, picks):
         assert arr.dim_of_mask(mask) == reference.dim
         assert arr.eval_mask(mask) == reference
     # a fresh arrangement has empty memos, so eval_mask computes here
-    fresh = random_monotone_arrangement(random.Random(seed), field)
+    fresh = subset_sum_sample(seed, field, zeroed)
     for mask in masks:
         assert fresh.eval_mask(mask) == all_members_sum(fresh, mask)
+
+
+def test_subset_sum_samples_hold_zero_spaces():
+    # the sums above are taken over zero and nonzero members together
+    def mixed(sample):
+        seed, field, zeroed, picks = sample
+        dims = {s.dim for s in subset_sum_sample(seed, field, zeroed).spaces.values()}
+        return 0 in dims and len(dims) > 1
+
+    find(SUBSET_SUM_SAMPLES, mixed, settings=settings(database=None))
+
+
+def test_a_members_own_downset_is_its_own_space(monkeypatch):
+    # the one nonzero maximal member of x̂ is x: eval_mask hands back F(x)
+    # itself and dim_of_mask its dim, and nothing is summed
+    def refuse(*args):
+        pytest.fail("a one-summand sum went to _sum_echelon")
+
+    samples = [build_factor_arrangement(ProductSpace(["a", "b", "c"], (2, 3, 2))).arrangement]
+    samples += [zeroed_below(random_monotone_arrangement(random.Random(seed), field), 1)
+                for seed in range(10) for field in (QQ, GF(7))]
+    monkeypatch.setattr(arrangements.Arrangement, "_sum_echelon", refuse)
+    for arr in samples:
+        for i, a in enumerate(arr.poset.labels):
+            if arr.spaces[a].dim:
+                assert arr.dim_of_mask(arr.poset._down[i]) == arr.spaces[a].dim
+                assert arr.eval_mask(arr.poset._down[i]) is arr.spaces[a]
+
+
+def test_a_failing_scan_sums_nonzero_members_only(monkeypatch):
+    # eight lines on an antichain, three of them zero, the other five in
+    # general position in ℚ^4: a failing scan sums each set of at least two
+    # nonzero members at most once, so at most 2^5 times for 2^8 lower sets
+    labels = [f"l{i}" for i in range(8)]
+    zeros = {"l1", "l4", "l6"}
+    lines = {lab: [] if lab in zeros else [[(i + 1) ** k for k in range(4)]]
+             for i, lab in enumerate(labels)}
+    sums = []
+    original = arrangements.Arrangement._sum_echelon
+
+    def counting(self, top):
+        sums.append(top)
+        return original(self, top)
+
+    monkeypatch.setattr(arrangements.Arrangement, "_sum_echelon", counting)
+    for check in (check_condition_C, check_intersection_bruteforce, check_strong_intersection):
+        arr = new_arrangement(build_poset(labels, []), 4, QQ, lines)
+        sums.clear()
+        report = check(arr)
+        assert not report.verdict and report.witness.verify()
+        assert 0 < len(sums) <= 2**5
+        assert all(top & arr.poset._mask_of(zeros) == 0 for top in sums)
 
 
 def test_subset_sum_inserts_only_non_seed_maximal_rows(monkeypatch):

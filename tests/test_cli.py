@@ -191,15 +191,15 @@ def test_numbers_in_documents_and_flags_keep_the_ascii_rule(tmp_path, monkeypatc
         refused["check", f"e{k}.json", "--property", "C"] = (
             f"error: e{k}.json.spaces.a1[0]: not a rational entry: {entry!r}"
         )
-    for modulus in ("mod:7_1", "mod: 7", "mod:٧"):
+    for modulus in ("mod:7_1", "mod: 7", "mod:٧", "mod:14/2"):
         refused["--field", modulus, "check", "tl.json", "--property", "C"] = (
             f"error: --field: bad modulus in {modulus!r}"
         )
-    for cap in ("1_0", "٣", "x"):
+    for cap in ("1_0", "٣", "x", "4/2"):
         refused["check", "tl.json", "--property", "C", "--cap", cap] = (
             f"interdec check: error: argument --cap: expected an integer of at least 1, got {cap!r}"
         )
-    for seed in (" 1_2 ", "x"):
+    for seed in (" 1_2 ", "x", "6/3"):
         refused["decompose", "tl.json", "--seed", seed] = (
             f"interdec decompose: error: argument --seed: invalid int value: {seed!r}"
         )

@@ -17,6 +17,7 @@ from interdec.fileio import (
     field_from_doc,
     field_from_flag,
     field_to_doc,
+    load_json,
     model_from_doc,
     model_to_doc,
     poset_from_doc,
@@ -216,6 +217,50 @@ def test_a_raw_table_loads_as_its_document(field, chain, table, dropped, rng):
         assert loaded == raw
     else:
         assert loaded == (raw[0], "doc." + raw[1])
+
+
+def json_load_route(path):
+    """load_json as it read a file through json.load, with its error mapping."""
+    try:
+        with open(path, "rb") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise InputError(f"{path}: no such file") from None
+    except ValueError as exc:
+        raise InputError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise InputError(f"{path}: not valid JSON (nested too deeply)") from None
+    except OSError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def load_outcome(load, path):
+    try:
+        return "ok", load(path)
+    except InputError as exc:
+        return "InputError", str(exc)
+
+
+@pytest.mark.parametrize("content, loads", [
+    (None, False),
+    ("directory", False),
+    (b"\xff\xfe\x00\x00garbage", False),
+    (b'{"field": "rational", "ambient_dim": 2, "poset": {"elements": ["a"', False),
+    (b"[" * 100_000 + b"1" + b"]" * 100_000, False),
+    (b"7" * 5000, False),
+    (b'{"spaces": {"a": [["1/2", 3]]}, "n": 12345678901234567890}', True),
+], ids=["missing", "directory", "invalid-utf8", "truncated", "deep", "long-int", "valid"])
+def test_load_json_reads_as_json_load(tmp_path, content, loads):
+    # one unbuffered read and json.loads give json.load's document, or the
+    # message its route gave
+    path = tmp_path / "doc.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    expected = load_outcome(json_load_route, str(path))
+    assert load_outcome(load_json, str(path)) == expected
+    assert (expected[0] == "ok") == loads
 
 
 def test_render_vector():

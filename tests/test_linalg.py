@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 from time import perf_counter
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interdec import linalg
-from interdec.errors import InputError, InternalContradiction
+from interdec.errors import CapExceeded, InputError, InternalContradiction
 from interdec.linalg import (
     GF,
     QQ,
@@ -32,7 +33,12 @@ from interdec.linalg import (
     zero_subspace,
 )
 
-from parse_reference import reference_exact_row, reference_kernel_space, reference_parse_rows
+from parse_reference import (
+    reference_exact_row,
+    reference_kernel_space,
+    reference_parse,
+    reference_parse_rows,
+)
 
 
 def Q(x):
@@ -193,6 +199,130 @@ def test_subspace_from_generators_matches_the_two_pass_route(field, rows):
     assert build(lambda: subspace_from_generators(2, rows, field, "rows")) == build(
         lambda: reference_kernel_space(2, reference_parse_rows(rows, 2, field, "rows"), field)
     )
+
+
+# texts over the number rule's characters, and the forms of "p/q" that
+# Fraction(text) refuses, reads as zero or reads without a slash
+NUMBER_TEXTS = st.text("-+./0123456789", max_size=12)
+RATIO_EDGE_TEXTS = [
+    "3/0", "+0/07", "3/-4", "/4", "3/", "1.5/2", "0.5", "-.5", "1/2/3",
+    "-7/2", "+12/08", "9" * 5000 + "/7", "7/" + "9" * 5000,
+]
+
+
+def parse_outcome(parse, text):
+    """The parsed value with its type, or the message of the InputError."""
+    try:
+        value = parse(text)
+    except InputError as exc:
+        return "InputError", str(exc)
+    return type(value), value
+
+
+def assert_reads_as_the_fraction_route(texts):
+    for text in texts:
+        assert parse_outcome(QQ.parse, text) == parse_outcome(
+            lambda t: reference_parse(QQ, t), text
+        )
+    assert row_outcome(type(QQ).exact_row, QQ, texts) == row_outcome(
+        reference_exact_row, QQ, texts
+    )
+
+
+@pytest.mark.parametrize("text", RATIO_EDGE_TEXTS, ids=lambda t: t[:12])
+def test_rational_text_edge_cases_read_as_the_fraction_route(text):
+    assert_reads_as_the_fraction_route([text])
+    assert_reads_as_the_fraction_route([text, 1, "2/3"])
+
+
+@given(st.lists(NUMBER_TEXTS | st.sampled_from(RATIO_EDGE_TEXTS), min_size=1, max_size=3))
+def test_rational_texts_read_as_the_fraction_route(texts):
+    # QQ.parse splits "p/q" into two ints; every text gives the value, or
+    # the message, of the number rule's check followed by Fraction(text)
+    assert_reads_as_the_fraction_route(texts)
+
+
+@st.composite
+def kernel_rows_with_pivot(draw):
+    """A primitive ℚ kernel row whose pivot, its first nonzero entry, is
+    not one: entries up to 2**80 in size, both signs."""
+    entry = st.integers(-(2**80), 2**80)
+    row = linalg._primitive(draw(st.lists(entry, min_size=1, max_size=6)))
+    pivot = next((x for x in row if x), 1)
+    if pivot == 1:
+        row = (0,) * draw(st.integers(0, 2)) + (draw(st.integers(2, 2**80)), 1) + row
+        pivot = next(x for x in row if x)
+    return row, pivot
+
+
+@given(kernel_rows_with_pivot())
+@example(((6, -4, 0, 9, 3), 6))
+def test_format_row_matches_formatting_the_pivot_one_row(case):
+    row, pivot = case
+    assert QQ.format_row(row, pivot) == [QQ.format(x) for x in QQ.pivot_one(row)]
+
+
+@pytest.fixture
+def lowest_digit_limit():
+    # 640 is the lowest limit the interpreter takes
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(limit)
+
+
+def format_outcome(format_row, row):
+    try:
+        return format_row(row)
+    except CapExceeded as exc:
+        return "CapExceeded", str(exc)
+
+
+def test_format_row_refuses_overlong_terms_before_making_text(lowest_digit_limit):
+    # as test_overlong_output_entry_is_size_limit, but on the kernel rows
+    # themselves: entries past the limit, which the interpreter refuses
+    # to turn into text, so a CapExceeded shows the check came first
+    rng = random.Random(5)
+    big = 10**lowest_digit_limit
+    a, b = 10**400 + 1, 10**400 + 3
+    rows = [
+        linalg._primitive([rng.randrange(big, 10 * big) * rng.choice((1, -1))
+                           for _ in range(3)])
+        for _ in range(4)
+    ] + [(3, 1, big), (big + 1, 1), (2, 5, big * 2 + 1)]
+    for row in rows:
+        pivot = next(x for x in row if x)
+        assert pivot != 1
+        expected = format_outcome(lambda r: [QQ.format(x) for x in QQ.pivot_one(r)], row)
+        assert expected[0] == "CapExceeded"
+        assert format_outcome(lambda r: QQ.format_row(r, pivot), row) == expected
+    # a pivot past the limit whose lowest terms all fit is written, as
+    # before: the row (ab, a, b) is (1, 1/b, 1/a)
+    assert a * b > 10**lowest_digit_limit
+    assert QQ.format_row((a * b, a, b), a * b) == [1, f"1/{b}", f"1/{a}"]
+
+
+@settings(deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(7)]), st.randoms(use_true_random=False))
+def test_generated_subspace_takes_over_its_echelon(field, rng):
+    # subspace_from_generators hands its private echelon to the Subspace;
+    # the result is IntEchelon.subspace's, rows and pivots as tuples.  Rows
+    # up to 20 wide and mostly zeros, so some pivot rows are sparse
+    def entry():
+        if rng.random() < 0.6:
+            return 0
+        if field is QQ and rng.random() < 0.3:
+            return f"{rng.randint(-3, 3)}/{rng.randint(1, 4)}"
+        return rng.randint(-3, 3)
+
+    ambient = rng.randint(0, 20)
+    rows = [[entry() for _ in range(ambient)] for _ in range(rng.randint(0, 8))]
+    space = subspace_from_generators(ambient, rows, field)
+    reference = IntEchelon(field, [field.exact_row(r) for r in rows]).subspace(ambient)
+    assert space == reference
+    assert space.pivots == reference.pivots
+    assert type(space.exact_rows()) is tuple and type(space.pivots) is tuple
+    assert space.echelon().sparse == reference.echelon().sparse
 
 
 # ---------------------------------------------------------------------------

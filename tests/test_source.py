@@ -508,7 +508,8 @@ def test_nothing_in_the_package_calls_rref():
 
 def test_the_number_rule_has_one_home():
     # numbers spelled in documents and flags are read by linalg._read_number
-    # alone; every other int() or Fraction() call takes a number, not text
+    # alone, which reads the two parts of a "p/q" by int(); every other
+    # int() or Fraction() call takes a number, not text
     def names_rule(node):
         return isinstance(node, ast.Name) and node.id == "_NUMBER_TEXT"
 
@@ -519,7 +520,10 @@ def test_the_number_rule_has_one_home():
         "cli._cap",
         "cli._seed",
     }
-    assert scopes_where(calls_name("int")) == {"linalg.RationalField.format"}
+    assert scopes_where(calls_name("int")) == {
+        "linalg.RationalField.format",
+        "linalg._read_number",
+    }
     assert scopes_where(calls_name("Fraction")) == {
         "linalg.RationalField",
         "linalg.RationalField.parse",
