@@ -48,10 +48,9 @@ from .fileio import (
     model_from_doc,
     model_to_doc,
     report_to_doc,
-    subspace_rows,
     witness_to_doc,
 )
-from .interactions import ProductSpace, build_factor_arrangement, interaction_dimensions
+from .interactions import build_factor_arrangement, interaction_dimensions
 from .linalg import QQ, _read_number
 from .posets import LOWER_SET_CAP
 
@@ -140,20 +139,17 @@ def decompose_cmd(opts):
 
 def interactions(opts):
     """Interaction dimensions of the factor arrangement of finite variables."""
-    labels, cardinalities = model_from_doc(load_json(opts.model_file), opts.model_file)
+    product = model_from_doc(load_json(opts.model_file), opts.model_file)
     field = _field_override(opts) or QQ
-    product = ProductSpace(labels, cardinalities)
     factor = build_factor_arrangement(product, field)
     # an export over the size cap is refused before any row is built
     exported = factor.arrangement if opts.export_arrangement is not None else None
-    doc = model_to_doc(labels, cardinalities)
+    doc = model_to_doc(product.labels, product.cardinalities)
     doc["total_points"] = product.total_points
     doc["dimensions"] = interaction_dimensions(factor)
     if opts.emit_bases:
-        components = factor.decomposition().components
-        doc["components"] = {
-            lab: subspace_rows(components[lab]) for lab in factor.poset.labels
-        }
+        decomposition = decomposition_to_doc(factor.decomposition(), factor.poset)
+        doc["components"] = decomposition["components"]
     if exported is not None:
         text = dump_json(arrangement_to_doc(exported), pretty=opts.pretty)
         _write(opts.export_arrangement, text)

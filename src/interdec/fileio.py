@@ -3,9 +3,12 @@
 All documents are plain JSON.  Rational entries are integers or "p/q"
 strings; entries over GF(p) are integers reduced mod p.  A poset document
 lists elements and relation pairs [a, b] meaning a ≤ b; an arrangement
-document embeds its poset and declares its field once.  Loaders validate
-shape eagerly and raise InputError naming the offending location; the
-spaces table goes to new_arrangement, so it reads as a library call's.
+document embeds its poset and declares its field once.  The readers
+check each JSON object and its keys, and the field and ambient dimension,
+raising InputError with the offending location; every other value goes
+to the library under the document's location, so build_poset checks the
+labels and relations, ProductSpace the variables and new_arrangement the
+spaces, as in a library call.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import json
 
 from .arrangements import new_arrangement
 from .errors import InputError
+from .interactions import ProductSpace
 from .linalg import GF, QQ, _read_number
 from .posets import build_poset
 
@@ -86,27 +90,10 @@ def field_to_doc(field):
 def poset_from_doc(doc, location="poset"):
     if not isinstance(doc, dict):
         raise InputError(f"{location}: expected an object")
-    elements = doc.get("elements")
-    if not isinstance(elements, list) or not all(
-        isinstance(e, str) for e in elements
-    ):
-        raise InputError(f"{location}.elements: expected a list of strings")
-    relations = doc.get("relations", [])
-    if not isinstance(relations, list):
-        raise InputError(f"{location}.relations: expected a list of pairs")
-    for k, rel in enumerate(relations):
-        if (
-            not isinstance(rel, list)
-            or len(rel) != 2
-            or not all(isinstance(x, str) for x in rel)
-        ):
-            raise InputError(
-                f"{location}.relations[{k}]: expected a pair of element labels"
-            )
     extra = set(doc) - {"elements", "relations"}
     if extra:
         raise InputError(f"{location}: unknown keys {sorted(extra)}")
-    return build_poset(elements, relations)
+    return build_poset(doc.get("elements"), doc.get("relations", []), location)
 
 
 def poset_to_doc(poset):
@@ -201,6 +188,7 @@ def decomposition_to_doc(decomposition, poset):
 # ---------------------------------------------------------------------------
 
 def model_from_doc(doc, location="model"):
+    """The ProductSpace of a model document's variables."""
     if not isinstance(doc, dict) or "variables" not in doc:
         raise InputError(f'{location}: expected an object with "variables"')
     extra = set(doc) - {"variables"}
@@ -209,8 +197,6 @@ def model_from_doc(doc, location="model"):
     variables = doc["variables"]
     if not isinstance(variables, list):
         raise InputError(f"{location}.variables: expected a list")
-    labels = []
-    cardinalities = []
     for k, entry in enumerate(variables):
         where = f"{location}.variables[{k}]"
         if not isinstance(entry, dict):
@@ -218,15 +204,11 @@ def model_from_doc(doc, location="model"):
         extra = set(entry) - {"label", "cardinality"}
         if extra:
             raise InputError(f"{where}: unknown keys {sorted(extra)}")
-        lab = entry.get("label")
-        card = entry.get("cardinality")
-        if not isinstance(lab, str):
-            raise InputError(f"{where}.label: expected a string")
-        if not isinstance(card, int) or isinstance(card, bool):
-            raise InputError(f"{where}.cardinality: expected an integer")
-        labels.append(lab)
-        cardinalities.append(card)
-    return labels, cardinalities
+    return ProductSpace(
+        [entry.get("label") for entry in variables],
+        [entry.get("cardinality") for entry in variables],
+        f"{location}.variables",
+    )
 
 
 def model_to_doc(labels, cardinalities):

@@ -36,15 +36,22 @@ class ProductSpace:
     Points are tuples of value indices, one per variable in declaration
     order, enumerated mixed-radix with the first variable most
     significant: for sizes (2,2) the order is 00, 01, 10, 11.
+    Labels are strings and cardinalities ints; an error names its place
+    under location, as `variables[1].cardinality: expected an integer`.
     """
 
     __slots__ = ("labels", "cardinalities", "total_points", "points")
 
-    def __init__(self, labels, cardinalities):
+    def __init__(self, labels, cardinalities, location="variables"):
         labels = tuple(labels)
         cardinalities = tuple(cardinalities)
         if len(labels) != len(cardinalities):
             raise InputError("need exactly one cardinality per variable label")
+        for k, (lab, card) in enumerate(zip(labels, cardinalities)):
+            if not isinstance(lab, str):
+                raise InputError(f"{location}[{k}].label: expected a string")
+            if not isinstance(card, int) or isinstance(card, bool):
+                raise InputError(f"{location}[{k}].cardinality: expected an integer")
         if len(set(labels)) != len(labels):
             raise InputError("variable labels must be distinct")
         total = 1

@@ -125,9 +125,9 @@ class PrimeField:
 
     def __init__(self, p):
         if isinstance(p, int) and p >= _PRIME_LIMIT:
-            raise InputError(f"modulus must be below {_PRIME_LIMIT}, got {p}")
+            raise InputError(f"modulus must be below {_PRIME_LIMIT}, got {p!r}")
         if not _is_prime(p):
-            raise InputError(f"modulus must be prime, got {p}")
+            raise InputError(f"modulus must be prime, got {p!r}")
         self.p = p
         self.zero = 0
 

@@ -133,25 +133,33 @@ def _label_index(labels):
     return index
 
 
-def build_poset(labels, relations):
-    """Poset from labels and a list of (a, b) pairs meaning a ≤ b.
+def build_poset(labels, relations, location="poset"):
+    """Poset from a list of string labels and a list of (a, b) label pairs
+    meaning a ≤ b.
 
-    The stored order is the reflexive-transitive closure of the pairs;
-    a closure that violates antisymmetry is rejected.  The down masks are
-    summed along the pairs, lowest elements first: a < b makes ↑a larger
-    than ↑b, so sorting by |↑a| is a linear extension.
+    Shapes are checked before meaning, each error naming its place under
+    location: the labels, the relations and each relation, then repeated
+    labels, unknown ones and cycles.  The stored order is the reflexive-
+    transitive closure of the pairs.  The down masks are summed along the
+    pairs, lowest elements first: a < b makes ↑a larger than ↑b, so
+    sorting by |↑a| is a linear extension.
     """
-    labels = list(labels)
+    if not isinstance(labels, (list, tuple)) or not all(isinstance(lab, str) for lab in labels):
+        raise InputError(f"{location}.elements: expected a list of strings")
+    if not isinstance(relations, (list, tuple)):
+        raise InputError(f"{location}.relations: expected a list of pairs")
+    for k, pair in enumerate(relations):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(
+            isinstance(lab, str) for lab in pair
+        ):
+            raise InputError(f"{location}.relations[{k}]: expected a pair of element labels")
     index = _label_index(labels)
     n = len(labels)
     up = [1 << i for i in range(n)]
     below = [[] for _ in range(n)]
-    for pair in relations:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise InputError(f"relation {pair!r} is not a pair of elements")
-        a, b = pair
+    for a, b in relations:
         for lab in (a, b):
-            if not isinstance(lab, str) or lab not in index:
+            if lab not in index:
                 raise InputError(f"relation mentions unknown element {lab!r}")
         up[index[a]] |= 1 << index[b]
         below[index[b]].append(index[a])
@@ -270,6 +278,8 @@ def _count_component(poset, component, cap):
 
 
 def _check_cap(cap):
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise InputError(f"cap must be an integer, got {cap!r}")
     if cap < 1:
         raise CapExceeded("cap must allow at least the empty lower set")
 

@@ -6,6 +6,12 @@ for an integer) and the parsed row then goes to the kernel; the loader
 parses a whole document this way before it builds any space, and the
 spaces are then built from the parsed rows.  A ℚ text is read by the
 number rule's check and then `Fraction(text)`, whatever its form.
+
+It also keeps the poset and model readers that check every label,
+relation and cardinality themselves, entry by entry, before `build_poset`
+or `ProductSpace` sees them, and check a poset's keys only after its
+values: the reference for `fileio`'s readers, which check only objects
+and keys and leave the values to the library.
 """
 
 from fractions import Fraction
@@ -14,7 +20,9 @@ from math import gcd
 from interdec.arrangements import new_arrangement
 from interdec.errors import InputError, InterdecError
 from interdec.fileio import field_from_doc, poset_from_doc
+from interdec.interactions import ProductSpace
 from interdec.linalg import _NUMBER_TEXT, IntEchelon, _primitive, _shown
+from interdec.posets import build_poset
 
 
 def reference_parse(field, value):
@@ -107,6 +115,64 @@ def reference_arrangement_from_doc(doc, field_override=None, location="arrangeme
         lab: reference_kernel_space(ambient, rows[lab], field) for lab in poset.labels
     }
     return new_arrangement(poset, ambient, field, spaces)
+
+
+def reference_poset_from_doc(doc, location="poset"):
+    """Every value checked here, then the keys, then build_poset."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{location}: expected an object")
+    elements = doc.get("elements")
+    if not isinstance(elements, list) or not all(
+        isinstance(e, str) for e in elements
+    ):
+        raise InputError(f"{location}.elements: expected a list of strings")
+    relations = doc.get("relations", [])
+    if not isinstance(relations, list):
+        raise InputError(f"{location}.relations: expected a list of pairs")
+    for k, rel in enumerate(relations):
+        if (
+            not isinstance(rel, list)
+            or len(rel) != 2
+            or not all(isinstance(x, str) for x in rel)
+        ):
+            raise InputError(
+                f"{location}.relations[{k}]: expected a pair of element labels"
+            )
+    extra = set(doc) - {"elements", "relations"}
+    if extra:
+        raise InputError(f"{location}: unknown keys {sorted(extra)}")
+    return build_poset(elements, relations)
+
+
+def reference_model_from_doc(doc, location="model"):
+    """Each variable checked whole, its keys, label and cardinality, before
+    the next; then the ProductSpace of the labels and cardinalities."""
+    if not isinstance(doc, dict) or "variables" not in doc:
+        raise InputError(f'{location}: expected an object with "variables"')
+    extra = set(doc) - {"variables"}
+    if extra:
+        raise InputError(f"{location}: unknown keys {sorted(extra)}")
+    variables = doc["variables"]
+    if not isinstance(variables, list):
+        raise InputError(f"{location}.variables: expected a list")
+    labels = []
+    cardinalities = []
+    for k, entry in enumerate(variables):
+        where = f"{location}.variables[{k}]"
+        if not isinstance(entry, dict):
+            raise InputError(f"{where}: expected an object")
+        extra = set(entry) - {"label", "cardinality"}
+        if extra:
+            raise InputError(f"{where}: unknown keys {sorted(extra)}")
+        lab = entry.get("label")
+        card = entry.get("cardinality")
+        if not isinstance(lab, str):
+            raise InputError(f"{where}.label: expected a string")
+        if not isinstance(card, int) or isinstance(card, bool):
+            raise InputError(f"{where}.cardinality: expected an integer")
+        labels.append(lab)
+        cardinalities.append(card)
+    return ProductSpace(labels, cardinalities)
 
 
 def outcome(load, *args):

@@ -378,6 +378,30 @@ def test_decomposition_of_outside_vector():
         decomposition_of(arr, Decomposition(dec.components, certified=False), [1, 0])
 
 
+def test_a_vector_with_no_expansion_is_internal_contradiction(monkeypatch, c3_constant):
+    # a vector inside the sum always expands in a certified decomposition
+    dec = decompose(c3_constant)
+    monkeypatch.setattr(arrangements, "solve_exact", lambda *args: None)
+    message = "^vector inside the arrangement has no expansion in a certified decomposition$"
+    with pytest.raises(InternalContradiction, match=message):
+        decomposition_of(c3_constant, dec, [1, 1])
+
+
+def test_a_promised_witness_that_is_missing_is_internal_contradiction(monkeypatch, c3_growing):
+    # a pair test that fails where the spaces hold leaves the witness rule
+    # no row of the meet outside F(B ∩ C)
+    monkeypatch.setattr(arrangements, "_certified_sections", lambda *args: None)
+    monkeypatch.setattr(arrangements, "_pair_fails", lambda *args: True)
+    message = "^dimension count promised a violating vector but none was found$"
+    with pytest.raises(InternalContradiction, match=message):
+        check_condition_C(c3_growing)
+    # a sum that is not direct has a component meeting the others
+    monkeypatch.setattr(arrangements, "is_direct_sum", lambda comps: False)
+    message = "^rank deficit promised an overlapping component but none was found$"
+    with pytest.raises(InternalContradiction, match=message):
+        verify_decomposition(c3_growing, pre_decompose(c3_growing))
+
+
 def test_decomposition_of_refuses_a_vector_of_the_wrong_length(c3_constant):
     # the membership test in the sum of the spaces checks the length
     dec = decompose(c3_constant)
@@ -789,6 +813,12 @@ def test_over_cap_scans_stop_before_any_linear_algebra(monkeypatch, three_lines)
         assert calls == []
         assert not check(three_lines, cap=8).verdict
         assert len(calls) == 1
+
+
+def test_a_scan_cap_that_is_not_an_int_is_refused(three_lines):
+    for check in (check_intersection_bruteforce, check_strong_intersection):
+        with pytest.raises(InputError, match="^cap must be an integer, got '5'$"):
+            check(three_lines, cap="5")
 
 
 class ListedLowerSets(Exception):

@@ -1,14 +1,15 @@
 """JSON document loaders and writers."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from interdec.arrangements import check_condition_C, decompose, new_arrangement
-from interdec.errors import InputError
+from interdec.errors import InputError, InterdecError
 from interdec.fileio import (
     arrangement_from_doc,
     arrangement_to_doc,
@@ -26,10 +27,17 @@ from interdec.fileio import (
     report_to_doc,
     subspace_rows,
 )
+from interdec.interactions import ProductSpace
 from interdec.linalg import GF, QQ, subspace_from_generators
 from interdec.posets import build_poset
 
-from parse_reference import outcome, reference_arrangement_from_doc
+from mangle import mangled
+from parse_reference import (
+    outcome,
+    reference_arrangement_from_doc,
+    reference_model_from_doc,
+    reference_poset_from_doc,
+)
 from randgen import random_monotone_arrangement, random_rows
 
 
@@ -326,9 +334,12 @@ def test_dump_json_writes_what_json_dumps_writes(doc):
 
 def test_model_docs():
     doc = {"variables": [{"label": "a", "cardinality": 2}]}
-    assert model_from_doc(doc) == (["a"], [2])
+    product = model_from_doc(doc)
+    assert (product.labels, product.cardinalities) == (("a",), (2,))
     assert model_to_doc(["a"], [2]) == doc
-    with pytest.raises(InputError, match=r"variables\[0\]\.cardinality"):
+    with pytest.raises(
+        InputError, match=r"^model\.variables\[0\]\.cardinality: expected an integer$"
+    ):
         model_from_doc({"variables": [{"label": "a", "cardinality": "2"}]})
     with pytest.raises(InputError, match="variables"):
         model_from_doc({})
@@ -338,3 +349,158 @@ def test_model_docs():
         InputError, match=r"^model\.variables\[0\]: unknown keys \['size'\]$"
     ):
         model_from_doc({"variables": [{"label": "a", "cardinality": 2, "size": 2}]})
+
+
+# ---------------------------------------------------------------------------
+# the readers check objects and keys; build_poset and ProductSpace the values
+# ---------------------------------------------------------------------------
+
+# "x" and "a1" are among mangle's sampled strings, so an edit can repeat a
+# label, name an unknown one or close a cycle
+POSET_DOCS = [
+    {"elements": ["x", "y", "a1"], "relations": [["x", "y"], ["y", "a1"]]},
+    {"elements": ["a1", "a2"]},
+]
+MODEL_DOCS = [
+    {"variables": [{"label": "x", "cardinality": 2}, {"label": "a1", "cardinality": 3}]},
+    {"variables": [{"label": "a2", "cardinality": 1}]},
+]
+
+
+# Whether a document passes the readers' object and key checks, or fails
+# one that its reference makes first as well.
+def poset_keys_pass(doc):
+    return not isinstance(doc, dict) or set(doc) <= {"elements", "relations"}
+
+
+def model_keys_pass(doc):
+    variables = doc.get("variables") if isinstance(doc, dict) else None
+    return not isinstance(variables, list) or all(
+        isinstance(entry, dict) and set(entry) <= {"label", "cardinality"}
+        for entry in variables
+    )
+
+
+def read(reader, doc, location):
+    """A reader's poset or product space as plain values, or the type name
+    and message of the documented error it raised."""
+    try:
+        value = reader(doc, location)
+    except InterdecError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, ProductSpace):
+        return "ok", value.labels, value.cardinalities, value.points
+    return "ok", value.labels, value._up, value._down
+
+
+def json_doc(text):
+    try:
+        return json.loads(text)
+    except ValueError:
+        reject()
+
+
+READERS = {
+    "poset": (POSET_DOCS, poset_keys_pass, poset_from_doc, reference_poset_from_doc),
+    "model": (MODEL_DOCS, model_keys_pass, model_from_doc, reference_model_from_doc),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), location=st.sampled_from(["doc", "m.json"]))
+def test_documents_past_the_key_checks_read_as_the_value_checking_reference(
+    kind, data, location
+):
+    # the same poset or product space, or the same error, as the readers
+    # that checked each value themselves
+    bases, keys_pass, reader, reference = READERS[kind]
+    doc = json_doc(data.draw(mangled(bases)))
+    assume(keys_pass(doc))
+    assert read(reader, doc, location) == read(reference, doc, location)
+
+
+def variables_doc(*pairs):
+    return {"variables": [{"label": lab, "cardinality": card} for lab, card in pairs]}
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("poset", {"elements": ["x", "x"]}),
+    ("poset", {"elements": ["x"], "relations": [["x", "y"]]}),
+    ("poset", {"elements": ["x", "y"], "relations": [["x", "y"], ["y", "x"]]}),
+    ("poset", {"elements": ["x", 1], "relations": [["x"]]}),
+    ("poset", {"elements": ["x"], "relations": [["x", "x"], ["x", 2]]}),
+    ("poset", {"elements": ["x"], "relations": {"x": "x"}}),
+    ("poset", {"elements": ["x"], "relations": None}),
+    ("poset", {"relations": []}),
+    # several faults in values: the first in the references' order
+    ("poset", {"elements": ["x", "x"], "relations": [["x", "y"]]}),
+    ("poset", {"elements": ["x", "y"], "relations": [["x", "y"], ["y", "x"], ["x", "z"]]}),
+    ("poset", {"elements": ["x", "x"], "relations": [["x"]]}),
+    ("model", {"variables": [{"label": "x", "cardinality": 2}, {"label": "x"}]}),
+    ("model", {"variables": [{"label": "x", "cardinality": 2}, {"cardinality": 2}]}),
+    ("model", variables_doc(("x", 2), ("x", 2))),
+    ("model", variables_doc(("x", 0))),
+    ("model", variables_doc(("x", 2**61 - 1))),
+    ("model", variables_doc(("x", False))),
+    ("model", variables_doc(("x", 2.0))),
+    ("model", variables_doc()),
+    ("model", variables_doc(("x", 0), ("x", 2))),
+    ("model", variables_doc(("x", 2), ("x", "2"))),
+    ("model", variables_doc(("x", 0), (1, 2))),
+    ("model", variables_doc(("x", 4097), ("y", 0))),
+])
+def test_each_value_fault_reads_as_the_value_checking_reference(kind, doc):
+    _, _, reader, reference = READERS[kind]
+    assert read(reader, doc, kind) == read(reference, doc, kind)
+
+
+def unknown_keys(location, doc, known):
+    extra = sorted(set(doc) - known)
+    return f"^{re.escape(f'{location}: unknown keys {extra}')}$"
+
+
+@settings(max_examples=200, deadline=None)
+@given(mangled(POSET_DOCS), mangled(MODEL_DOCS), st.integers(min_value=0, max_value=3))
+@example(
+    '{"elements": 5, "relations": [1]}',
+    '{"variables": [{"label": 1, "cardinality": "2"}, {"label": "a", "cardinality": 2}]}',
+    1,
+).via("documents whose value faults come before the place of the unknown key")
+def test_an_unknown_key_is_reported_before_any_fault_in_a_value(poset_text, model_text, pick):
+    # the readers check every object's keys before build_poset and
+    # ProductSpace see a value
+    poset_doc, model_doc = json_doc(poset_text), json_doc(model_text)
+    if isinstance(poset_doc, dict):
+        poset_doc["covers"] = []
+        with pytest.raises(
+            InputError, match=unknown_keys("poset", poset_doc, {"elements", "relations"})
+        ):
+            poset_from_doc(poset_doc)
+    if not isinstance(model_doc, dict) or "variables" not in model_doc:
+        return
+    variables = model_doc["variables"]
+    known = {"label", "cardinality"}
+    if (
+        set(model_doc) == {"variables"}
+        and isinstance(variables, list)
+        and variables
+        and all(isinstance(entry, dict) for entry in variables)
+    ):
+        # the first entry with an unknown key, the one made here or before
+        variables[pick % len(variables)]["size"] = 2
+        k, entry = next((k, entry) for k, entry in enumerate(variables) if set(entry) - known)
+        with pytest.raises(
+            InputError, match=unknown_keys(f"model.variables[{k}]", entry, known)
+        ):
+            model_from_doc(model_doc)
+    model_doc["field"] = "rational"
+    with pytest.raises(InputError, match=unknown_keys("model", model_doc, {"variables"})):
+        model_from_doc(model_doc)
+
+
+def test_a_variable_that_is_not_an_object_is_refused():
+    for entry in (2, ["x1", 2], None):
+        doc = {"variables": [{"label": "x1", "cardinality": 2}, entry]}
+        with pytest.raises(InputError, match=r"^m\.json\.variables\[1\]: expected an object$"):
+            model_from_doc(doc, "m.json")

@@ -22,7 +22,7 @@ from interdec.interactions import (
     interaction_dimensions,
 )
 from interdec.linalg import GF, QQ, full_space, subspace_from_generators
-from interdec.posets import lower_set_label
+from interdec.posets import build_poset, lower_set_label
 
 from factor_reference import reference_components, reference_factor_arrangement
 
@@ -59,6 +59,26 @@ def test_product_space_rejects_bad_input():
         ProductSpace(["a", "b"], [2])
     with pytest.raises(InputError, match="^variable labels must be distinct$"):
         ProductSpace(["a", "a"], [2, 2])
+
+
+@pytest.mark.parametrize("labels, cardinalities, message", [
+    (["a", "b"], [2, "2"], r"^variables\[1\]\.cardinality: expected an integer$"),
+    (["a"], [2.5], r"^variables\[0\]\.cardinality: expected an integer$"),
+    (["a"], [True], r"^variables\[0\]\.cardinality: expected an integer$"),
+    (["a", ["b"]], [2, 2], r"^variables\[1\]\.label: expected a string$"),
+    # each variable is checked whole, label first, before the next
+    ([None, "b"], [2, None], r"^variables\[0\]\.label: expected a string$"),
+    (["a", "b"], [None, 2.0], r"^variables\[0\]\.cardinality: expected an integer$"),
+])
+def test_product_space_names_a_label_or_cardinality_of_the_wrong_type(
+    labels, cardinalities, message
+):
+    # checked before the distinct and empty-domain checks, which would
+    # otherwise hash a list label or compare a text cardinality
+    with pytest.raises(InputError, match=message):
+        ProductSpace(labels, cardinalities)
+    with pytest.raises(InputError, match=message.replace("^variables", r"^m\.variables")):
+        ProductSpace(labels, cardinalities, location="m.variables")
 
 
 def test_product_space_size_limit():
@@ -209,6 +229,17 @@ def test_interaction_dimensions_reject_a_component_off_the_closed_form(monkeypat
     monkeypatch.setattr(interactions, "_component_key", moved)
     with pytest.raises(InternalContradiction, match="dimension 1 at {x2} .* closed form 2"):
         interaction_dimensions(fa(2, 3))
+
+
+def test_components_that_do_not_sum_to_the_factor_space_are_internal_contradiction():
+    # on an antichain in place of the inclusion order each count keeps its
+    # closed form, but nothing lies below {x1} to add up to dim F({x1}) = 2
+    factor = fa(2)
+    flat = build_poset(list(factor.poset.labels), [])
+    broken = interactions.FactorArrangement(factor.product, QQ, flat, factor.subsets)
+    message = r"^the components below \{x1\} have dimension 1 in all, not dim F\(\{x1\}\)$"
+    with pytest.raises(InternalContradiction, match=message):
+        interaction_dimensions(broken)
 
 
 def _admits_the_last_value(point, tops):

@@ -119,6 +119,16 @@ def test_prime_field_large_moduli():
     assert perf_counter() - t0 < 1
 
 
+def test_a_modulus_that_is_not_an_int_is_shown_as_given():
+    # the text "7" is not the prime 7, and the message says which it got
+    with pytest.raises(InputError, match="^modulus must be prime, got '7'$"):
+        GF("7")
+    with pytest.raises(InputError, match="^modulus must be prime, got 7.0$"):
+        GF(7.0)
+    with pytest.raises(InputError, match="^modulus must be prime, got 9$"):
+        GF(9)
+
+
 def test_is_prime_matches_trial_division():
     def trial(n):
         return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))

@@ -97,28 +97,33 @@ def test_unknown_relation_label_rejected():
 
 def test_labels_that_are_not_strings_are_rejected():
     # labels are strings, which lower_set_label joins; anything else is an
-    # InputError, never a TypeError from hashing or joining
+    # InputError, never a TypeError from hashing or joining.  build_poset
+    # names the place under its location, as the document loader does
     for labels in ([["a"]], [1, 2], ["a", None]):
-        bad = next(lab for lab in labels if not isinstance(lab, str))
-        message = f"^element {re.escape(repr(bad))} is not a string$"
-        with pytest.raises(InputError, match=message):
+        with pytest.raises(InputError, match=r"^poset\.elements: expected a list of strings$"):
             build_poset(labels, [])
+        bad = next(lab for lab in labels if not isinstance(lab, str))
         units = [1 << i for i in range(len(labels))]
-        with pytest.raises(InputError, match=message):
+        with pytest.raises(InputError, match=f"^element {re.escape(repr(bad))} is not a string$"):
             Poset(labels, units, units)
-    with pytest.raises(InputError, match=r"^relation mentions unknown element \['b'\]$"):
-        build_poset(["a", "b"], [("a", ["b"])])
-    with pytest.raises(InputError, match="^relation mentions unknown element 1$"):
-        build_poset(["a", "b"], [(1, "b")])
-    # the factor arrangement's powerset is built on the variable labels
-    with pytest.raises(InputError, match="^element 1 is not a string$"):
+    with pytest.raises(InputError, match=r"^P\.elements: expected a list of strings$"):
+        build_poset("ab", [], location="P")
+    for relation in (("a", ["b"]), (1, "b")):
+        message = r"^poset\.relations\[0\]: expected a pair of element labels$"
+        with pytest.raises(InputError, match=message):
+            build_poset(["a", "b"], [relation])
+    with pytest.raises(InputError, match=r"^poset\.relations: expected a list of pairs$"):
+        build_poset(["a", "b"], {("a", "b")})
+    # the factor arrangement's powerset is built on the variable labels,
+    # which ProductSpace checks
+    with pytest.raises(InputError, match=r"^variables\[0\]\.label: expected a string$"):
         build_factor_arrangement(ProductSpace([1, 2], [2, 2]))
 
 
 @pytest.mark.parametrize("relation", [("u",), ("u", "v", "u"), "uv", 5, None])
 def test_a_relation_that_is_not_a_pair_is_rejected(relation):
-    message = f"relation {relation!r} is not a pair of elements"
-    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+    message = r"^poset\.relations\[0\]: expected a pair of element labels$"
+    with pytest.raises(InputError, match=message):
         build_poset(["u", "v"], [relation])
 
 
@@ -162,6 +167,15 @@ def test_enumerate_lower_sets_cap(a3):
     with pytest.raises(CapExceeded):
         enumerate_lower_sets(a3, cap=7)
     assert len(enumerate_lower_sets(a3, cap=8)) == 8
+
+
+@pytest.mark.parametrize("cap", ["5", 5.0, True, None])
+def test_a_cap_that_is_not_an_int_is_refused(a3, cap):
+    message = f"^cap must be an integer, got {re.escape(repr(cap))}$"
+    with pytest.raises(InputError, match=message):
+        enumerate_lower_sets(a3, cap=cap)
+    with pytest.raises(InputError, match=message):
+        _count_lower_sets(a3, cap)
 
 
 def test_maximal_elements(a3, d2):

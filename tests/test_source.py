@@ -420,6 +420,35 @@ def test_element_tables_have_one_check():
     }
 
 
+def raises_text(text):
+    """A scopes_where matcher for a raise whose message holds text."""
+    def matches(node):
+        return isinstance(node, ast.Raise) and any(
+            isinstance(part, ast.Constant) and text in str(part.value)
+            for part in ast.walk(node)
+        )
+    return matches
+
+
+def test_poset_and_model_values_have_one_check():
+    # build_poset checks every label and relation and ProductSpace every
+    # variable label and cardinality, under the location they are given;
+    # the document readers check objects and keys only
+    for text in ("expected a list of strings", "expected a pair of element labels"):
+        assert scopes_where(raises_text(text)) == {"posets.build_poset"}, text
+    for text in (".label: expected a string", ".cardinality: expected an integer"):
+        assert scopes_where(raises_text(text)) == {"interactions.ProductSpace.__init__"}, text
+
+    def type_test(node):
+        if not calls_name("isinstance")(node) or len(node.args) != 2:
+            return False
+        kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        return any(isinstance(kind, ast.Name) and kind.id in {"str", "int"} for kind in kinds)
+
+    readers = {"fileio.poset_from_doc", "fileio.model_from_doc"}
+    assert scopes_where(type_test) & readers == set()
+
+
 def test_every_error_has_one_exit_code():
     # the CLI maps InputError to exit 2, CapExceeded to 3 and
     # InternalContradiction to 4, so every other error class of the
