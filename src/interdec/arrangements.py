@@ -38,17 +38,17 @@ from __future__ import annotations
 
 import random
 
-from .errors import InputError, InternalContradiction, NotMonotone
+from .errors import InputError, InternalContradiction, NotMonotone, vector_text
 from .linalg import (
     IntEchelon,
     Subspace,
+    _right_block,
     complement_rows,
     first_outside,
     intersect,
     is_direct_sum,
     mix_rows,
     random_invertible,
-    solve_exact,
     subspace_from_generators,
     sum_echelon,
     zero_subspace,
@@ -90,7 +90,8 @@ class Witness:
         ) and not self.rhs_space.contains_vector(self.vector)
 
     def __repr__(self):
-        return f"Witness(at {self.location!r}, vector {self.vector})"
+        vector = vector_text(self.vector, self.lhs_space.field)
+        return f"Witness(at {self.location!r}, vector {vector})"
 
 
 class CheckReport:
@@ -551,29 +552,37 @@ def decompose(arrangement, seed=None):
 
 def decomposition_of(arrangement, decomposition, vector):
     """The unique components {s_a(v)} with v = Σ s_a(v), s_a(v) ∈ s_a,
-    solved for in the pivot-one bases; contains_vector checks v's length."""
+    read from the one relation v − Σ x_j r_j = 0 of v with the stored
+    rows r_1, …, r_k of the components: the right block of the rows
+    [r_j | e_j] and, last, [v | e_0]; contains_vector checks v's length."""
     if not decomposition.certified:
         raise InputError("need a certified decomposition to split vectors")
     field = arrangement.field
-    target = tuple(field.parse(x) for x in vector)
     labels = arrangement.poset.labels
-    if not arrangement.eval_mask((1 << len(labels)) - 1).contains_vector(target):
+    if not arrangement.eval_mask((1 << len(labels)) - 1).contains_vector(vector):
         raise InputError("vector is outside the sum of the arrangement's spaces")
-    bases = [decomposition.components[lab].basis for lab in labels]
-    coeffs = solve_exact([row for basis in bases for row in basis], target, field)
-    if coeffs is None:
+    rows = [decomposition.components[lab].exact_rows() for lab in labels]
+    flat = [r for own in rows for r in own]
+    k, n = len(flat), arrangement.ambient_dim
+    marked = [r + (0,) * j + (1,) + (0,) * (k - j) for j, r in enumerate(flat, 1)]
+    # v's row goes through exact_row with its marker, so the relation is
+    # v's own, not a multiple's; inserted last, it meets a settled echelon
+    marked.append(field.exact_row(list(vector) + [1] + [0] * k))
+    relation = _right_block(field, marked, n, k + 1)
+    # certified components are independent, so a relation has v's pivot
+    if relation.pivots[:1] != (0,):
         raise InternalContradiction(
             "vector inside the arrangement has no expansion in a certified decomposition"
         )
-    # the coefficients follow the bases in order
-    coeffs = iter(coeffs)
+    # the pivot-one relation holds −x_j after its leading one, in row order
+    coeffs = iter(relation.basis[0][1:])
     return {
         lab: tuple(
-            field.parse(sum(c * row[i] for c, row in zip(own, basis)))
-            for i in range(len(target))
+            field.parse(-sum(c * row[i] for c, row in zip(own_coeffs, own)))
+            for i in range(n)
         )
-        for lab, basis in zip(labels, bases)
-        for own in [[next(coeffs) for _ in basis]]
+        for lab, own in zip(labels, rows)
+        for own_coeffs in [[next(coeffs) for _ in own]]
     }
 
 

@@ -139,8 +139,9 @@ def decompose_cmd(opts):
 
 def interactions(opts):
     """Interaction dimensions of the factor arrangement of finite variables."""
-    product = model_from_doc(load_json(opts.model_file), opts.model_file)
-    field = _field_override(opts) or QQ
+    # the flag is read after the JSON parse and before the model, as in check
+    doc, field = load_json(opts.model_file), _field_override(opts) or QQ
+    product = model_from_doc(doc, opts.model_file)
     factor = build_factor_arrangement(product, field)
     # an export over the size cap is refused before any row is built
     exported = factor.arrangement if opts.export_arrangement is not None else None

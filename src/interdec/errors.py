@@ -3,10 +3,16 @@
 Every error raised on purpose derives from InterdecError so callers (and
 the CLI) can separate expected failures from genuine bugs.  The CLI maps
 InputError to exit 2, CapExceeded to exit 3 and InternalContradiction to
-exit 4; the message says which input, cap or identity it was.
+exit 4; the message says which input, cap or identity it was.  Errors
+and witnesses print a vector by vector_text, in document form.
 """
 
 import json
+
+
+def vector_text(vector, field):
+    """A vector as the JSON text of its document form: [1, "1/2"]."""
+    return json.dumps([field.format(x) for x in vector])
 
 
 class InterdecError(Exception):
@@ -30,10 +36,9 @@ class NotMonotone(InputError):
         self.lower = lower
         self.upper = upper
         self.vector = vector
-        rendered = json.dumps([field.format(x) for x in vector])
         super().__init__(
             f"not monotone: {lower!r} <= {upper!r} but F({lower!r}) is not "
-            f"contained in F({upper!r}); witness vector {rendered}"
+            f"contained in F({upper!r}); witness vector {vector_text(vector, field)}"
         )
 
 

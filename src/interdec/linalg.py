@@ -13,7 +13,7 @@ by the kernel's fully reduced echelon rows, which are canonical: two
 Subspace values describe the same set of vectors exactly when their
 stored rows are identical.  Field elements (`fractions.Fraction` over ℚ,
 never for an integer entry) appear only at the edges: input, which
-exact_row parses once, `Subspace.basis`, and solve_exact's coefficients.
+exact_row parses once, and `Subspace.basis`.
 No floating point appears anywhere.
 """
 
@@ -39,8 +39,6 @@ class RationalField:
     """Arbitrary-precision rationals (the default coefficient field)."""
 
     kind = "rational"
-
-    zero = Fraction(0)
 
     def parse(self, value):
         """Accept ints, Fractions, or strings like '-3/7' or '0.5' that
@@ -129,7 +127,6 @@ class PrimeField:
         if not _is_prime(p):
             raise InputError(f"modulus must be prime, got {p!r}")
         self.p = p
-        self.zero = 0
 
     def parse(self, value):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -495,10 +492,19 @@ class Subspace:
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim} over {self.field!r})"
 
 
+def _check_ambient(ambient_dim):
+    """Refuse an ambient dimension that is not a count: an int, never a
+    bool, and not negative."""
+    if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool) or ambient_dim < 0:
+        raise InputError(f"ambient dimension: expected a count, got {_shown(ambient_dim)}")
+
+
 def subspace_from_generators(ambient_dim, gens, field=QQ, location="generators"):
     """Canonical subspace spanned by a list or tuple of generator rows, read
     row by row: each a list or tuple of ambient_dim entries that exact_row
-    parses once.  An InputError names the row refused, f"{location}[{k}]"."""
+    parses once.  An InputError names the row refused, f"{location}[{k}]",
+    after any refusal of ambient_dim by _check_ambient."""
+    _check_ambient(ambient_dim)
     if not isinstance(gens, (list, tuple)):
         raise InputError(f"{location}: expected a list of generator rows")
     acc = IntEchelon(field)
@@ -563,10 +569,12 @@ def _indicator_subspace(ambient_dim, supports, field):
 
 
 def zero_subspace(ambient_dim, field=QQ):
+    _check_ambient(ambient_dim)
     return IntEchelon(field).subspace(ambient_dim)
 
 
 def full_space(ambient_dim, field=QQ):
+    _check_ambient(ambient_dim)
     return _indicator_subspace(ambient_dim, [(i,) for i in range(ambient_dim)], field)
 
 
@@ -610,22 +618,25 @@ def sum_subspaces(u, w):
     return sum_echelon([u, w], u.field).subspace(u.ambient_dim)
 
 
-def intersect(u, w):
-    """U ∩ W by Zassenhaus elimination on  [U | U; W | 0].
+def _right_block(field, rows, n_left, n_right):
+    """The canonical Subspace of F^n_right spanned by the right halves of
+    the echelon rows, among kernel rows joined as [l | r], whose pivot lies
+    at or past n_left: their left halves eliminated to zero, so those right
+    halves span every r with [0 | r] in the span of the rows."""
+    acc = IntEchelon(field, rows)
+    right = [r[n_left:] for r, pcol in zip(acc.rows, acc.pivots) if pcol >= n_left]
+    return IntEchelon(field, right).subspace(n_right)
 
-    Echelon rows whose pivot lies in the right block have a zero left
-    block, and their right blocks span the intersection.  The result is
-    checked against dim(U∩W) = dim U + dim W − dim(U+W).
-    """
+
+def intersect(u, w):
+    """U ∩ W by Zassenhaus elimination on  [U | U; W | 0], read by
+    _right_block, checked against dim(U∩W) = dim U + dim W − dim(U+W)."""
     _check_compatible(u, w)
     n = u.ambient_dim
     field = u.field
     zeros = (0,) * n
-    acc = IntEchelon(field, [r + r for r in u.exact_rows()])
-    for r in w.exact_rows():
-        acc.insert(r + zeros)
-    right = [r[n:] for r, pcol in zip(acc.rows, acc.pivots) if pcol >= n]
-    result = IntEchelon(field, right).subspace(n)
+    rows = [r + r for r in u.exact_rows()] + [r + zeros for r in w.exact_rows()]
+    result = _right_block(field, rows, n, n)
     expected = u.dim + w.dim - rank_of_rows(u.exact_rows() + w.exact_rows(), field)
     if result.dim != expected:
         raise InternalContradiction(
@@ -670,7 +681,7 @@ def is_direct_sum(parts):
 
 
 # ---------------------------------------------------------------------------
-# the seeded section mix and exact solving, on kernel rows
+# the seeded section mix, on kernel rows
 # ---------------------------------------------------------------------------
 
 def random_invertible(field, k, rng):
@@ -697,25 +708,3 @@ def mix_rows(mix, rows, field):
         field.exact_row([sum(map(mul, coeffs, col)) for col in zip(*scaled)])
         for coeffs in mix
     )
-
-
-def solve_exact(columns, target, field):
-    """Solve  sum_j x_j * columns[j] = target  for a unique exact solution.
-
-    Returns the coefficient list, or None when the target is outside the
-    column span.  Columns are expected independent; with dependent columns
-    the first consistent solution (free coefficients zero) is returned.
-    Each reduced kernel row of the augmented rows [columns | target] gives
-    its pivot column's coefficient: its target entry over its pivot.
-    """
-    k = len(columns)
-    acc = IntEchelon(field, (
-        field.exact_row([column[i] for column in columns] + [t])
-        for i, t in enumerate(target)
-    ))
-    if k in acc.pivots:
-        return None
-    coeffs = [field.zero] * k
-    for row, pcol in zip(acc.reduced(), acc.pivots):
-        coeffs[pcol] = field.pivot_one(row)[k]
-    return coeffs

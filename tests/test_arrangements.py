@@ -293,6 +293,14 @@ def test_decompose_three_lines_returns_witness(three_lines):
     assert out.verify()
 
 
+def test_witness_repr_prints_the_vector_in_document_form():
+    # the rule NotMonotone's message uses: ints, "p/q" and residues
+    w = Witness("a", (Fraction(1), Fraction(-1, 2)), full_space(2), zero_subspace(2))
+    assert repr(w) == """Witness(at 'a', vector [1, "-1/2"])"""
+    w = Witness((("a",), ("b",)), (3, 0), full_space(2, GF(5)), zero_subspace(2, GF(5)))
+    assert repr(w) == "Witness(at (('a',), ('b',)), vector [3, 0])"
+
+
 def test_decompose_constant_chain(c3_constant):
     out = decompose(c3_constant)
     assert isinstance(out, Decomposition)
@@ -381,7 +389,11 @@ def test_decomposition_of_outside_vector():
 def test_a_vector_with_no_expansion_is_internal_contradiction(monkeypatch, c3_constant):
     # a vector inside the sum always expands in a certified decomposition
     dec = decompose(c3_constant)
-    monkeypatch.setattr(arrangements, "solve_exact", lambda *args: None)
+    # a right block with no relation stands in for a kernel that lost v's
+    def no_relation(field, rows, n_left, n_right):
+        return zero_subspace(n_right, field)
+
+    monkeypatch.setattr(arrangements, "_right_block", no_relation)
     message = "^vector inside the arrangement has no expansion in a certified decomposition$"
     with pytest.raises(InternalContradiction, match=message):
         decomposition_of(c3_constant, dec, [1, 1])

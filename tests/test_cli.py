@@ -374,6 +374,19 @@ def test_an_empty_field_is_refused_not_ignored(tmp_path, spelling):
         ]
 
 
+def test_every_command_reads_the_field_before_the_document(tmp_path):
+    # each command reads --field right after the JSON parse, so a bad flag
+    # is the fault reported first, before any fault of the document
+    arr = write(tmp_path, "arr.json", dict(THREE_LINES, poset={"elements": ["a", "a"]}))
+    model = write(tmp_path, "model.json", {"variables": [{"label": "x", "cardinality": 0}]})
+    commands = (["check", arr, "--property", "C"], ["decompose", arr], ["interactions", model])
+    for command in commands:
+        assert invoke(command).exit_code == 2
+        result = invoke(["--field", "mod:4", *command])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == ["error: modulus must be prime, got 4"]
+
+
 # ---------------------------------------------------------------------------
 # decompose
 # ---------------------------------------------------------------------------

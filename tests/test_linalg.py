@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interdec import linalg
+from interdec.arrangements import decompose, decomposition_of
 from interdec.errors import CapExceeded, InputError, InternalContradiction
 from interdec.linalg import (
     GF,
@@ -26,7 +27,6 @@ from interdec.linalg import (
     random_invertible,
     rank_of_rows,
     rref,
-    solve_exact,
     subspace_from_generators,
     sum_echelon,
     sum_subspaces,
@@ -39,6 +39,7 @@ from parse_reference import (
     reference_parse,
     reference_parse_rows,
 )
+from randgen import random_decomposable_arrangement
 
 
 def Q(x):
@@ -436,6 +437,21 @@ def test_subspace_from_generators_refuses_what_is_not_rows(gens, message):
         subspace_from_generators(2, gens, QQ, "here")
 
 
+@pytest.mark.parametrize("ambient", [-1, -2, True, 2.0, "2", None])
+def test_constructors_refuse_an_ambient_dimension_that_is_not_a_count(ambient):
+    # an InputError before any row is read, never a Subspace of F^-2 or a
+    # bare ValueError or TypeError
+    message = f"^{re.escape(f'ambient dimension: expected a count, got {ambient!r}')}$"
+    for make in (
+        lambda: subspace_from_generators(ambient, []),
+        lambda: subspace_from_generators(ambient, [[1, 0]], QQ, "here"),
+        lambda: zero_subspace(ambient, GF(7)),
+        lambda: full_space(ambient),
+    ):
+        with pytest.raises(InputError, match=message):
+            make()
+
+
 def test_subspace_accepts_string_entries():
     s = sp(2, [["1/2", 0]])
     assert s == L1()
@@ -517,12 +533,6 @@ def test_is_direct_sum_examples():
     u = sp(2, [[1, 2]])
     assert is_direct_sum([u, zero_subspace(2), zero_subspace(2)])
     assert is_direct_sum([])
-
-
-def test_solve_exact():
-    cols = [(Q(1), Q(0)), (Q(1), Q(1))]
-    assert solve_exact(cols, (Q(3), Q(2)), QQ) == [Q(1), Q(2)]
-    assert solve_exact([(Q(1), Q(0))], (Q(0), Q(1)), QQ) is None
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +709,7 @@ def reference_basis(rows, field):
 def reference_intersect(u_basis, w_basis, n, field):
     """The former block-rref intersection on [U | U; W | 0]."""
     stacked = [list(r) + list(r) for r in u_basis]
-    stacked += [list(r) + [field.zero] * n for r in w_basis]
+    stacked += [list(r) + [field.parse(0)] * n for r in w_basis]
     right = [
         r[n:] for r in reference_rref(stacked, field) if not any(r[:n]) and any(r[n:])
     ]
@@ -759,7 +769,7 @@ def reference_solve(columns, target, field):
     read each pivot row's target entry."""
     k = len(columns)
     rows = [[column[i] for column in columns] + [t] for i, t in enumerate(target)]
-    coeffs = [field.zero] * k
+    coeffs = [field.parse(0)] * k
     for row in reference_rref(rows, field):
         pivot = next((j for j, x in enumerate(row) if x), None)
         if pivot == k:
@@ -769,39 +779,39 @@ def reference_solve(columns, target, field):
     return coeffs
 
 
-@st.composite
-def solve_cases(draw):
-    """Columns with zero, repeated and combined (dependent) ones mixed in,
-    and a target drawn freely (so often outside their span) or combined
-    from them; over ℚ the weights are fractions, so a solution read off
-    the kernel's integer rows needs their pivots divided out."""
-    field, n, columns = draw(generator_lists())
+@settings(max_examples=100, deadline=None)
+@given(
+    sample=st.integers(min_value=0, max_value=2**32 - 1),
+    field=st.sampled_from([QQ, GF(2), GF(7)]),
+    seed=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+    zero=st.booleans(),
+)
+def test_decomposition_of_matches_the_reference_rref_solve(sample, field, seed, zero):
+    # the old route: solve for v in the components' pivot-one bases by
+    # reference_solve, then sum each component's share of the solution
+    rng = random.Random(sample)
+    arr, _ = random_decomposable_arrangement(rng, field)
+    dec = decompose(arr, seed=seed)
+    full = arr.eval_mask((1 << len(arr.poset.labels)) - 1).basis
     if field.kind == "rational":
-        scalar = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        weights = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in full]
     else:
-        scalar = st.integers(min_value=0, max_value=field.p - 1)
-
-    def combination():
-        weights = draw(st.lists(scalar, min_size=len(columns), max_size=len(columns)))
-        return [
-            field.parse(sum(w * column[i] for w, column in zip(weights, columns)))
-            for i in range(n)
-        ]
-
-    if columns and draw(st.booleans()):
-        columns.insert(draw(st.integers(0, len(columns))), combination())
-    if columns and draw(st.booleans()):
-        target = combination()
-    else:
-        target = [field.parse(x) for x in draw(st.lists(scalar, min_size=n, max_size=n))]
-    return field, columns, target
-
-
-@given(solve_cases())
-@example((QQ, [[Q(2)]], [Q(1)]))
-def test_solve_exact_matches_reference_rref_solve(case):
-    field, columns, target = case
-    assert solve_exact(columns, target, field) == reference_solve(columns, target, field)
+        weights = [rng.randrange(field.p) for _ in full]
+    v = tuple(
+        field.parse(0 if zero else sum(w * row[i] for w, row in zip(weights, full)))
+        for i in range(arr.ambient_dim)
+    )
+    bases = [dec.components[lab].basis for lab in arr.poset.labels]
+    coeffs = iter(reference_solve([row for basis in bases for row in basis], v, field))
+    expected = {
+        lab: tuple(
+            field.parse(sum(c * row[i] for c, row in zip(own, basis)))
+            for i in range(arr.ambient_dim)
+        )
+        for lab, basis in zip(arr.poset.labels, bases)
+        for own in [[next(coeffs) for _ in basis]]
+    }
+    assert decomposition_of(arr, dec, v) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -213,8 +213,8 @@ def test_section_rule_has_one_home():
 
 def test_entry_parsing_has_one_home(monkeypatch):
     # each document entry is parsed once, by the field's exact_row, on its
-    # way to a kernel row; decomposition_of parses its vector and the sums
-    # it hands back, and the loader leaves every entry to exact_row
+    # way to a kernel row; decomposition_of parses the sums it hands back,
+    # and the loader leaves every entry to exact_row
     def calls_parse(node):
         return (
             isinstance(node, ast.Call)
@@ -395,6 +395,18 @@ def test_the_retired_error_leaves_and_wrappers_stay_gone():
     })
 
 
+def test_joined_rows_have_one_right_block_reader():
+    # linalg._right_block is the one read of the right halves of kernel
+    # rows joined as [l | r]: the Zassenhaus rows of U ∩ W, and the one
+    # relation of a vector with the components' rows that splits it; the
+    # augmented solve it replaced stays gone
+    assert scopes_where(calls_name("_right_block")) == {
+        "linalg.intersect",
+        "arrangements.decomposition_of",
+    }
+    assert_retired({"solve_exact"})
+
+
 def test_generator_rows_have_one_reader():
     # subspace_from_generators reads every generator row, naming the row
     # it refuses; _subspace_table reads a table's rows through it, under
@@ -554,7 +566,6 @@ def test_the_number_rule_has_one_home():
         "linalg._read_number",
     }
     assert scopes_where(calls_name("Fraction")) == {
-        "linalg.RationalField",
         "linalg.RationalField.parse",
         "linalg.RationalField.pivot_one",
     }
